@@ -21,6 +21,7 @@ from .errors import (
 )
 from .market import SocialPriceCap
 from .scenario import (
+    check_sim,
     config_to_json,
     load_config,
     report_to_json,
@@ -31,7 +32,10 @@ from .scenario import (
 )
 from .verification import run_verify
 
-_INPUT_ERRORS = (ParseError, MissingField, ValidationError, NegativeMu, DimensionMismatch)
+# An output path that cannot be written (OSError) is an input error too.
+_INPUT_ERRORS = (
+    ParseError, MissingField, ValidationError, NegativeMu, DimensionMismatch, OSError
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -89,7 +93,7 @@ def _load(args):
         sim = replace(sim, t_end=args.t_end)
     if getattr(args, "method", None) is not None:
         sim = replace(sim, method=args.method)
-    return replace(config, sim=sim)
+    return replace(config, sim=check_sim(sim))
 
 
 def _write_or_print(text: str, out: str | None) -> None:

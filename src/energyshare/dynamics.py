@@ -344,24 +344,31 @@ def reduced_matrices(market: MarketInstance) -> tuple[np.ndarray, np.ndarray]:
 
 
 class ProjectedAffine(NamedTuple):
-    """Affine pieces of a drift with one conditionally projected component.
+    """Affine pieces of a drift with at most one conditionally projected component.
 
     The drift is ``matrix @ y + offset`` while ``y[mu] > 0``; with
     ``y[mu] <= 0`` its ``mu`` entry is replaced by ``max(-y[nu], 0)``.
+    Without a projected component (``mu`` and ``nu`` None) the drift is
+    ``matrix @ y + offset`` everywhere.
     """
 
     matrix: np.ndarray
     offset: np.ndarray
-    nu: int
-    mu: int
+    nu: int | None = None
+    mu: int | None = None
 
 
 def affine_rhs(matrix: np.ndarray, offset: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """Callable ``y -> matrix @ y + offset`` for use with :func:`integrate`."""
+    """Callable ``y -> matrix @ y + offset`` for use with :func:`integrate`.
+
+    The callable carries its pieces as ``rhs.projected_affine``, which lets
+    :func:`integrate` advance it in blocks of steps.
+    """
 
     def rhs(y: np.ndarray) -> np.ndarray:
         return matrix @ y + offset
 
+    rhs.projected_affine = ProjectedAffine(matrix, offset)
     return rhs
 
 
@@ -372,7 +379,7 @@ def closed_loop_rhs(market: MarketInstance, cap: float) -> Callable[[np.ndarray]
     tolerant of slightly negative ``mu`` (raw Runge-Kutta stage values),
     for which the projection branch applies.  The returned callable carries
     its affine pieces as ``rhs.projected_affine``, which lets
-    :func:`integrate` take explicit Euler steps in blocks.
+    :func:`integrate` advance it in blocks of steps.
     """
     mat, offset = closed_loop_matrices(market, cap)
     lay = state_layout(market.n)
@@ -481,59 +488,104 @@ def euler_stable_step(market: MarketInstance) -> float:
 # ---------------------------------------------------------------------------
 # Integration
 
-# Explicit Euler on a closed-loop drift advances in blocks of at most
-# _BLOCK_MAX_STEPS steps; a power of two makes a full block one
-# matrix-vector product.  The tables of both branches may take at most
-# _BLOCK_MAX_BYTES; that bounds the memory the block path adds to a run
-# (about 430 state components at full block length) and says nothing of
-# its speed, which _blocks_pay_off weighs.
+
+def _euler_step(rhs, y, h: float):
+    return y + h * rhs(y)
+
+
+def _rk4_step(rhs, y, h: float):
+    half = 0.5 * h
+    k1 = rhs(y)
+    k2 = rhs(y + half * k1)
+    k3 = rhs(y + half * k2)
+    k4 = rhs(y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+
+
+# Each method's step and its number of drift evaluations (stages) per step.
+_METHODS = {"euler": (_euler_step, 1), "rk4": (_rk4_step, 4)}
+
+# A block is at most _BLOCK_MAX_STEPS steps; a power of two makes a full
+# block one matrix-vector product.  The tables of all branches may take at
+# most _BLOCK_MAX_BYTES; that bounds the memory the block path adds to a
+# run (about 430 state components for Euler at full block length) and says
+# nothing of its speed, which _blocks_pay_off weighs.
 _BLOCK_MAX_STEPS = 1 << 12
 _BLOCK_MAX_BYTES = 1 << 26
 
 
-def _blocks_pay_off(dim: int, length: int, n_steps: int) -> bool:
-    """Whether the Euler block tables cost well under the step loop they replace.
+def _blocks_pay_off(dim: int, length: int, n_steps: int, evals: int, guards: int) -> bool:
+    """Whether the block tables cost well under the step loop they replace.
 
-    Counted in multiply-adds, the step loop spends ``dim**2`` per step.  The
-    tables of one branch take ``length.bit_length()`` squarings of the step
-    matrix (``dim**3`` each) and at most ``2 * length`` guard rows
-    (``dim**2`` each); for both branches together to cost at most half the
-    loop, ``4 * bits * dim + 8 * length <= n_steps``.  The interpreter's
-    per-step cost, which the block path also saves, is left out, so the
-    choice errs towards the step loop.
+    ``evals`` is the number of drift evaluations per step and ``guards``
+    the number of guard rows checked per step on one branch: one per stage
+    for a drift with a projected component, which has two branches, and
+    none for a plain affine drift, which has one.  Counted in multiply-adds,
+    the step loop spends ``evals * dim**2`` per step.  The tables of one
+    branch compose the step from its stage maps (``evals * dim**3``), take
+    ``bits = length.bit_length()`` squarings of the step matrix
+    (``dim**3`` each) and build at most ``2 * guards * length`` guard rows
+    (``dim**2`` each); for all branches together to cost at most half the
+    loop, ``2 * branches * ((evals + bits) * dim + 2 * guards * length)
+    <= evals * n_steps``.  The interpreter's per-step cost, which the block
+    path also saves, is left out, so the choice errs towards the step loop.
     """
     bits = length.bit_length()
-    table_bytes = 2 * 8 * (bits * (dim + 1) * dim + (length + 1) * (dim + 1))
-    return 4 * bits * dim + 8 * length <= n_steps and table_bytes <= _BLOCK_MAX_BYTES
+    branches = 2 if guards else 1
+    table_bytes = branches * 8 * (bits * (dim + 1) * dim + guards * (length + 1) * (dim + 1))
+    cost = 2 * branches * ((evals + bits) * dim + 2 * guards * length)
+    return cost <= evals * n_steps and table_bytes <= _BLOCK_MAX_BYTES
 
 
-class _EulerBranch:
-    """Powers of one affine Euler step ``y -> step @ y + offset``.
+class _Branch:
+    """Block tables of one method on one affine drift ``y -> matrix @ y + offset``.
 
-    Holds ``(step**(2**i), S_(2**i))`` with ``S_j`` the sum of
-    ``step**i @ offset`` over ``i < j``, so that ``j`` steps apply as
-    ``step**j @ y + S_j``; the ``guard`` row of ``step**j`` and of ``S_j``
-    for every ``j <= length``; and ``growth[j] = max(1, ||step||_2)**j``,
-    with which ``||y_j||_inf <= growth[j] * (||y||_2 + j * ||offset||_2)``.
+    One step of the method is run on affine maps ``y -> M @ y + c``, stored
+    as ``[M | c]``, so the step map ``y -> step @ y + shift`` and the
+    ``guard`` component of every stage state are composed by the same code
+    as a single step.  Holds ``(step**(2**i), S_(2**i))`` with ``S_j`` the
+    sum of ``step**i @ shift`` over ``i < j``, so that ``j`` steps apply as
+    ``step**j @ y + S_j``.  From a start ``y``, stage ``s`` of step
+    ``j + 1`` has its guard component at ``rows[j * stages + s] @ y +
+    sums[j * stages + s]`` for every ``j < length``.  ``growth[j] =
+    max(1, ||step||_2)**j``, with which ``||y_j||_inf <= growth[j] *
+    (||y||_2 + j * ||shift||_2)``.
     """
 
-    def __init__(self, step: np.ndarray, offset: np.ndarray, guard: int, length: int):
-        rows = np.eye(step.shape[0])[[guard]]
-        sums = np.zeros(1)
-        power, total = step, offset
+    def __init__(self, method_step, matrix: np.ndarray, offset: np.ndarray, h: float,
+                 guard: int | None, length: int):
+        dim = offset.size
+        guards = []
+
+        def drift(maps: np.ndarray) -> np.ndarray:
+            if guard is not None:
+                guards.append(maps[guard])
+            d = matrix @ maps
+            d[:, -1] += offset
+            return d
+
+        mapped = method_step(drift, np.eye(dim, dim + 1), h)
+        step, shift = mapped[:, :-1], mapped[:, -1]
+        self.stages = len(guards)
+        guards = np.array(guards).reshape(-1, dim + 1)
+        rows, sums = guards[:, :-1], guards[:, -1]
+        power, total, covered = step, shift, 1
         self.powers = []
         while True:
             self.powers.append((power, total))
-            # row j + n of the powers is row j times step**n; S_(j+n) = step**j S_n + S_j.
+            # The rows of step j + n are those of step j times step**n;
+            # S_(j+n) = step**j S_n + S_j.
             sums = np.concatenate([sums, rows @ total + sums])
             rows = np.concatenate([rows, rows @ power])
-            if rows.shape[0] > length:
+            covered *= 2
+            if covered > length:
                 break
             power, total = power @ power, power @ total + total
-        self.rows, self.sums = rows[: length + 1], sums[: length + 1]
+        kept = length * self.stages
+        self.rows, self.sums = rows[:kept], sums[:kept]
         with np.errstate(over="ignore"):
             self.growth = max(1.0, float(np.linalg.norm(step, 2))) ** np.arange(length + 1)
-        self.offset_norm = float(np.linalg.norm(offset))
+        self.shift_norm = float(np.linalg.norm(shift))
 
     def apply(self, y: np.ndarray, steps: int) -> np.ndarray:
         for i, (power, total) in enumerate(self.powers):
@@ -542,44 +594,46 @@ class _EulerBranch:
         return y
 
 
-class _EulerBlocks:
-    """Explicit Euler steps on a projected affine drift, many at a time.
+class _Blocks:
+    """Steps of one method on a projected affine drift, many at a time.
 
-    On each ``mu`` branch one Euler step is affine: ``y -> (I + hA) y + h b``
-    while ``y[mu] > 0``, and the same with the ``mu`` row replaced by the
-    identity row (``mu`` stays put) while ``y[mu] <= 0 <= y[nu]``.
-    :meth:`advance` applies the steps of one branch for as long as every
-    state they reach stays on that branch and provably within the
-    divergence limit; the step after that is the caller's to take with the
-    ordinary single-step code, which also applies the clamp.
+    On each ``mu`` branch the drift is affine, and so is one step of either
+    method: ``y -> R y + r``.  With ``mu`` free (``y[mu] > 0``) the drift is
+    ``A y + b``; with ``mu`` pinned (``y[mu] <= 0 <= y[nu]``) its ``mu``
+    row is 0, so ``mu`` stays put.  A drift without a projected component
+    has the free branch only.  :meth:`advance` applies the steps of one
+    branch for as long as every stage state at which they evaluate the
+    drift stays on that branch and every state they reach provably stays
+    within the divergence limit; the step after that is the caller's to
+    take with the ordinary single-step code, which also applies the clamp.
     """
 
-    def __init__(self, affine: ProjectedAffine, h: float, length: int, limit: float):
+    def __init__(self, affine: ProjectedAffine, method_step, h: float, length: int,
+                 limit: float):
         mu, nu = affine.mu, affine.nu
-        step = np.eye(affine.offset.size) + h * affine.matrix
-        offset = h * affine.offset
-        pinned, pinned_offset = step.copy(), offset.copy()
-        pinned[mu] = 0.0
-        pinned[mu, mu] = 1.0
-        pinned_offset[mu] = 0.0
-        self.free = _EulerBranch(step, offset, mu, length)
-        self.pinned = _EulerBranch(pinned, pinned_offset, nu, length)
+        self.free = _Branch(method_step, affine.matrix, affine.offset, h, mu, length)
+        self.pinned = None
+        if mu is not None:
+            matrix, offset = affine.matrix.copy(), affine.offset.copy()
+            matrix[mu], offset[mu] = 0.0, 0.0
+            self.pinned = _Branch(method_step, matrix, offset, h, nu, length)
         self.mu, self.nu, self.limit = mu, nu, limit
 
     def advance(self, y: np.ndarray, steps: int) -> tuple[np.ndarray, int]:
         """Take up to ``steps <= length`` steps from ``y``; return the new state and the count."""
-        if y[self.mu] > 0.0:
-            branch = self.free
-            ok = branch.rows[1 : steps + 1] @ y + branch.sums[1 : steps + 1] > 0.0
+        if self.mu is None or y[self.mu] > 0.0:
+            branch, strict = self.free, True
         elif y[self.nu] >= 0.0:
-            branch = self.pinned
-            ok = branch.rows[1 : steps + 1] @ y + branch.sums[1 : steps + 1] >= 0.0
+            branch, strict = self.pinned, False
         else:
             return y, 0
+        n = steps * branch.stages
+        guard = branch.rows[:n] @ y + branch.sums[:n]
+        ok = (guard > 0.0 if strict else guard >= 0.0).reshape(steps, branch.stages).all(axis=1)
         size = float(np.linalg.norm(y))
-        if not branch.growth[steps] * (size + steps * branch.offset_norm) <= self.limit:
+        if not branch.growth[steps] * (size + steps * branch.shift_norm) <= self.limit:
             j = np.arange(1, steps + 1)
-            ok &= branch.growth[1 : steps + 1] * (size + j * branch.offset_norm) <= self.limit
+            ok &= branch.growth[1 : steps + 1] * (size + j * branch.shift_norm) <= self.limit
         taken = int(np.argmin(np.append(ok, False)))  # leading steps that pass
         return branch.apply(y, taken), taken
 
@@ -616,15 +670,17 @@ def integrate(
         divergence_limit: abort once the state's infinity norm exceeds this
             bound or turns non-finite.
 
-    Explicit Euler on a drift from :func:`closed_loop_rhs` that records
-    every k > 1 steps advances many steps at once when the run is long
-    enough to repay the precomputation (see ``_blocks_pay_off``): on
-    each ``mu`` branch a step is affine, so precomputed powers of the step
-    matrix apply a block of steps, the branch condition is checked at every
-    step inside it, and the first step that leaves the branch or may cross
-    ``divergence_limit`` is taken with the single-step code.  This is the
-    same recurrence, rounded through the matrix powers: the states agree
-    with the step-by-step ones to ~1e-12 of their size.
+    A drift from :func:`closed_loop_rhs` or :func:`affine_rhs` that records
+    every k > 1 steps advances many steps at once, with either method,
+    when the run is long enough to repay the precomputation (see
+    ``_blocks_pay_off``).  Between ``mu`` switches the drift is affine, so
+    one step is an affine map composed from the method's stage maps, and
+    precomputed powers of it apply a block of steps.  The branch condition
+    is checked at every stage of every step inside the block, and the
+    first step that leaves the branch or may cross ``divergence_limit`` is
+    taken with the single-step code.  This is the same recurrence, rounded
+    through the matrix powers: the states agree with the step-by-step ones
+    to ~1e-12 of their size.
 
     Returns:
         The recorded :class:`Trajectory`.
@@ -640,7 +696,7 @@ def integrate(
         raise ValueError(f"step size must be positive, got {h}")
     if t_end < h:
         raise ValueError(f"horizon {t_end} must be at least one step {h}")
-    if method not in ("euler", "rk4"):
+    if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}; expected 'euler' or 'rk4'")
     if record_stride < 1:
         raise ValueError(f"record_stride must be >= 1, got {record_stride}")
@@ -654,11 +710,10 @@ def integrate(
     if mu_index is not None and y[mu_index] < 0.0:
         raise NegativeMu(f"initial mu = {y[mu_index]} must be nonnegative")
 
+    step, evals = _METHODS[method]
     n_steps = max(1, int(round(t_end / h)))
-    record_ks = list(range(0, n_steps + 1, record_stride))
-    if record_ks[-1] != n_steps:
-        record_ks.append(n_steps)
-    n_rec = len(record_ks)
+    # Records sit at every record_stride-th step, plus the final step.
+    n_rec = -(-n_steps // record_stride) + 1
     times = np.empty(n_rec)
     states = np.empty((n_rec, y.size))
     lyapunov = np.empty(n_rec)
@@ -678,19 +733,15 @@ def integrate(
     blocks = None
     affine = getattr(rhs, "projected_affine", None)
     length = min(record_stride, n_steps, _BLOCK_MAX_STEPS)
-    if (
-        method == "euler" and affine is not None and length > 1
-        and mu_index in (None, affine.mu) and _blocks_pay_off(y.size, length, n_steps)
-    ):
-        blocks = _EulerBlocks(affine, h, length, divergence_limit)
-
-    half = 0.5 * h
-    sixth = h / 6.0
+    if affine is not None and length > 1 and mu_index in (None, affine.mu):
+        guards = 0 if affine.mu is None else evals
+        if _blocks_pay_off(y.size, length, n_steps, evals, guards):
+            blocks = _Blocks(affine, step, h, length, divergence_limit)
 
     snapshot(0, 0)
     k = 0
     for rec_i in range(1, n_rec):
-        next_rec = record_ks[rec_i]
+        next_rec = min(rec_i * record_stride, n_steps)
         while k < next_rec:
             if blocks is not None:
                 steps = min(next_rec - k, length)
@@ -703,14 +754,7 @@ def integrate(
                 if taken == steps:
                     continue
             k += 1
-            if method == "euler":
-                y = y + h * rhs(y)
-            else:
-                k1 = rhs(y)
-                k2 = rhs(y + half * k1)
-                k3 = rhs(y + half * k2)
-                k4 = rhs(y + h * k3)
-                y = y + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+            y = step(rhs, y, h)
             if mu_index is not None and y[mu_index] < 0.0:
                 y[mu_index] = 0.0
             if not (np.abs(y).max() <= divergence_limit):  # also catches NaN

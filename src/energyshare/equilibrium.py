@@ -271,6 +271,7 @@ def lcp_oracle(market: MarketInstance, cap: float, tolerance: float = 1e-10) -> 
     if tolerance <= 0.0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
 
+    accuracy = tolerance
     if aggregate_slack(market, cap) >= 0.0:
         # Cap branch: price pinned at the cap, slack already nonnegative.
         lam = cap
@@ -288,17 +289,22 @@ def lcp_oracle(market: MarketInstance, cap: float, tolerance: float = 1e-10) -> 
         hi = cap
         while hi - lo > tolerance:
             mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break  # adjacent floats: the bracket cannot shrink further
             if aggregate_slack(market, mid) > 0.0:
                 lo = mid
             else:
                 hi = mid
         lam = 0.5 * (lo + hi)
+        # At large prices one ulp may exceed the tolerance; audit at the
+        # accuracy the bisection reached.
+        accuracy = max(accuracy, hi - lo)
 
     # Exhaustive audit: both complementarity factors must be (numerically)
     # nonnegative and at least one of them zero.
     slack = aggregate_slack(market, lam)
     headroom = cap - lam
-    feas = 4.0 * max(1.0, market.s1) * tolerance
+    feas = 4.0 * max(1.0, market.s1) * accuracy
     if slack < -feas or headroom < -feas or min(abs(slack), abs(headroom)) > feas:
         raise ArithmeticError(
             f"complementarity audit failed: slack={slack:.3e}, headroom={headroom:.3e}"

@@ -10,6 +10,7 @@ floats.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, replace
@@ -186,10 +187,22 @@ def _parse_sim(doc, n: int) -> SimSettings:
             sim = replace(sim, init=arr)
         else:
             raise ParseError(f'sim.init must be "zero" or a list of numbers, got {init!r}')
-    if sim.h <= 0.0:
-        raise ParseError(f"sim.h must be positive, got {sim.h}")
-    if sim.t_end < sim.h:
-        raise ParseError(f"sim.t_end = {sim.t_end} must be at least sim.h = {sim.h}")
+    return check_sim(sim)
+
+
+def check_sim(sim: SimSettings) -> SimSettings:
+    """Return ``sim`` if a run can use it.
+
+    Shared by the config parser and the command-line overrides.
+
+    Raises:
+        ParseError: the step is not positive and finite, the horizon is
+            shorter than one step or not finite, or the stride is below 1.
+    """
+    if not 0.0 < sim.h < math.inf:
+        raise ParseError(f"sim.h must be positive and finite, got {sim.h}")
+    if not sim.h <= sim.t_end < math.inf:
+        raise ParseError(f"sim.t_end = {sim.t_end} must be finite and at least sim.h = {sim.h}")
     if sim.record_stride < 1:
         raise ParseError(f"sim.record_stride must be >= 1, got {sim.record_stride}")
     return sim

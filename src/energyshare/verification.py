@@ -16,7 +16,7 @@ from . import dynamics as dyn
 from . import equilibrium as eq
 from . import market as mkt
 from . import scenario as scn
-from .errors import EnergyShareError
+from .errors import EnergyShareError, ValidationError
 
 # Sampling ranges for the algebraic checks (wide; match the oracle suite).
 WIDE_RANGES = dict(n_max=8, q_lo=0.1, q_hi=20.0, c0_lo=-100.0, c0_hi=0.0, a_hi=50.0)
@@ -128,9 +128,12 @@ def run_verify(config, num_random_instances: int = 200, seed: int | None = None)
             (the oracle-agreement check uses all of them; the purely
             algebraic ones use min(50, n) draws each).
         seed: RNG seed; defaults to the config's seed.
+
+    Raises:
+        ValidationError: ``num_random_instances`` is below 1.
     """
     if num_random_instances < 1:
-        raise ValueError("num_random_instances must be >= 1")
+        raise ValidationError(f"num_random_instances must be >= 1, got {num_random_instances}")
     if seed is None:
         seed = config.seed
     rng = np.random.default_rng(seed)

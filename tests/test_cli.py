@@ -86,6 +86,24 @@ class TestVerify:
         assert "[FAIL]" not in out
 
 
+class TestBadArguments:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--instances", "0"],
+            ["simulate", "--h", "-1"],
+            ["simulate", "--t-end", "0"],
+            ["simulate", "--t-end", "1", "--out", "missing_dir/x.csv"],
+        ],
+        ids=["zero_instances", "negative_step", "zero_horizon", "missing_out_directory"],
+    )
+    def test_exits_2_with_error_line(self, argv, tmp_path, monkeypatch, capsys, fast_config_path):
+        monkeypatch.chdir(tmp_path)
+        code = main([argv[0], "--config", fast_config_path, *argv[1:]])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+
 class TestModuleEntryPoint:
     def test_python_m_invocation(self):
         import subprocess

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import energyshare as es
+from energyshare import dynamics
 from conftest import random_market
 
 SIM_RANGES = dict(n_max=5, q_lo=0.5, q_hi=4.0, c0_lo=-30.0, c0_hi=0.0, a_hi=20.0)
@@ -17,6 +18,35 @@ SIM_RANGES = dict(n_max=5, q_lo=0.5, q_hi=4.0, c0_lo=-30.0, c0_hi=0.0, a_hi=20.0
 
 def closed_loop_zero(market):
     return np.zeros(es.closed_loop_dim(market.n))
+
+
+def affine_step(method, matrix, offset, h):
+    """One step of ``method`` on ``y -> matrix @ y + offset`` as ``(step, shift)``.
+
+    On an affine drift, rk4 advances by ``h`` times the drift multiplied by
+    the degree-3 Taylor polynomial of ``(exp(hA) - I) / (hA)``.
+    """
+    eye = np.eye(offset.size)
+    if method == "euler":
+        return eye + h * matrix, h * offset
+    ha = h * matrix
+    poly = eye + ha / 2.0 + ha @ ha / 6.0 + ha @ ha @ ha / 24.0
+    return eye + ha @ poly, h * poly @ offset
+
+
+@pytest.fixture()
+def block_steps(monkeypatch):
+    """Count of the steps that integrate takes through its block path."""
+    count = [0]
+    advance = dynamics._Blocks.advance
+
+    def counted(self, y, steps):
+        y, taken = advance(self, y, steps)
+        count[0] += taken
+        return y, taken
+
+    monkeypatch.setattr(dynamics._Blocks, "advance", counted)
+    return count
 
 
 class TestRhsOpenLoop:
@@ -241,25 +271,30 @@ class TestIntegrate:
         assert np.abs(partial.states).max() <= 1e3
 
     # Wrapping the drift hides its affine pieces from integrate, so the
-    # wrapped run is the step-by-step reference for the Euler block path.
+    # wrapped run is the step-by-step reference for the block path.
     # Capped at the CE price, the fixed point has mu = nu = 0, so mu creeps
     # towards its boundary instead of crossing it.
     @pytest.mark.parametrize("at_ce_price", [False, True])
     @pytest.mark.parametrize("clamp", [True, False])
-    def test_euler_blocks_match_step_loop_across_mu_switches(self, clamp, at_ce_price):
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    def test_blocks_match_step_loop_across_mu_switches(
+        self, method, clamp, at_ce_price, block_steps
+    ):
         market = es.validate_market([(0.8, -10.0, 2.0), (1.6, -6.0, 5.0), (2.5, -15.0, 1.0)])
         cap = es.solve_ce(market).lambda_bar if at_ce_price else 5.0
         lay = es.state_layout(market.n)
         mu_index = lay.mu if clamp else None  # unclamped, mu stays below 0 once there
+        h = 0.5 * es.euler_stable_step(market) if method == "euler" else 0.02
         rhs = es.closed_loop_rhs(market, cap)
         eq = es.assemble_equilibrium(market, cap).to_vector()
         block, loop = (
             es.integrate(
-                f, np.zeros(lay.dim), 0.5 * es.euler_stable_step(market), 60.0,
-                method="euler", reference=eq, mu_index=mu_index, record_stride=250,
+                f, np.zeros(lay.dim), h, 60.0,
+                method=method, reference=eq, mu_index=mu_index, record_stride=250,
             )
             for f in (rhs, lambda y: rhs(y))
         )
+        assert block_steps[0] > 0
         mu = loop.states[:, lay.mu]
         assert (mu > 0.0).any() and (mu <= 0.0).any()
         np.testing.assert_array_equal(block.times, loop.times)
@@ -269,7 +304,8 @@ class TestIntegrate:
         if clamp:
             assert block.states[:, lay.mu].min() >= 0.0
 
-    def test_euler_blocks_clamp_mu_at_a_block_end(self):
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    def test_blocks_clamp_mu_at_a_block_end(self, method, block_steps):
         # On the free branch mu after j steps is affine in the initial mu.
         # Near its root the guard rows and the matrix powers of a block may
         # round to opposite signs, so sweep the floats around the root with
@@ -278,8 +314,8 @@ class TestIntegrate:
         lay = es.state_layout(market.n)
         rhs = es.closed_loop_rhs(market, es.solve_ce(market).lambda_bar)
         affine = rhs.projected_affine
-        h = 0.5 * es.euler_stable_step(market)
-        step, offset = np.eye(lay.dim) + h * affine.matrix, h * affine.offset
+        h = 0.5 * es.euler_stable_step(market) if method == "euler" else 0.02
+        step, offset = affine_step(method, affine.matrix, affine.offset, h)
         rng = np.random.default_rng(1)
         swept = 0
         while swept < 3:
@@ -299,12 +335,18 @@ class TestIntegrate:
             for k in range(-32, 33):
                 y0 = base.copy()
                 y0[lay.mu] = root + k * np.spacing(root)
-                traj = es.integrate(rhs, y0, h, 50 * j * h, method="euler",
+                traj = es.integrate(rhs, y0, h, 50 * j * h, method=method,
                                     mu_index=lay.mu, record_stride=j)
                 assert traj.states[:, lay.mu].min() >= 0.0
+        assert block_steps[0] > 0
 
-    def test_euler_blocks_diverge_where_step_loop_does(self):
-        market = es.validate_market([(100.0, -50.0, 1.0)])  # stiff: Euler at h=1e-3 is unstable
+    @pytest.mark.parametrize(
+        "method, h", [("euler", 1e-3), ("rk4", 0.029)], ids=["euler", "rk4"]
+    )
+    def test_blocks_diverge_where_step_loop_does(self, method, h, block_steps):
+        # Stiff: Euler at h = 1e-3 and rk4 at h = 0.029 (beyond its bound of
+        # ~0.0278 here) are both unstable.
+        market = es.validate_market([(100.0, -50.0, 1.0)])
         lay = es.state_layout(1)
         rhs = es.closed_loop_rhs(market, 0.2)
         eq = es.assemble_equilibrium(market, 0.2).to_vector()
@@ -312,10 +354,11 @@ class TestIntegrate:
         for f in (rhs, lambda y: rhs(y)):
             with pytest.raises(es.NonfiniteState) as excinfo:
                 es.integrate(
-                    f, np.zeros(lay.dim), 1e-3, 50.0,
-                    method="euler", reference=eq, mu_index=lay.mu, record_stride=10,
+                    f, np.zeros(lay.dim), h, 50.0,
+                    method=method, reference=eq, mu_index=lay.mu, record_stride=10,
                 )
             errors.append(excinfo.value)
+        assert block_steps[0] > 0
         block, loop = errors
         assert str(block) == str(loop)  # the message names the step's time
         np.testing.assert_array_equal(block.trajectory.times, loop.trajectory.times)
@@ -323,6 +366,24 @@ class TestIntegrate:
         np.testing.assert_allclose(
             block.trajectory.states, loop.trajectory.states, rtol=0.0, atol=atol
         )
+
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    def test_blocks_match_step_loop_on_affine_rhs(self, table1_market, method, block_steps):
+        mat, off = es.open_loop_matrices(table1_market)
+        eigs = np.linalg.eigvals(mat)
+        euler_bound = float((-2.0 * eigs.real / np.abs(eigs) ** 2).min())
+        h = 0.5 * euler_bound if method == "euler" else 0.02
+        rhs = es.affine_rhs(mat, off)
+        eq = es.open_loop_equilibrium(table1_market)
+        block, loop = (
+            es.integrate(f, np.zeros(mat.shape[0]), h, 100.0, method=method,
+                         reference=eq, record_stride=100)
+            for f in (rhs, lambda y: rhs(y))
+        )
+        assert block_steps[0] > 0
+        np.testing.assert_array_equal(block.times, loop.times)
+        atol = 1e-9 * np.abs(loop.states).max()
+        np.testing.assert_allclose(block.states, loop.states, rtol=0.0, atol=atol)
 
     def test_rejects_negative_initial_mu(self, table1_market):
         y0 = closed_loop_zero(table1_market)

@@ -1,5 +1,7 @@
 """Equilibrium solvers against independent oracles and frozen values."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -387,6 +389,20 @@ class TestLcpOracle:
             m = random_market(rng)
             cap = rng.uniform(-10, 30)
             assert abs(es.lcp_oracle(m, cap, 1e-9) - es.solve_scalar_lcp(m, cap)) <= 1e-8
+
+    def test_terminates_when_an_ulp_exceeds_the_tolerance(self):
+        # Near a price of 1e9 adjacent floats lie 1.2e-7 apart, far above the
+        # default tolerance, so the bracket stops shrinking before reaching it.
+        market = es.validate_market([(1.0, -1e9, 0.37)])
+        result = []
+        worker = threading.Thread(
+            target=lambda: result.append(es.lcp_oracle(market, 2e9)), daemon=True
+        )
+        worker.start()
+        worker.join(timeout=5.0)
+        assert result, "lcp_oracle did not return within 5 s"
+        expected = es.solve_scalar_lcp(market, 2e9)
+        assert abs(result[0] - expected) <= 2.0 * np.spacing(expected)
 
     def test_rejects_bad_tolerance(self, table1_market):
         with pytest.raises(ValueError):
