@@ -93,7 +93,7 @@ def _load(args):
         sim = replace(sim, t_end=args.t_end)
     if getattr(args, "method", None) is not None:
         sim = replace(sim, method=args.method)
-    return replace(config, sim=check_sim(sim))
+    return replace(config, sim=check_sim(sim, config.market.n))
 
 
 def _write_or_print(text: str, out: str | None) -> None:

@@ -47,6 +47,10 @@ _METHODS = ("euler", "rk4")
 # Default convergence tolerance reported by run_simulate summaries.
 SUMMARY_TOLERANCE = 1e-3
 
+# Largest record a run may ask for, in float64 values (1 GiB): integrate
+# allocates all of its rows of 5N+6 values before its first step.
+MAX_RECORDED_VALUES = 2**27
+
 
 @dataclass(frozen=True)
 class SimSettings:
@@ -187,17 +191,18 @@ def _parse_sim(doc, n: int) -> SimSettings:
             sim = replace(sim, init=arr)
         else:
             raise ParseError(f'sim.init must be "zero" or a list of numbers, got {init!r}')
-    return check_sim(sim)
+    return check_sim(sim, n)
 
 
-def check_sim(sim: SimSettings) -> SimSettings:
-    """Return ``sim`` if a run can use it.
+def check_sim(sim: SimSettings, n: int) -> SimSettings:
+    """Return ``sim`` if a run of an ``n``-agent market can use it.
 
     Shared by the config parser and the command-line overrides.
 
     Raises:
         ParseError: the step is not positive and finite, the horizon is
-            shorter than one step or not finite, or the stride is below 1.
+            shorter than one step or not finite, the stride is below 1, or
+            the record would exceed ``MAX_RECORDED_VALUES``.
     """
     if not 0.0 < sim.h < math.inf:
         raise ParseError(f"sim.h must be positive and finite, got {sim.h}")
@@ -205,6 +210,13 @@ def check_sim(sim: SimSettings) -> SimSettings:
         raise ParseError(f"sim.t_end = {sim.t_end} must be finite and at least sim.h = {sim.h}")
     if sim.record_stride < 1:
         raise ParseError(f"sim.record_stride must be >= 1, got {sim.record_stride}")
+    # Rows as integrate counts them, give or take one; in floats, where t_end / h may be inf.
+    values = (sim.t_end / sim.h / sim.record_stride + 2) * (closed_loop_dim(n) + 3)
+    if values > MAX_RECORDED_VALUES:
+        raise ParseError(
+            f"sim would record {values:.3g} values, more than {MAX_RECORDED_VALUES}; "
+            "shorten sim.t_end or raise sim.record_stride"
+        )
     return sim
 
 
@@ -341,13 +353,10 @@ def trajectory_header(n: int) -> list[str]:
 
 def write_trajectory_csv(trajectory: Trajectory, n: int, path: str | Path) -> None:
     """Write a closed-loop trajectory as CSV (LF endings, exact floats)."""
+    table = np.column_stack([trajectory.times, trajectory.states, trajectory.lyapunov,
+                             trajectory.equilibrium_residuals])
     lines = [",".join(trajectory_header(n))]
-    for i in range(len(trajectory)):
-        row = [repr(float(trajectory.times[i]))]
-        row += [repr(float(v)) for v in trajectory.states[i]]
-        row.append(repr(float(trajectory.lyapunov[i])))
-        row.append(repr(float(trajectory.equilibrium_residuals[i])))
-        lines.append(",".join(row))
+    lines += [",".join(map(repr, row)) for row in table.tolist()]
     Path(path).write_text("\n".join(lines) + "\n", newline="\n")
 
 

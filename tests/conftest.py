@@ -65,10 +65,3 @@ def sce_oracle(market, cap):
         nu = 0.0
     return x, lam, nu / market.q, nu
 
-
-def random_market(rng, n_max=8, q_lo=0.1, q_hi=20.0, c0_lo=-100.0, c0_hi=0.0, a_hi=50.0):
-    n = int(rng.integers(1, n_max + 1))
-    q = rng.uniform(q_lo, q_hi, n)
-    c0 = rng.uniform(c0_lo, c0_hi, n)
-    a = rng.uniform(0.0, a_hi, n)
-    return es.validate_market(list(zip(q, c0, a)))

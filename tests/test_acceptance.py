@@ -25,7 +25,8 @@ import numpy as np
 import pytest
 
 import energyshare as es
-from conftest import TABLE1_PATH, random_market
+from energyshare.verification import random_market
+from conftest import TABLE1_PATH
 
 
 def criterion(name: str, ok: bool, detail: str = ""):

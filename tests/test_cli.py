@@ -6,7 +6,7 @@ import pytest
 
 import energyshare as es
 from energyshare.cli import main
-from conftest import TABLE1_PATH
+from conftest import REPO_ROOT, TABLE1_PATH
 
 FAST_CONFIG = (
     '{"agents": [{"q": 1.5, "c0": -9.0, "a": 2.0}, {"q": 2.5, "c0": -12.0, "a": 1.0}],'
@@ -94,8 +94,10 @@ class TestBadArguments:
             ["simulate", "--h", "-1"],
             ["simulate", "--t-end", "0"],
             ["simulate", "--t-end", "1", "--out", "missing_dir/x.csv"],
+            ["simulate", "--t-end", "1e15"],
         ],
-        ids=["zero_instances", "negative_step", "zero_horizon", "missing_out_directory"],
+        ids=["zero_instances", "negative_step", "zero_horizon", "missing_out_directory",
+             "unbounded_record"],
     )
     def test_exits_2_with_error_line(self, argv, tmp_path, monkeypatch, capsys, fast_config_path):
         monkeypatch.chdir(tmp_path)
@@ -111,6 +113,7 @@ class TestModuleEntryPoint:
 
         proc = subprocess.run(
             [sys.executable, "-m", "energyshare.cli", "solve", "--config", str(TABLE1_PATH)],
+            cwd=REPO_ROOT / "src",  # finds the package without installing it or PYTHONPATH
             capture_output=True,
             text=True,
         )

@@ -11,9 +11,7 @@ import pytest
 
 import energyshare as es
 from energyshare import dynamics
-from conftest import random_market
-
-SIM_RANGES = dict(n_max=5, q_lo=0.5, q_hi=4.0, c0_lo=-30.0, c0_hi=0.0, a_hi=20.0)
+from energyshare.verification import SIM_RANGES, random_market
 
 
 def closed_loop_zero(market):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import energyshare as es
-from conftest import ce_oracle, random_market, sce_oracle
+from energyshare.verification import random_market
+from conftest import ce_oracle, sce_oracle
 
 # Published two-decimal case-study values for the four-agent fixture.
 CE_X = np.array([41.74, 34.5, 3.17, 0.59])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import energyshare as es
-from conftest import random_market
+from energyshare.verification import random_market
 
 
 class TestValidateMarket:

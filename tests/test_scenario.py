@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import energyshare as es
+from energyshare.verification import CHECKS, check_rng
 from conftest import TABLE1_PATH
 
 MINIMAL = '{"agents": [{"q": 2.0, "c0": -8.0, "a": 1.0}], "lambda_max": 3.0}'
@@ -289,11 +290,11 @@ class TestSerialization:
 
 
 class TestRunVerify:
-    def test_battery_passes_on_correct_build(self, table1_config):
-        report = es.run_verify(table1_config, num_random_instances=120, seed=3)
-        failed = [c for c in report.checks if not c.passed]
-        assert report.passed, f"failed checks: {[(c.name, c.detail) for c in failed]}"
-        assert len(report.checks) >= 20
+    @pytest.mark.parametrize("name, check", CHECKS, ids=[name for name, _ in CHECKS])
+    def test_check_passes_on_correct_build(self, table1_config, name, check):
+        passed, detail = check(table1_config, check_rng(3, name), 120)
+        assert passed, detail
+        assert len(CHECKS) == 26
 
     def test_seed_reproducibility(self):
         cfg = es.load_config(MINIMAL)
