@@ -11,6 +11,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+from .dynamics import METHODS
 from .errors import (
     DimensionMismatch,
     NegativeMu,
@@ -62,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_sim)
     p_sim.add_argument("--h", type=float, default=None, help="override the step size")
     p_sim.add_argument("--t-end", type=float, default=None, help="override the horizon")
-    p_sim.add_argument("--method", choices=("euler", "rk4"), default=None,
+    p_sim.add_argument("--method", choices=METHODS, default=None,
                        help="override the integration method")
     p_sim.add_argument("--out", default="trajectory.csv", help="trajectory CSV path")
 

@@ -274,6 +274,27 @@ def rhs_reduced(market: MarketInstance, state) -> np.ndarray:
 # Affine assembly (fast path shared with the stability certificate)
 
 
+def _write_open_loop(market: MarketInstance, mat: np.ndarray) -> None:
+    """Write the open-loop drift matrix into ``mat``, a zeroed ``(3N+1, 3N+1)`` array, in place."""
+    n = market.n
+    eye = np.eye(n)
+    mat[:n, :n] = -np.diag(market.q)
+    mat[:n, n : 2 * n] = -eye
+    mat[n : 2 * n, :n] = eye
+    mat[n : 2 * n, 2 * n : 3 * n] = -eye
+    mat[2 * n : 3 * n, n : 2 * n] = eye
+    mat[2 * n : 3 * n, 3 * n] = -np.ones(n)
+    mat[3 * n, 2 * n : 3 * n] = np.ones(n)
+
+
+def _open_loop_offset(market: MarketInstance, dim: int) -> np.ndarray:
+    """Offset of the open-loop drift, zero-padded to ``dim`` entries."""
+    offset = np.zeros(dim)
+    offset[: market.n] = -market.c0
+    offset[market.n : 2 * market.n] = -market.a
+    return offset
+
+
 def closed_loop_matrix(market: MarketInstance) -> np.ndarray:
     """Drift matrix of the closed loop on the branch where mu evolves freely."""
     n = market.n
@@ -282,14 +303,9 @@ def closed_loop_matrix(market: MarketInstance) -> np.ndarray:
     eye = np.eye(n)
     ones = np.ones(n)
     mat = np.zeros((lay.dim, lay.dim))
-    mat[lay.x, lay.x] = -np.diag(q)
-    mat[lay.x, lay.rho] = -eye
+    # The open-loop state (x, rho, eps, lam) leads the closed-loop one.
+    _write_open_loop(market, mat[: 3 * n + 1, : 3 * n + 1])
     mat[lay.x, lay.u] = -eye
-    mat[lay.rho, lay.x] = eye
-    mat[lay.rho, lay.eps] = -eye
-    mat[lay.eps, lay.rho] = eye
-    mat[lay.eps, lay.lam] = -ones
-    mat[lay.lam, lay.eps] = ones
     mat[lay.u, lay.x] = -eye
     mat[lay.u, lay.u] = -np.diag(1.0 / q)
     mat[lay.u, lay.pi] = -np.diag(q)
@@ -304,30 +320,17 @@ def closed_loop_matrix(market: MarketInstance) -> np.ndarray:
 def closed_loop_matrices(market: MarketInstance, cap: float) -> tuple[np.ndarray, np.ndarray]:
     """Drift matrix and constant offset of the closed loop."""
     lay = state_layout(market.n)
-    offset = np.zeros(lay.dim)
-    offset[lay.x] = -market.c0
-    offset[lay.rho] = -market.a
+    offset = _open_loop_offset(market, lay.dim)
     offset[lay.u] = -(market.c0 + cap) / market.q
     return closed_loop_matrix(market), offset
 
 
 def open_loop_matrices(market: MarketInstance) -> tuple[np.ndarray, np.ndarray]:
     """Drift matrix and constant offset of the uncontrolled dynamics."""
-    n = market.n
-    dim = 3 * n + 1
-    eye = np.eye(n)
+    dim = 3 * market.n + 1
     mat = np.zeros((dim, dim))
-    mat[:n, :n] = -np.diag(market.q)
-    mat[:n, n : 2 * n] = -eye
-    mat[n : 2 * n, :n] = eye
-    mat[n : 2 * n, 2 * n : 3 * n] = -eye
-    mat[2 * n : 3 * n, n : 2 * n] = eye
-    mat[2 * n : 3 * n, 3 * n] = -np.ones(n)
-    mat[3 * n, 2 * n : 3 * n] = np.ones(n)
-    offset = np.zeros(dim)
-    offset[:n] = -market.c0
-    offset[n : 2 * n] = -market.a
-    return mat, offset
+    _write_open_loop(market, mat)
+    return mat, _open_loop_offset(market, dim)
 
 
 def reduced_matrices(market: MarketInstance) -> tuple[np.ndarray, np.ndarray]:
@@ -503,7 +506,10 @@ def _rk4_step(rhs, y, h: float):
 
 
 # Each method's step and its number of drift evaluations (stages) per step.
-_METHODS = {"euler": (_euler_step, 1), "rk4": (_rk4_step, 4)}
+_STEPPERS = {"euler": (_euler_step, 1), "rk4": (_rk4_step, 4)}
+
+# The integration methods, by name; the config parser and the CLI offer these.
+METHODS = tuple(_STEPPERS)
 
 # A block is at most _BLOCK_MAX_STEPS steps; a power of two makes a full
 # block one matrix-vector product.  The tables of all branches may take at
@@ -661,8 +667,8 @@ def integrate(
             fourth order).  For rk4 the drift is evaluated at the raw stage
             states, so a projection-aware rhs sees each stage's own
             (nu, mu) values.
-        reference: optional equilibrium; enables the recorded Lyapunov
-            values and infinity-norm residuals.
+        reference: optional equilibrium; the recorded states' Lyapunov
+            values and infinity-norm residuals are computed after the march.
         mu_index: index of the projected nonnegative component; after every
             full step that component is clamped to [0, inf).
         record_stride: record every k-th step (the initial and final states
@@ -687,7 +693,7 @@ def integrate(
 
     Raises:
         NonfiniteState: the state diverged; the partial trajectory recorded
-            so far rides on the exception.
+            so far, columns and all, rides on the exception.
     """
     y = np.array(y0, dtype=float)
     if y.ndim != 1:
@@ -696,8 +702,8 @@ def integrate(
         raise ValueError(f"step size must be positive, got {h}")
     if t_end < h:
         raise ValueError(f"horizon {t_end} must be at least one step {h}")
-    if method not in _METHODS:
-        raise ValueError(f"unknown method {method!r}; expected 'euler' or 'rk4'")
+    if method not in _STEPPERS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     if record_stride < 1:
         raise ValueError(f"record_stride must be >= 1, got {record_stride}")
     ref = None
@@ -710,25 +716,12 @@ def integrate(
     if mu_index is not None and y[mu_index] < 0.0:
         raise NegativeMu(f"initial mu = {y[mu_index]} must be nonnegative")
 
-    step, evals = _METHODS[method]
+    step, evals = _STEPPERS[method]
     n_steps = max(1, int(round(t_end / h)))
     # Records sit at every record_stride-th step, plus the final step.
     n_rec = -(-n_steps // record_stride) + 1
     times = np.empty(n_rec)
     states = np.empty((n_rec, y.size))
-    lyapunov = np.empty(n_rec)
-    residuals = np.empty(n_rec)
-
-    def snapshot(i: int, k: int) -> None:
-        times[i] = k * h
-        states[i] = y
-        if ref is None:
-            lyapunov[i] = np.nan
-            residuals[i] = np.nan
-        else:
-            d = y - ref
-            lyapunov[i] = 0.5 * float(d @ d)
-            residuals[i] = float(np.abs(d).max())
 
     blocks = None
     affine = getattr(rhs, "projected_affine", None)
@@ -738,7 +731,7 @@ def integrate(
         if _blocks_pay_off(y.size, length, n_steps, evals, guards):
             blocks = _Blocks(affine, step, h, length, divergence_limit)
 
-    snapshot(0, 0)
+    times[0], states[0] = 0.0, y
     k = 0
     for rec_i in range(1, n_rec):
         next_rec = min(rec_i * record_stride, n_steps)
@@ -758,21 +751,42 @@ def integrate(
             if mu_index is not None and y[mu_index] < 0.0:
                 y[mu_index] = 0.0
             if not (np.abs(y).max() <= divergence_limit):  # also catches NaN
-                partial = Trajectory(
-                    times=times[:rec_i].copy(),
-                    states=states[:rec_i].copy(),
-                    lyapunov=lyapunov[:rec_i].copy(),
-                    equilibrium_residuals=residuals[:rec_i].copy(),
-                    mu_index=mu_index,
-                    reference=None if ref is None else ref.copy(),
-                )
                 raise NonfiniteState(
                     f"state diverged at t = {k * h:.6g} "
                     f"(non-finite or |state| > {divergence_limit:g})",
-                    trajectory=partial,
+                    trajectory=_recorded(times[:rec_i].copy(), states[:rec_i].copy(),
+                                         mu_index, ref),
                 )
-        snapshot(rec_i, k)
+        times[rec_i], states[rec_i] = k * h, y
 
+    return _recorded(times, states, mu_index, ref)
+
+
+# Rows of ``states - reference`` that _recorded forms at once: a temporary of
+# about 1 MiB, whatever the state's dimension.
+_DEVIATION_CHUNK_BYTES = 1 << 20
+
+
+def _half_squared_norm(d: np.ndarray) -> np.ndarray:
+    """``0.5 * ||d||**2`` along the last axis; each row rounds as ``0.5 * float(row @ row)``."""
+    return 0.5 * np.vecdot(d, d)
+
+
+def _recorded(times: np.ndarray, states: np.ndarray, mu_index: int | None,
+              ref: np.ndarray | None) -> Trajectory:
+    """The recorded rows with ``V = 0.5 * ||y - ref||**2`` and ``max |y - ref|`` per row.
+
+    Both columns are NaN without a reference.
+    """
+    rows, dim = states.shape
+    lyapunov = np.full(rows, np.nan)
+    residuals = np.full(rows, np.nan)
+    if ref is not None:
+        chunk = max(1, _DEVIATION_CHUNK_BYTES // (8 * max(1, dim)))
+        for start in range(0, rows, chunk):
+            d = states[start : start + chunk] - ref
+            lyapunov[start : start + chunk] = _half_squared_norm(d)
+            residuals[start : start + chunk] = np.abs(d, out=d).max(axis=1)
     return Trajectory(
         times=times,
         states=states,
@@ -795,8 +809,7 @@ def lyapunov_value(state, reference) -> float:
         raise DimensionMismatch(
             f"state has shape {state.shape}, reference has shape {ref.shape}"
         )
-    d = (state - ref).ravel()
-    return 0.5 * float(d @ d)
+    return float(_half_squared_norm((state - ref).ravel()))
 
 
 def stability_certificate(
@@ -844,27 +857,23 @@ def stability_certificate(
     )
 
 
-def convergence_report(trajectory: Trajectory, reference, tolerance: float) -> ConvergenceReport:
-    """Summarize a trajectory's approach to a reference equilibrium.
+def convergence_report(trajectory: Trajectory, tolerance: float) -> ConvergenceReport:
+    """Summarize a trajectory's approach to the reference it was recorded against.
 
-    Reports the first recorded time at which the infinity-norm error drops
-    to ``tolerance`` (None if never), the final error, the worst increase
-    of the quadratic Lyapunov value between recorded steps, and how far
-    the projected component ever dipped below zero.
+    From the recorded columns: the first time at which the infinity-norm
+    error drops to ``tolerance`` (None if never), the final error, the worst
+    increase of the Lyapunov value between records, and how far the
+    projected component ever dipped below zero.  Raises ``ValueError`` if
+    the trajectory is empty or was recorded without a reference.
     """
     if len(trajectory) == 0:
         raise ValueError("trajectory is empty")
-    ref = np.asarray(reference, dtype=float)
-    if trajectory.states.shape[1] != ref.size:
-        raise DimensionMismatch(
-            f"reference has length {ref.size}, states have length {trajectory.states.shape[1]}"
-        )
-    deltas = trajectory.states - ref
-    errors = np.abs(deltas).max(axis=1)
-    values = 0.5 * (deltas * deltas).sum(axis=1)
+    errors = trajectory.equilibrium_residuals
+    if np.isnan(errors).any():
+        raise ValueError("trajectory has no recorded errors (no reference)")
     within = np.nonzero(errors <= tolerance)[0]
     first = float(trajectory.times[within[0]]) if within.size else None
-    worst = float(max(np.diff(values).max(), 0.0)) if len(trajectory) > 1 else 0.0
+    worst = float(max(np.diff(trajectory.lyapunov).max(), 0.0)) if len(trajectory) > 1 else 0.0
     mu_neg = 0.0
     if trajectory.mu_index is not None:
         mu_neg = max(0.0, -float(trajectory.states[:, trajectory.mu_index].min()))

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import (
+    METHODS,
     ConvergenceReport,
     Trajectory,
     assemble_equilibrium,
@@ -42,14 +43,17 @@ from .market import MarketInstance, SocialPriceCap, validate_market
 _TOP_KEYS = {"agents", "lambda_max", "sim", "seed"}
 _SIM_KEYS = {"h", "t_end", "method", "record_stride", "init"}
 _AGENT_KEYS = {"q", "c0", "a"}
-_METHODS = ("euler", "rk4")
 
 # Default convergence tolerance reported by run_simulate summaries.
 SUMMARY_TOLERANCE = 1e-3
 
-# Largest record a run may ask for, in float64 values (1 GiB): integrate
-# allocates all of its rows of 5N+6 values before its first step.
+# Largest record a run may ask for, in float64 values (1 GiB), rows of 5N+6
+# values: integrate allocates its times and states before its first step.
+# Its V and error columns and the CSV writer only add bounded chunks.
 MAX_RECORDED_VALUES = 2**27
+
+# Values that write_trajectory_csv formats at once (~100 B each as text).
+_CSV_CHUNK_VALUES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -162,8 +166,8 @@ def _parse_sim(doc, n: int) -> SimSettings:
         sim = replace(sim, t_end=_require_number(doc, "t_end", "sim"))
     if "method" in doc:
         method = doc["method"]
-        if method not in _METHODS:
-            raise ParseError(f"sim.method must be one of {_METHODS}, got {method!r}")
+        if method not in METHODS:
+            raise ParseError(f"sim.method must be one of {METHODS}, got {method!r}")
         sim = replace(sim, method=method)
     if "record_stride" in doc:
         stride = doc["record_stride"]
@@ -352,12 +356,15 @@ def trajectory_header(n: int) -> list[str]:
 
 
 def write_trajectory_csv(trajectory: Trajectory, n: int, path: str | Path) -> None:
-    """Write a closed-loop trajectory as CSV (LF endings, exact floats)."""
-    table = np.column_stack([trajectory.times, trajectory.states, trajectory.lyapunov,
-                             trajectory.equilibrium_residuals])
-    lines = [",".join(trajectory_header(n))]
-    lines += [",".join(map(repr, row)) for row in table.tolist()]
-    Path(path).write_text("\n".join(lines) + "\n", newline="\n")
+    """Write a closed-loop trajectory as CSV (LF endings, exact floats), in bounded chunks."""
+    columns = (trajectory.times[:, None], trajectory.states, trajectory.lyapunov[:, None],
+               trajectory.equilibrium_residuals[:, None])
+    chunk = max(1, _CSV_CHUNK_VALUES // sum(c.shape[1] for c in columns))
+    with open(path, "w", newline="\n") as out:
+        out.write(",".join(trajectory_header(n)) + "\n")
+        for start in range(0, len(trajectory), chunk):
+            table = np.hstack([c[start : start + chunk] for c in columns])
+            out.write("".join(",".join(map(repr, row)) + "\n" for row in table.tolist()))
 
 
 def summary_to_json(report: ConvergenceReport) -> str:
@@ -408,7 +415,7 @@ def run_simulate(
             write_trajectory_csv(exc.trajectory, market.n, csv_path)
         raise
     write_trajectory_csv(trajectory, market.n, csv_path)
-    report = convergence_report(trajectory, reference, tolerance)
+    report = convergence_report(trajectory, tolerance)
     if summary_path is not None:
         Path(summary_path).write_text(summary_to_json(report), newline="\n")
     return trajectory, report

@@ -3,6 +3,11 @@
 ``CHECKS`` is the ordered registry of ``(name, check)`` pairs, each check a
 function ``(config, rng, instances) -> (passed, detail)``.  ``run_verify``
 runs it for the ``verify`` CLI subcommand; the test suite parametrizes over it.
+
+The closed-loop simulation checks are each one :func:`dynamics.integrate`
+call from the zero state, judged by what the run recorded: the final error
+and the dip of ``mu`` below zero from :func:`dynamics.convergence_report`,
+and Lyapunov monotonicity from :func:`dynamics.stability_certificate`.
 """
 
 from __future__ import annotations
@@ -100,43 +105,27 @@ def _settling_horizon(market, cap, tol=SIM_TOL) -> float:
     return 1.2 * np.log(start / (0.3 * tol)) / rate
 
 
-def _closed_loop_until(market, cap, h=0.02, chunk=None, max_t=None, method="rk4"):
-    """Integrate the closed loop from zero until near the fixed point.
+def _closed_loop_run(market, cap, h=0.02, t_end=None, method="rk4", record_stride=25):
+    """Integrate the closed loop from zero (by default over the settling horizon).
 
-    The default chunk is an eigenvalue-informed settling estimate; the loop
-    extends up to three chunks before giving up.  Returns (final error,
-    worst Lyapunov increase per recorded step, minimum recorded mu,
-    initial Lyapunov value, elapsed horizon).
+    Returns the run's convergence report at ``SIM_TOL``, whether its
+    certificate finds the Lyapunov value monotone, and a detail line.
     """
-    if chunk is None:
-        chunk = max(50.0 * h, _settling_horizon(market, cap))
-    if max_t is None:
-        max_t = 3.0 * chunk
-    reference = dyn.assemble_equilibrium(market, cap).to_vector()
-    rhs = dyn.closed_loop_rhs(market, cap)
+    if t_end is None:
+        t_end = max(50.0 * h, _settling_horizon(market, cap))
     lay = dyn.state_layout(market.n)
-    y = np.zeros(lay.dim)
-    v0 = dyn.lyapunov_value(y, reference)
-    v_last = v0
-    worst_inc = 0.0
-    min_mu = 0.0
-    t = 0.0
-    err = float(np.abs(y - reference).max())
-    while t < max_t:
-        traj = dyn.integrate(
-            rhs, y, h, chunk, method=method, reference=reference,
-            mu_index=lay.mu, record_stride=25,
-        )
-        increases = np.diff(np.concatenate([[v_last], traj.lyapunov]))
-        worst_inc = max(worst_inc, float(increases.max()))
-        v_last = float(traj.lyapunov[-1])
-        min_mu = min(min_mu, float(traj.states[:, lay.mu].min()))
-        y = traj.final_state.copy()
-        t += chunk
-        err = float(np.abs(y - reference).max())
-        if err <= 0.5 * SIM_TOL:
-            break
-    return err, worst_inc, min_mu, v0, t
+    traj = dyn.integrate(
+        dyn.closed_loop_rhs(market, cap), np.zeros(lay.dim), h, t_end, method=method,
+        reference=dyn.assemble_equilibrium(market, cap).to_vector(), mu_index=lay.mu,
+        record_stride=record_stride,
+    )
+    report = dyn.convergence_report(traj, SIM_TOL)
+    cert = dyn.stability_certificate(market, traj)
+    return report, cert.lyapunov_monotone, (
+        f"err={report.final_error:.1e}@t={traj.final_time:.0f}, "
+        f"mu dip {report.mu_negativity:.1e}, V increase {cert.worst_lyapunov_increase:.1e} "
+        f"({'' if cert.lyapunov_monotone else 'not '}monotone)"
+    )
 
 
 # --- market model -----------------------------------------------------------
@@ -330,25 +319,16 @@ def _closed_loop_random_limits(config, rng, instances):
     details = []
     for _ in range(3):
         m, cap = _settling_instance(rng)
-        err, worst_inc, min_mu, v0, horizon = _closed_loop_until(m, cap)
-        slack = 1e-8 * max(1.0, v0)
-        if err > SIM_TOL or min_mu < 0.0 or worst_inc > slack:
-            return False, (
-                f"err={err:.2e} (nu*={eq.solve_sce(m, cap).nu_star:.3f}), min mu={min_mu:.2e}, "
-                f"V increase={worst_inc:.2e} (slack {slack:.2e})"
-            )
-        details.append(f"err={err:.1e}@t={horizon:.0f}")
+        report, monotone, detail = _closed_loop_run(m, cap)
+        if not (report.converged and report.mu_negativity == 0.0 and monotone):
+            return False, f"{detail} (nu*={eq.solve_sce(m, cap).nu_star:.3f})"
+        details.append(detail)
     return True, "final state matches the closed-form equilibrium: " + "; ".join(details)
 
 
 def _closed_loop_config_convergence(config, rng, instances):
-    err, worst_inc, min_mu, v0, horizon = _closed_loop_until(config.market, config.cap.lambda_max)
-    slack = 1e-8 * max(1.0, v0)
-    ok = err <= SIM_TOL and min_mu >= 0.0 and worst_inc <= slack
-    return ok, (
-        f"err={err:.2e} at t={horizon:.0f}, min mu={min_mu:.2e}, "
-        f"worst V increase={worst_inc:.2e} (slack {slack:.2e})"
-    )
+    report, monotone, detail = _closed_loop_run(config.market, config.cap.lambda_max)
+    return report.converged and report.mu_negativity == 0.0 and monotone, detail
 
 
 def _euler_lyapunov_monotone(config, rng, instances):
@@ -356,17 +336,10 @@ def _euler_lyapunov_monotone(config, rng, instances):
     # stays below it, hence the small step on the early transient.
     m = random_market(rng, **SIM_RANGES)
     cap = eq.solve_ce(m).lambda_bar - rng.uniform(1.0, 5.0)
-    reference = dyn.assemble_equilibrium(m, cap).to_vector()
-    lay = dyn.state_layout(m.n)
-    traj = dyn.integrate(
-        dyn.closed_loop_rhs(m, cap), np.zeros(lay.dim), 1e-4, 20.0,
-        method="euler", reference=reference, mu_index=lay.mu, record_stride=1,
+    report, monotone, detail = _closed_loop_run(
+        m, cap, h=1e-4, t_end=20.0, method="euler", record_stride=1
     )
-    slack = 1e-8 * max(1.0, float(traj.lyapunov[0]))
-    worst = float(np.diff(traj.lyapunov).max())
-    mu_min = float(traj.states[:, lay.mu].min())
-    ok = worst <= slack and mu_min >= 0.0
-    return ok, f"worst V increase {worst:.2e} (slack {slack:.2e}), min mu {mu_min:.2e}"
+    return monotone and report.mu_negativity == 0.0, detail
 
 
 def _open_loop_and_reduced_limits(config, rng, instances):

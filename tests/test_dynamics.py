@@ -268,6 +268,36 @@ class TestIntegrate:
         assert len(partial) >= 1
         assert np.abs(partial.states).max() <= 1e3
 
+    def test_recorded_columns_across_a_chunk_boundary(self, table1_market):
+        lay = es.state_layout(4)
+        eq = es.assemble_equilibrium(table1_market, 4.0).to_vector()
+        chunk = dynamics._DEVIATION_CHUNK_BYTES // (8 * lay.dim)
+        h = 0.02
+        traj = es.integrate(
+            es.closed_loop_rhs(table1_market, 4.0), closed_loop_zero(table1_market),
+            h, (chunk + 5) * h, method="rk4", reference=eq, mu_index=lay.mu, record_stride=1,
+        )
+        assert len(traj) > chunk + 1
+        expected = [es.lyapunov_value(state, eq) for state in traj.states]
+        np.testing.assert_array_equal(traj.lyapunov, expected)
+        np.testing.assert_array_equal(traj.equilibrium_residuals, np.abs(traj.states - eq).max(1))
+
+    def test_partial_trajectory_carries_recorded_columns(self):
+        growth = lambda y: y  # exponential blow-up
+        ref = np.array([0.5, -1.0])
+        with pytest.raises(es.NonfiniteState) as excinfo:
+            es.integrate(growth, np.array([1.0, 2.0]), 0.01, 50.0, reference=ref,
+                         divergence_limit=1e3)
+        partial = excinfo.value.trajectory
+        assert len(partial) > 1
+        np.testing.assert_array_equal(partial.reference, ref)
+        np.testing.assert_array_equal(
+            partial.lyapunov, [es.lyapunov_value(state, ref) for state in partial.states]
+        )
+        np.testing.assert_array_equal(
+            partial.equilibrium_residuals, np.abs(partial.states - ref).max(1)
+        )
+
     # Wrapping the drift hides its affine pieces from integrate, so the
     # wrapped run is the step-by-step reference for the block path.
     # Capped at the CE price, the fixed point has mu = nu = 0, so mu creeps
@@ -498,7 +528,7 @@ class TestConvergenceReport:
             es.closed_loop_rhs(table1_market, 4.0), eq, 0.01, 0.1,
             reference=eq, mu_index=lay.mu, record_stride=1,
         )
-        rep = es.convergence_report(traj, eq, 1e-3)
+        rep = es.convergence_report(traj, 1e-3)
         assert rep.converged
         assert rep.first_time_within_tolerance == 0.0
         assert rep.mu_negativity == 0.0
@@ -511,11 +541,19 @@ class TestConvergenceReport:
             lyapunov=0.5 * states[:, 0] ** 2,
             equilibrium_residuals=np.abs(states[:, 0]),
         )
-        rep = es.convergence_report(traj, np.zeros(1), 1e-3)
+        rep = es.convergence_report(traj, 1e-3)
         assert not rep.converged
         assert rep.first_time_within_tolerance == 0.0  # started at the reference
         assert rep.final_error == 100.0
         assert rep.worst_lyapunov_increase > 0.0
+
+    def test_requires_a_recorded_reference(self, table1_market):
+        traj = es.integrate(
+            es.closed_loop_rhs(table1_market, 4.0), closed_loop_zero(table1_market),
+            0.01, 0.1, record_stride=1,
+        )
+        with pytest.raises(ValueError, match="no reference"):
+            es.convergence_report(traj, 1e-3)
 
 
 class TestConvergence:

@@ -288,6 +288,23 @@ class TestSerialization:
         assert values[24] == traj.lyapunov[-1]
         assert values[25] == traj.equilibrium_residuals[-1]
 
+    def test_csv_in_chunks_matches_formatting_all_rows_at_once(self, tmp_path):
+        from energyshare import scenario
+
+        rows = scenario._CSV_CHUNK_VALUES // 11 + 7  # 11 values a row for one agent
+        rng = np.random.default_rng(5)
+        times = np.arange(rows) * 0.1
+        states = rng.normal(size=(rows, 8)) * 10.0 ** rng.integers(-300, 300, size=(rows, 8))
+        traj = es.Trajectory(
+            times=times, states=states, lyapunov=rng.uniform(size=rows),
+            equilibrium_residuals=np.full(rows, np.nan),
+        )
+        es.write_trajectory_csv(traj, 1, tmp_path / "long.csv")
+        table = np.column_stack([times, states, traj.lyapunov, traj.equilibrium_residuals])
+        lines = [",".join(es.trajectory_header(1))]
+        lines += [",".join(map(repr, row)) for row in table.tolist()]
+        assert (tmp_path / "long.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+
 
 class TestRunVerify:
     @pytest.mark.parametrize("name, check", CHECKS, ids=[name for name, _ in CHECKS])
