@@ -13,8 +13,11 @@ The full closed-loop state is the stacked vector
 
     [x (N), rho (N), eps (N), lam (1), u (N), pi (N), nu (1), mu (1)]
 
-of dimension ``5N + 3``.  All right-hand sides are pure functions; the
-fixed-step integrator is the only code here that loops.
+of dimension ``5N + 3``, and the open-loop state ``(x, rho, eps, lam)`` is
+its prefix.  :func:`state_layout` is the one map of where each block sits;
+everything here that indexes a stacked state goes through it.  All
+right-hand sides are pure functions; the fixed-step integrator is the only
+code here that loops.
 """
 
 from __future__ import annotations
@@ -32,14 +35,13 @@ from .market import MarketInstance, conditional_projection
 DIVERGENCE_LIMIT = 1e12
 
 
-def closed_loop_dim(n: int) -> int:
-    """Dimension of the stacked closed-loop state for ``n`` agents."""
-    return 5 * n + 3
-
-
 @dataclass(frozen=True)
 class StateLayout:
-    """Index map of the stacked closed-loop state vector."""
+    """Index map of the stacked closed-loop state vector.
+
+    The open-loop state ``(x, rho, eps, lam)`` is its prefix up to and
+    including ``lam``.
+    """
 
     n: int
     x: slice
@@ -53,10 +55,11 @@ class StateLayout:
 
     @property
     def dim(self) -> int:
-        return closed_loop_dim(self.n)
+        return 5 * self.n + 3
 
 
 def state_layout(n: int) -> StateLayout:
+    """Where each block of the ``n``-agent closed-loop state sits."""
     return StateLayout(
         n=n,
         x=slice(0, n),
@@ -68,59 +71,6 @@ def state_layout(n: int) -> StateLayout:
         nu=5 * n + 1,
         mu=5 * n + 2,
     )
-
-
-@dataclass(frozen=True, eq=False)
-class ClosedLoopState:
-    """Named view of one closed-loop state.
-
-    ``mu`` must be nonnegative; the integrator maintains that invariant by
-    clamping after every full step.
-    """
-
-    x: np.ndarray
-    rho: np.ndarray
-    eps: np.ndarray
-    lam: float
-    u: np.ndarray
-    pi: np.ndarray
-    nu: float
-    mu: float
-
-    def __post_init__(self):
-        n = self.x.shape[0]
-        for name in ("rho", "eps", "u", "pi"):
-            arr = getattr(self, name)
-            if arr.shape != (n,):
-                raise DimensionMismatch(f"{name} has shape {arr.shape}, expected ({n},)")
-        if self.mu < 0.0:
-            raise NegativeMu(f"mu = {self.mu} must be nonnegative")
-
-    @property
-    def n(self) -> int:
-        return self.x.shape[0]
-
-    def to_vector(self) -> np.ndarray:
-        return np.concatenate(
-            [self.x, self.rho, self.eps, [self.lam], self.u, self.pi, [self.nu], [self.mu]]
-        )
-
-    @classmethod
-    def from_vector(cls, vec: np.ndarray) -> "ClosedLoopState":
-        vec = np.asarray(vec, dtype=float)
-        if vec.ndim != 1 or (vec.size - 3) % 5 != 0 or vec.size < 8:
-            raise DimensionMismatch(f"state vector of length {vec.size} is not of the form 5N+3")
-        lay = state_layout((vec.size - 3) // 5)
-        return cls(
-            x=vec[lay.x].copy(),
-            rho=vec[lay.rho].copy(),
-            eps=vec[lay.eps].copy(),
-            lam=float(vec[lay.lam]),
-            u=vec[lay.u].copy(),
-            pi=vec[lay.pi].copy(),
-            nu=float(vec[lay.nu]),
-            mu=float(vec[lay.mu]),
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,9 +157,9 @@ def _as_state(state, dim: int, what: str) -> np.ndarray:
 
 def rhs_open_loop(market: MarketInstance, state) -> np.ndarray:
     """Drift of the uncontrolled price-seeking dynamics, state (x, rho, eps, lam)."""
-    n = market.n
-    state = _as_state(state, 3 * n + 1, "open-loop state")
-    x, rho, eps, lam = state[:n], state[n : 2 * n], state[2 * n : 3 * n], state[3 * n]
+    lay = state_layout(market.n)
+    state = _as_state(state, lay.lam + 1, "open-loop state")
+    x, rho, eps, lam = state[lay.x], state[lay.rho], state[lay.eps], state[lay.lam]
     dx = -market.q * x - market.c0 - rho
     drho = x - market.a - eps
     deps = rho - lam
@@ -218,13 +168,13 @@ def rhs_open_loop(market: MarketInstance, state) -> np.ndarray:
 
 def rhs_controlled(market: MarketInstance, state, u_input) -> np.ndarray:
     """Open-loop drift with the utility adjustment ``u_input`` acting on x."""
-    n = market.n
-    state = _as_state(state, 3 * n + 1, "open-loop state")
+    lay = state_layout(market.n)
+    state = _as_state(state, lay.lam + 1, "open-loop state")
     u_input = np.asarray(u_input, dtype=float)
-    if u_input.shape != (n,):
-        raise DimensionMismatch(f"u_input has shape {u_input.shape}, expected ({n},)")
+    if u_input.shape != (lay.n,):
+        raise DimensionMismatch(f"u_input has shape {u_input.shape}, expected ({lay.n},)")
     out = rhs_open_loop(market, state)
-    out[:n] -= u_input
+    out[lay.x] -= u_input
     return out
 
 
@@ -234,8 +184,7 @@ def rhs_controller(market: MarketInstance, state, cap: float) -> np.ndarray:
     Requires ``mu >= 0``; the projection keeps ``mu`` from drifting below
     zero once it sits on the boundary.
     """
-    n = market.n
-    lay = state_layout(n)
+    lay = state_layout(market.n)
     state = _as_state(state, lay.dim, "closed-loop state")
     mu = float(state[lay.mu])
     if mu < 0.0:
@@ -253,10 +202,9 @@ def rhs_controller(market: MarketInstance, state, cap: float) -> np.ndarray:
 
 def rhs_closed_loop(market: MarketInstance, state, cap: float) -> np.ndarray:
     """Drift of the interconnection: market block driven by the controller's u."""
-    n = market.n
-    lay = state_layout(n)
+    lay = state_layout(market.n)
     state = _as_state(state, lay.dim, "closed-loop state")
-    market_block = rhs_controlled(market, state[: 3 * n + 1], state[lay.u])
+    market_block = rhs_controlled(market, state[: lay.lam + 1], state[lay.u])
     controller_block = rhs_controller(market, state, cap)
     return np.concatenate([market_block, controller_block])
 
@@ -275,36 +223,39 @@ def rhs_reduced(market: MarketInstance, state) -> np.ndarray:
 
 
 def _write_open_loop(market: MarketInstance, mat: np.ndarray) -> None:
-    """Write the open-loop drift matrix into ``mat``, a zeroed ``(3N+1, 3N+1)`` array, in place."""
-    n = market.n
-    eye = np.eye(n)
-    mat[:n, :n] = -np.diag(market.q)
-    mat[:n, n : 2 * n] = -eye
-    mat[n : 2 * n, :n] = eye
-    mat[n : 2 * n, 2 * n : 3 * n] = -eye
-    mat[2 * n : 3 * n, n : 2 * n] = eye
-    mat[2 * n : 3 * n, 3 * n] = -np.ones(n)
-    mat[3 * n, 2 * n : 3 * n] = np.ones(n)
+    """Write the open-loop drift matrix into the zeroed square ``mat``, in place.
+
+    ``mat`` spans the open-loop state or the whole closed-loop one, which
+    has the open-loop state as its prefix.
+    """
+    lay = state_layout(market.n)
+    eye = np.eye(lay.n)
+    mat[lay.x, lay.x] = -np.diag(market.q)
+    mat[lay.x, lay.rho] = -eye
+    mat[lay.rho, lay.x] = eye
+    mat[lay.rho, lay.eps] = -eye
+    mat[lay.eps, lay.rho] = eye
+    mat[lay.eps, lay.lam] = -np.ones(lay.n)
+    mat[lay.lam, lay.eps] = np.ones(lay.n)
 
 
 def _open_loop_offset(market: MarketInstance, dim: int) -> np.ndarray:
     """Offset of the open-loop drift, zero-padded to ``dim`` entries."""
+    lay = state_layout(market.n)
     offset = np.zeros(dim)
-    offset[: market.n] = -market.c0
-    offset[market.n : 2 * market.n] = -market.a
+    offset[lay.x] = -market.c0
+    offset[lay.rho] = -market.a
     return offset
 
 
 def closed_loop_matrix(market: MarketInstance) -> np.ndarray:
     """Drift matrix of the closed loop on the branch where mu evolves freely."""
-    n = market.n
-    lay = state_layout(n)
+    lay = state_layout(market.n)
     q = market.q
-    eye = np.eye(n)
-    ones = np.ones(n)
+    eye = np.eye(lay.n)
+    ones = np.ones(lay.n)
     mat = np.zeros((lay.dim, lay.dim))
-    # The open-loop state (x, rho, eps, lam) leads the closed-loop one.
-    _write_open_loop(market, mat[: 3 * n + 1, : 3 * n + 1])
+    _write_open_loop(market, mat)
     mat[lay.x, lay.u] = -eye
     mat[lay.u, lay.x] = -eye
     mat[lay.u, lay.u] = -np.diag(1.0 / q)
@@ -327,7 +278,7 @@ def closed_loop_matrices(market: MarketInstance, cap: float) -> tuple[np.ndarray
 
 def open_loop_matrices(market: MarketInstance) -> tuple[np.ndarray, np.ndarray]:
     """Drift matrix and constant offset of the uncontrolled dynamics."""
-    dim = 3 * market.n + 1
+    dim = state_layout(market.n).lam + 1
     mat = np.zeros((dim, dim))
     _write_open_loop(market, mat)
     return mat, _open_loop_offset(market, dim)
@@ -417,24 +368,26 @@ def reduced_equilibrium(market: MarketInstance) -> np.ndarray:
     return np.append(ce.x_bar, ce.lambda_bar)
 
 
-def assemble_equilibrium(market: MarketInstance, cap: float) -> ClosedLoopState:
+def assemble_equilibrium(market: MarketInstance, cap: float) -> np.ndarray:
     """Unique fixed point of the closed loop, assembled in closed form.
 
-    The market block sits at the capped equilibrium; the controller block
-    is recovered from it: ``pi = (lam* - cap) / q**2`` componentwise and
+    Returns the stacked state of :func:`state_layout`.  The market block
+    sits at the capped equilibrium; the controller block is recovered from
+    it: ``pi = (lam* - cap) / q**2`` componentwise and
     ``mu = s2 * (cap - lam*)``, which is complementary to ``nu``.
     """
     sce = solve_sce(market, cap)
-    return ClosedLoopState(
-        x=sce.x_star,
-        rho=np.full(market.n, sce.lambda_star),
-        eps=sce.x_star - market.a,
-        lam=sce.lambda_star,
-        u=sce.u_star,
-        pi=(sce.lambda_star - cap) / market.q**2,
-        nu=sce.nu_star,
-        mu=market.s2 * (cap - sce.lambda_star),
-    )
+    lay = state_layout(market.n)
+    y = np.empty(lay.dim)
+    y[lay.x] = sce.x_star
+    y[lay.rho] = sce.lambda_star
+    y[lay.eps] = sce.x_star - market.a
+    y[lay.lam] = sce.lambda_star
+    y[lay.u] = sce.u_star
+    y[lay.pi] = (sce.lambda_star - cap) / market.q**2
+    y[lay.nu] = sce.nu_star
+    y[lay.mu] = market.s2 * (cap - sce.lambda_star)
+    return y
 
 
 def _without_mu(drift: np.ndarray, mu: int) -> np.ndarray:
@@ -450,13 +403,14 @@ def closed_loop_spectrum(market: MarketInstance, cap: float) -> np.ndarray:
     point, its row and column drop out of the linearization; when the
     fixed point lies on both branches, both spectra are returned.
     """
+    lay = state_layout(market.n)
     drift = closed_loop_matrix(market)
     fixed = assemble_equilibrium(market, cap)
     spectra = []
-    if fixed.mu > 0.0 or fixed.nu == 0.0:
+    if fixed[lay.mu] > 0.0 or fixed[lay.nu] == 0.0:
         spectra.append(np.linalg.eigvals(drift))
-    if fixed.mu == 0.0:
-        spectra.append(np.linalg.eigvals(_without_mu(drift, state_layout(market.n).mu)))
+    if fixed[lay.mu] == 0.0:
+        spectra.append(np.linalg.eigvals(_without_mu(drift, lay.mu)))
     return np.concatenate(spectra)
 
 
@@ -815,7 +769,6 @@ def lyapunov_value(state, reference) -> float:
 def stability_certificate(
     market: MarketInstance,
     trajectory: Trajectory | None = None,
-    increase_slack: float | None = None,
 ) -> StabilityCertificate:
     """Check the algebraic stability structure of the closed loop.
 
@@ -823,7 +776,7 @@ def stability_certificate(
     ``B = [diag(sqrt(q)), 0, 0, 0, diag(1/sqrt(q)), 0, 0, 0]``, which
     certifies negative semidefiniteness.  If a trajectory with recorded
     Lyapunov values is supplied, its per-step increases are checked against
-    ``increase_slack`` (default ``1e-8 * max(1, V[0])``).
+    the slack ``1e-8 * max(1, V[0])``.
     """
     lay = state_layout(market.n)
     drift = closed_loop_matrix(market)
@@ -842,12 +795,7 @@ def stability_certificate(
             raise ValueError("trajectory has no recorded Lyapunov values (no reference)")
         increases = np.diff(values)
         worst = float(max(increases.max(), 0.0))
-        slack = (
-            increase_slack
-            if increase_slack is not None
-            else 1e-8 * max(1.0, float(values[0]))
-        )
-        monotone = bool(increases.max() <= slack)
+        monotone = bool(increases.max() <= 1e-8 * max(1.0, float(values[0])))
 
     return StabilityCertificate(
         max_eigenvalue_x_sym=max_eig,

@@ -23,7 +23,6 @@ from .dynamics import (
     ConvergenceReport,
     Trajectory,
     assemble_equilibrium,
-    closed_loop_dim,
     closed_loop_rhs,
     convergence_report,
     integrate,
@@ -37,14 +36,14 @@ from .equilibrium import (
     solve_ce,
     solve_sce,
 )
-from .errors import MissingField, NonfiniteState, ParseError
+from .errors import MissingField, NonfiniteState, ParseError, ValidationError
 from .market import MarketInstance, SocialPriceCap, validate_market
 
 _TOP_KEYS = {"agents", "lambda_max", "sim", "seed"}
 _SIM_KEYS = {"h", "t_end", "method", "record_stride", "init"}
 _AGENT_KEYS = {"q", "c0", "a"}
 
-# Default convergence tolerance reported by run_simulate summaries.
+# Convergence tolerance reported by run_simulate summaries.
 SUMMARY_TOLERANCE = 1e-3
 
 # Largest record a run may ask for, in float64 values (1 GiB), rows of 5N+6
@@ -179,7 +178,7 @@ def _parse_sim(doc, n: int) -> SimSettings:
         if init == "zero":
             sim = replace(sim, init="zero")
         elif isinstance(init, Sequence) and not isinstance(init, str):
-            expected = closed_loop_dim(n)
+            expected = state_layout(n).dim
             values = []
             for v in init:
                 if isinstance(v, bool) or not isinstance(v, numbers.Real):
@@ -215,7 +214,7 @@ def check_sim(sim: SimSettings, n: int) -> SimSettings:
     if sim.record_stride < 1:
         raise ParseError(f"sim.record_stride must be >= 1, got {sim.record_stride}")
     # Rows as integrate counts them, give or take one; in floats, where t_end / h may be inf.
-    values = (sim.t_end / sim.h / sim.record_stride + 2) * (closed_loop_dim(n) + 3)
+    values = (sim.t_end / sim.h / sim.record_stride + 2) * (state_layout(n).dim + 3)
     if values > MAX_RECORDED_VALUES:
         raise ParseError(
             f"sim would record {values:.3g} values, more than {MAX_RECORDED_VALUES}; "
@@ -307,18 +306,43 @@ def config_to_json(config: ScenarioConfig) -> str:
 # Workflows
 
 
+def _require_finite(doc: dict, where: str = "") -> None:
+    """Raise :class:`ValidationError` naming the first non-finite number of ``doc``.
+
+    Keys are visited in sorted order, the order of the JSON report and of
+    the sweep's CSV columns.  Values are numbers, lists of numbers or
+    nested dicts.
+    """
+    for key in sorted(doc):
+        value = doc[key]
+        if type(value) is dict:
+            _require_finite(value, f"{where}{key}.")
+            continue
+        for v in value if type(value) is list else (value,):
+            if not math.isfinite(v):
+                raise ValidationError(
+                    f"{where}{key} = {float(v)!r} is not finite: the inputs exceed float64's range"
+                )
+
+
 def run_solve(config: ScenarioConfig) -> EquilibriumReport:
-    """Solve both equilibria of the scenario and audit the capped one."""
+    """Solve both equilibria of the scenario and audit the capped one.
+
+    Raises:
+        ValidationError: a value of the report is not finite.
+    """
     market = config.market
     cap = config.cap.lambda_max
     ce = solve_ce(market)
     sce = solve_sce(market, cap)
     residuals = kkt_residual_sce(market, cap, sce)
-    return EquilibriumReport(ce=ce, sce=sce, residuals=residuals, cap_active=sce.nu_star > 0.0)
+    report = EquilibriumReport(ce=ce, sce=sce, residuals=residuals, cap_active=sce.nu_star > 0.0)
+    _require_finite(_report_doc(report))
+    return report
 
 
-def report_to_json(report: EquilibriumReport) -> str:
-    doc = {
+def _report_doc(report: EquilibriumReport) -> dict:
+    return {
         "cap_active": report.cap_active,
         "ce": {
             "lambda_bar": report.ce.lambda_bar,
@@ -339,7 +363,10 @@ def report_to_json(report: EquilibriumReport) -> str:
             "x_star": list(report.sce.x_star),
         },
     }
-    return dumps_canonical(doc)
+
+
+def report_to_json(report: EquilibriumReport) -> str:
+    return dumps_canonical(_report_doc(report))
 
 
 def trajectory_header(n: int) -> list[str]:
@@ -383,12 +410,12 @@ def run_simulate(
     config: ScenarioConfig,
     csv_path: str | Path,
     summary_path: str | Path | None = None,
-    tolerance: float = SUMMARY_TOLERANCE,
 ) -> tuple[Trajectory, ConvergenceReport]:
     """Simulate the closed loop and export trajectory CSV plus JSON summary.
 
     The reference equilibrium for the Lyapunov and residual columns is the
-    closed-form fixed point.  If the integration diverges, the partial
+    closed-form fixed point; the summary reports convergence at
+    ``SUMMARY_TOLERANCE``.  If the integration diverges, the partial
     trajectory is flushed to ``csv_path`` before :class:`NonfiniteState`
     propagates.
     """
@@ -396,7 +423,7 @@ def run_simulate(
     cap = config.cap.lambda_max
     sim = config.sim
     lay = state_layout(market.n)
-    reference = assemble_equilibrium(market, cap).to_vector()
+    reference = assemble_equilibrium(market, cap)
     y0 = np.zeros(lay.dim) if isinstance(sim.init, str) else np.asarray(sim.init, dtype=float)
     rhs = closed_loop_rhs(market, cap)
     try:
@@ -415,7 +442,7 @@ def run_simulate(
             write_trajectory_csv(exc.trajectory, market.n, csv_path)
         raise
     write_trajectory_csv(trajectory, market.n, csv_path)
-    report = convergence_report(trajectory, tolerance)
+    report = convergence_report(trajectory, SUMMARY_TOLERANCE)
     if summary_path is not None:
         Path(summary_path).write_text(summary_to_json(report), newline="\n")
     return trajectory, report
@@ -431,6 +458,9 @@ def run_sweep(config: ScenarioConfig, cap_values) -> list[SweepRow]:
 
     Rows with a cap at or above the competitive price all coincide with
     the uncapped equilibrium (zero adjustment, zero welfare loss).
+
+    Raises:
+        ValidationError: a value of some row is not finite.
     """
     caps = [float(c) for c in cap_values]
     if not caps:
@@ -441,15 +471,17 @@ def run_sweep(config: ScenarioConfig, cap_values) -> list[SweepRow]:
     rows = []
     for cap in caps:
         sce = solve_sce(market, cap)
-        rows.append(
-            SweepRow(
-                lambda_max=cap,
-                lambda_star=sce.lambda_star,
-                nu_star=sce.nu_star,
-                u_norm=float(np.linalg.norm(sce.u_star)),
-                welfare_loss_nominal=welfare_ce - nominal_welfare(market, sce.x_star),
-            )
+        row = SweepRow(
+            lambda_max=cap,
+            lambda_star=sce.lambda_star,
+            nu_star=sce.nu_star,
+            u_norm=float(np.linalg.norm(sce.u_star)),
+            welfare_loss_nominal=welfare_ce - nominal_welfare(market, sce.x_star),
         )
+        # Names are formatted only on failure: this runs once per cap.
+        if not all(map(math.isfinite, vars(row).values())):
+            _require_finite(vars(row), f"sweep at lambda_max = {cap!r}: ")
+        rows.append(row)
     return rows
 
 

@@ -101,7 +101,7 @@ def _residual_check(tol, detail, all_instances=False):
 def _settling_horizon(market, cap, tol=SIM_TOL) -> float:
     """Eigenvalue-informed horizon for the closed loop to settle to ``tol``."""
     rate = dyn.closed_loop_decay_rate(market, cap)
-    start = max(1.0, float(np.abs(dyn.assemble_equilibrium(market, cap).to_vector()).max()))
+    start = max(1.0, float(np.abs(dyn.assemble_equilibrium(market, cap)).max()))
     return 1.2 * np.log(start / (0.3 * tol)) / rate
 
 
@@ -116,7 +116,7 @@ def _closed_loop_run(market, cap, h=0.02, t_end=None, method="rk4", record_strid
     lay = dyn.state_layout(market.n)
     traj = dyn.integrate(
         dyn.closed_loop_rhs(market, cap), np.zeros(lay.dim), h, t_end, method=method,
-        reference=dyn.assemble_equilibrium(market, cap).to_vector(), mu_index=lay.mu,
+        reference=dyn.assemble_equilibrium(market, cap), mu_index=lay.mu,
         record_stride=record_stride,
     )
     report = dyn.convergence_report(traj, SIM_TOL)
@@ -301,7 +301,7 @@ def _xsym_factorization(config, rng, instances):
 @_residual_check(RESIDUAL_TOL, "worst scaled drift at the fixed point {:.2e}")
 def _fixed_point_residual(m, rng):
     cap = rng.uniform(*CAP_RANGE)
-    state = dyn.assemble_equilibrium(m, cap).to_vector()
+    state = dyn.assemble_equilibrium(m, cap)
     return float(np.abs(dyn.rhs_closed_loop(m, state, cap)).max()) / _residual_scale(m)
 
 
@@ -344,6 +344,7 @@ def _euler_lyapunov_monotone(config, rng, instances):
 
 def _open_loop_and_reduced_limits(config, rng, instances):
     m = config.market
+    lay = dyn.state_layout(m.n)
 
     def end_state(matrices, reference):
         return dyn.integrate(
@@ -354,11 +355,12 @@ def _open_loop_and_reduced_limits(config, rng, instances):
     full_end = end_state(dyn.open_loop_matrices(m), dyn.open_loop_equilibrium(m))
     red_end = end_state(dyn.reduced_matrices(m), dyn.reduced_equilibrium(m))
     ce = eq.solve_ce(m)
-    err_x = float(np.abs(full_end[: m.n] - ce.x_bar).max())
-    err_lam = abs(float(full_end[3 * m.n]) - ce.lambda_bar)
+    err_x = float(np.abs(full_end[lay.x] - ce.x_bar).max())
+    err_lam = abs(float(full_end[lay.lam]) - ce.lambda_bar)
+    # The reduced state (x, lam) is not a prefix of the layout.
     agree = max(
-        float(np.abs(full_end[: m.n] - red_end[: m.n]).max()),
-        abs(float(full_end[3 * m.n]) - float(red_end[m.n])),
+        float(np.abs(full_end[lay.x] - red_end[: m.n]).max()),
+        abs(float(full_end[lay.lam]) - float(red_end[m.n])),
     )
     ok = err_x <= SIM_TOL and err_lam <= SIM_TOL and agree <= SIM_TOL
     return ok, f"x err {err_x:.2e}, lam err {err_lam:.2e}, variants agree to {agree:.2e}"
@@ -399,7 +401,7 @@ def _solve_deterministic(config, rng, instances):
 
 def _csv_schema(config, rng, instances):
     m = config.market
-    eq_state = dyn.assemble_equilibrium(m, config.cap.lambda_max).to_vector()
+    eq_state = dyn.assemble_equilibrium(m, config.cap.lambda_max)
     small = replace(config, sim=scn.SimSettings(
         h=0.01, t_end=0.5, method="rk4", record_stride=5, init=eq_state))
     with tempfile.TemporaryDirectory() as tmp:

@@ -101,7 +101,7 @@ def test_criterion_3_closed_loop_euler_as_pinned(config):
     """
     market, cap, tol = config.market, 4.0, 1e-3
     lay = es.state_layout(market.n)
-    reference = es.assemble_equilibrium(market, cap).to_vector()
+    reference = es.assemble_equilibrium(market, cap)
     y0 = np.zeros(lay.dim)
     h_bound = es.euler_stable_step(market)
     h = 0.5 * h_bound
@@ -137,7 +137,7 @@ def test_criterion_3_companion_spectrum_matched(config):
     """Same convergence claims, integrator matched to the system's spectrum."""
     market, cap = config.market, 4.0
     lay = es.state_layout(market.n)
-    reference = es.assemble_equilibrium(market, cap).to_vector()
+    reference = es.assemble_equilibrium(market, cap)
     t0 = time.perf_counter()
     traj = es.integrate(
         es.closed_loop_rhs(market, cap), np.zeros(lay.dim), 0.02, 1200.0,
@@ -297,7 +297,7 @@ def test_criterion_9_io_determinism(config, tmp_path):
         config,
         sim=es.SimSettings(
             h=0.01, t_end=0.5, method="rk4", record_stride=5,
-            init=es.assemble_equilibrium(config.market, 4.0).to_vector(),
+            init=es.assemble_equilibrium(config.market, 4.0),
         ),
     )
     csv_path = tmp_path / "schema.csv"

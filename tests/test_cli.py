@@ -1,5 +1,6 @@
 """CLI behavior: subcommands, overrides, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -27,6 +28,11 @@ class TestSolve:
         assert code == 0
         out = capsys.readouterr().out
         assert out == es.report_to_json(es.run_solve(table1_config))
+
+    def test_stdout_bytes_are_pinned(self, capsys):
+        assert main(["solve", "--config", str(TABLE1_PATH)]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "8d464945f5da1513d2ba54b5490252cd58fbc283f3134b60d3ce49aee6446d20"
 
     def test_out_file(self, tmp_path, table1_config):
         out = tmp_path / "report.json"
@@ -95,9 +101,12 @@ class TestBadArguments:
             ["simulate", "--t-end", "0"],
             ["simulate", "--t-end", "1", "--out", "missing_dir/x.csv"],
             ["simulate", "--t-end", "1e15"],
+            # The "=" form: argparse reads a separate "-1e308" as an option.
+            ["solve", "--lambda-max=-1e308"],
+            ["sweep", "--caps=-1e308"],
         ],
         ids=["zero_instances", "negative_step", "zero_horizon", "missing_out_directory",
-             "unbounded_record"],
+             "unbounded_record", "solve_overflows", "sweep_overflows"],
     )
     def test_exits_2_with_error_line(self, argv, tmp_path, monkeypatch, capsys, fast_config_path):
         monkeypatch.chdir(tmp_path)

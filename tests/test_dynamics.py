@@ -15,7 +15,7 @@ from energyshare.verification import SIM_RANGES, random_market
 
 
 def closed_loop_zero(market):
-    return np.zeros(es.closed_loop_dim(market.n))
+    return np.zeros(es.state_layout(market.n).dim)
 
 
 def affine_step(method, matrix, offset, h):
@@ -85,7 +85,7 @@ class TestRhsControlled:
     def test_vanishes_at_capped_equilibrium_with_optimal_adjustment(self, table1_market):
         sce = es.solve_sce(table1_market, 4.0)
         eq = es.assemble_equilibrium(table1_market, 4.0)
-        state = np.concatenate([eq.x, eq.rho, eq.eps, [eq.lam]])
+        state = eq[: es.state_layout(4).lam + 1]
         d = es.rhs_controlled(table1_market, state, sce.u_star)
         assert np.abs(d).max() <= 1e-9
 
@@ -101,7 +101,7 @@ class TestRhsController:
         np.testing.assert_allclose(d[4:], 0.0, atol=1e-15)
 
     def test_vanishes_at_assembled_equilibrium(self, table1_market):
-        state = es.assemble_equilibrium(table1_market, 4.0).to_vector()
+        state = es.assemble_equilibrium(table1_market, 4.0)
         assert np.abs(es.rhs_controller(table1_market, state, 4.0)).max() <= 1e-9
 
     def test_projection_clamps_on_boundary(self, table1_market):
@@ -129,7 +129,7 @@ class TestRhsClosedLoop:
         np.testing.assert_array_equal(d, np.concatenate([top, bottom]))
 
     def test_vanishes_at_assembled_equilibrium(self, table1_market):
-        state = es.assemble_equilibrium(table1_market, 4.0).to_vector()
+        state = es.assemble_equilibrium(table1_market, 4.0)
         assert np.abs(es.rhs_closed_loop(table1_market, state, 4.0)).max() <= 1e-9
 
     def test_market_block_matches_open_loop_when_controller_at_rest(self, table1_market):
@@ -179,62 +179,65 @@ class TestRhsReduced:
         assert d[1] == 0.0
 
 
-class TestClosedLoopState:
-    def test_round_trip(self, table1_market):
-        eq = es.assemble_equilibrium(table1_market, 4.0)
-        again = es.ClosedLoopState.from_vector(eq.to_vector())
-        np.testing.assert_array_equal(again.to_vector(), eq.to_vector())
-        assert again.n == eq.n == 4
-
-    def test_vector_length_checked(self):
-        with pytest.raises(es.DimensionMismatch):
-            es.ClosedLoopState.from_vector(np.zeros(24))
-
-    def test_negative_mu_rejected(self):
-        with pytest.raises(es.NegativeMu):
-            es.ClosedLoopState(
-                x=np.zeros(1), rho=np.zeros(1), eps=np.zeros(1), lam=0.0,
-                u=np.zeros(1), pi=np.zeros(1), nu=0.0, mu=-1.0,
-            )
+class TestStateLayout:
+    @pytest.mark.parametrize("n", [1, 4, 7])
+    def test_blocks_tile_the_state_in_order(self, n):
+        lay = es.state_layout(n)
+        covered, owners = [], []
+        for name in ("x", "rho", "eps", "lam", "u", "pi", "nu", "mu"):
+            block = getattr(lay, name)
+            indices = range(block.start, block.stop) if isinstance(block, slice) else [block]
+            covered += indices
+            owners += [name] * len(indices)
+        assert covered == list(range(5 * n + 3))
+        assert lay.dim == 5 * n + 3
+        # The CSV columns between t and (V, eq_residual) name the same blocks.
+        columns = es.trajectory_header(n)[1:-2]
+        assert [c.split("_")[0] for c in columns] == [
+            "lambda" if name == "lam" else name for name in owners
+        ]
 
 
 class TestAssembleEquilibrium:
     def test_binding_cap_table1(self, table1_market):
+        lay = es.state_layout(4)
         eq = es.assemble_equilibrium(table1_market, 4.0)
-        assert eq.mu == 0.0
-        np.testing.assert_array_equal(eq.pi, np.zeros(4))
-        assert eq.nu == pytest.approx(5.308, abs=5e-3)
-        assert eq.lam == 4.0
+        assert eq[lay.mu] == 0.0
+        np.testing.assert_array_equal(eq[lay.pi], np.zeros(4))
+        assert eq[lay.nu] == pytest.approx(5.308, abs=5e-3)
+        assert eq[lay.lam] == 4.0
 
     def test_slack_cap_table1(self, table1_market):
+        lay = es.state_layout(4)
         eq = es.assemble_equilibrium(table1_market, 10.0)
-        assert eq.nu == 0.0
-        np.testing.assert_array_equal(eq.u, np.zeros(4))
-        assert eq.mu == pytest.approx(2.5396, abs=1e-3)
+        assert eq[lay.nu] == 0.0
+        np.testing.assert_array_equal(eq[lay.u], np.zeros(4))
+        assert eq[lay.mu] == pytest.approx(2.5396, abs=1e-3)
 
     def test_imbalance_estimates_sum_to_zero(self):
         rng = np.random.default_rng(27)
         for _ in range(50):
             m = random_market(rng)
             cap = rng.uniform(-10, 30)
+            lay = es.state_layout(m.n)
             eq = es.assemble_equilibrium(m, cap)
-            assert abs(eq.eps.sum()) <= 1e-9 * max(1.0, m.sum_a)
-            assert eq.nu * eq.mu == 0.0
-            assert eq.nu >= 0.0 and eq.mu >= 0.0
+            assert abs(eq[lay.eps].sum()) <= 1e-9 * max(1.0, m.sum_a)
+            assert eq[lay.nu] * eq[lay.mu] == 0.0
+            assert eq[lay.nu] >= 0.0 and eq[lay.mu] >= 0.0
 
     def test_drift_vanishes_on_random_instances(self):
         rng = np.random.default_rng(28)
         for _ in range(50):
             m = random_market(rng)
             cap = rng.uniform(-10, 30)
-            state = es.assemble_equilibrium(m, cap).to_vector()
+            state = es.assemble_equilibrium(m, cap)
             scale = max(1.0, np.abs(m.c0).max(), np.abs(m.a).max())
             assert np.abs(es.rhs_closed_loop(m, state, cap)).max() <= 1e-9 * scale
 
 
 class TestIntegrate:
     def test_constant_at_equilibrium(self, table1_market):
-        eq = es.assemble_equilibrium(table1_market, 4.0).to_vector()
+        eq = es.assemble_equilibrium(table1_market, 4.0)
         lay = es.state_layout(4)
         traj = es.integrate(
             es.closed_loop_rhs(table1_market, 4.0), eq, 0.01, 1.0,
@@ -270,7 +273,7 @@ class TestIntegrate:
 
     def test_recorded_columns_across_a_chunk_boundary(self, table1_market):
         lay = es.state_layout(4)
-        eq = es.assemble_equilibrium(table1_market, 4.0).to_vector()
+        eq = es.assemble_equilibrium(table1_market, 4.0)
         chunk = dynamics._DEVIATION_CHUNK_BYTES // (8 * lay.dim)
         h = 0.02
         traj = es.integrate(
@@ -314,7 +317,7 @@ class TestIntegrate:
         mu_index = lay.mu if clamp else None  # unclamped, mu stays below 0 once there
         h = 0.5 * es.euler_stable_step(market) if method == "euler" else 0.02
         rhs = es.closed_loop_rhs(market, cap)
-        eq = es.assemble_equilibrium(market, cap).to_vector()
+        eq = es.assemble_equilibrium(market, cap)
         block, loop = (
             es.integrate(
                 f, np.zeros(lay.dim), h, 60.0,
@@ -377,7 +380,7 @@ class TestIntegrate:
         market = es.validate_market([(100.0, -50.0, 1.0)])
         lay = es.state_layout(1)
         rhs = es.closed_loop_rhs(market, 0.2)
-        eq = es.assemble_equilibrium(market, 0.2).to_vector()
+        eq = es.assemble_equilibrium(market, 0.2)
         errors = []
         for f in (rhs, lambda y: rhs(y)):
             with pytest.raises(es.NonfiniteState) as excinfo:
@@ -474,11 +477,11 @@ class TestTrajectory:
 
 class TestLyapunov:
     def test_zero_at_reference(self, table1_market):
-        eq = es.assemble_equilibrium(table1_market, 4.0).to_vector()
+        eq = es.assemble_equilibrium(table1_market, 4.0)
         assert es.lyapunov_value(eq, eq) == 0.0
 
     def test_unit_offset(self, table1_market):
-        eq = es.assemble_equilibrium(table1_market, 4.0).to_vector()
+        eq = es.assemble_equilibrium(table1_market, 4.0)
         bumped = eq.copy()
         bumped[0] += 1.0
         assert es.lyapunov_value(bumped, eq) == pytest.approx(0.5, abs=1e-12)
@@ -510,7 +513,7 @@ class TestStabilityCertificate:
 
     def test_with_trajectory_evidence(self, table1_market):
         lay = es.state_layout(4)
-        eq = es.assemble_equilibrium(table1_market, 4.0).to_vector()
+        eq = es.assemble_equilibrium(table1_market, 4.0)
         traj = es.integrate(
             es.closed_loop_rhs(table1_market, 4.0), closed_loop_zero(table1_market),
             0.02, 50.0, method="rk4", reference=eq, mu_index=lay.mu, record_stride=10,
@@ -522,7 +525,7 @@ class TestStabilityCertificate:
 
 class TestConvergenceReport:
     def test_constant_equilibrium_trajectory(self, table1_market):
-        eq = es.assemble_equilibrium(table1_market, 4.0).to_vector()
+        eq = es.assemble_equilibrium(table1_market, 4.0)
         lay = es.state_layout(4)
         traj = es.integrate(
             es.closed_loop_rhs(table1_market, 4.0), eq, 0.01, 0.1,
@@ -561,7 +564,7 @@ class TestConvergence:
 
     def test_closed_loop_reaches_capped_equilibrium_table1(self, table1_market):
         lay = es.state_layout(4)
-        eq = es.assemble_equilibrium(table1_market, 4.0).to_vector()
+        eq = es.assemble_equilibrium(table1_market, 4.0)
         traj = es.integrate(
             es.closed_loop_rhs(table1_market, 4.0), closed_loop_zero(table1_market),
             0.02, 1200.0, method="rk4", reference=eq, mu_index=lay.mu, record_stride=100,
@@ -581,7 +584,7 @@ class TestConvergence:
                 continue
             done += 1
             lay = es.state_layout(m.n)
-            eq = es.assemble_equilibrium(m, cap).to_vector()
+            eq = es.assemble_equilibrium(m, cap)
             horizon = 1.2 * np.log(max(1.0, np.abs(eq).max()) / 3e-4) / rate
             traj = es.integrate(
                 es.closed_loop_rhs(m, cap), np.zeros(lay.dim), 0.02, horizon,

@@ -185,7 +185,7 @@ class TestRunSimulate:
     def test_equilibrium_init_stays_put(self, table1_config, tmp_path):
         from dataclasses import replace
 
-        init = es.assemble_equilibrium(table1_config.market, 4.0).to_vector()
+        init = es.assemble_equilibrium(table1_config.market, 4.0)
         cfg = replace(
             table1_config,
             sim=es.SimSettings(h=0.01, t_end=1.0, method="euler", record_stride=1, init=init),
