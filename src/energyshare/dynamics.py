@@ -18,12 +18,20 @@ its prefix.  :func:`state_layout` is the one map of where each block sits;
 everything here that indexes a stacked state goes through it.  All
 right-hand sides are pure functions; the fixed-step integrator is the only
 code here that loops.
+
+Every block of the closed-loop drift is diagonal or rank one: each agent
+updates from its own states and two market-wide sums, ``sum(eps)`` for the
+price and ``sum(pi)`` for ``nu``.  :func:`closed_loop_rhs` evaluates large
+markets from that structure in O(N); the dense ``(5N+3)**2`` matrix is built
+for small markets, for the block path of :func:`integrate` and for the
+certificates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -268,12 +276,17 @@ def closed_loop_matrix(market: MarketInstance) -> np.ndarray:
     return mat
 
 
-def closed_loop_matrices(market: MarketInstance, cap: float) -> tuple[np.ndarray, np.ndarray]:
-    """Drift matrix and constant offset of the closed loop."""
+def _closed_loop_offset(market: MarketInstance, cap: float) -> np.ndarray:
+    """Constant offset of the closed-loop drift."""
     lay = state_layout(market.n)
     offset = _open_loop_offset(market, lay.dim)
     offset[lay.u] = -(market.c0 + cap) / market.q
-    return closed_loop_matrix(market), offset
+    return offset
+
+
+def closed_loop_matrices(market: MarketInstance, cap: float) -> tuple[np.ndarray, np.ndarray]:
+    """Drift matrix and constant offset of the closed loop."""
+    return closed_loop_matrix(market), _closed_loop_offset(market, cap)
 
 
 def open_loop_matrices(market: MarketInstance) -> tuple[np.ndarray, np.ndarray]:
@@ -297,19 +310,26 @@ def reduced_matrices(market: MarketInstance) -> tuple[np.ndarray, np.ndarray]:
     return mat, offset
 
 
-class ProjectedAffine(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class ProjectedAffine:
     """Affine pieces of a drift with at most one conditionally projected component.
 
     The drift is ``matrix @ y + offset`` while ``y[mu] > 0``; with
     ``y[mu] <= 0`` its ``mu`` entry is replaced by ``max(-y[nu], 0)``.
     Without a projected component (``mu`` and ``nu`` None) the drift is
-    ``matrix @ y + offset`` everywhere.
+    ``matrix @ y + offset`` everywhere.  ``build_matrix`` makes the matrix
+    the first time :attr:`matrix` is read, so a drift evaluated from its
+    structure allocates it only for the block path of :func:`integrate`.
     """
 
-    matrix: np.ndarray
+    build_matrix: Callable[[], np.ndarray]
     offset: np.ndarray
     nu: int | None = None
     mu: int | None = None
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return self.build_matrix()
 
 
 def affine_rhs(matrix: np.ndarray, offset: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -322,31 +342,75 @@ def affine_rhs(matrix: np.ndarray, offset: np.ndarray) -> Callable[[np.ndarray],
     def rhs(y: np.ndarray) -> np.ndarray:
         return matrix @ y + offset
 
-    rhs.projected_affine = ProjectedAffine(matrix, offset)
+    rhs.projected_affine = ProjectedAffine(lambda: matrix, offset)
     return rhs
 
 
-def closed_loop_rhs(market: MarketInstance, cap: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Fast closed-loop drift: one matrix-vector product plus the projection.
+# Up to this state dimension closed_loop_rhs evaluates the drift as one dense
+# matrix-vector product; above it, from the drift's block structure.  On a
+# 2-vCPU Xeon VM with one BLAS thread the structured form costs 12-20 us up
+# to N = 200, mostly numpy's per-call overhead, and 33 us at N = 1000; the
+# dense product costs 2 us at N = 4, as much near dim 280-330, and 20 ms at
+# N = 1000.
+_DENSE_DRIFT_MAX_DIM = 300
 
-    Identical to :func:`rhs_closed_loop` on states with ``mu >= 0`` but
-    tolerant of slightly negative ``mu`` (raw Runge-Kutta stage values),
-    for which the projection branch applies.  The returned callable carries
-    its affine pieces as ``rhs.projected_affine``, which lets
-    :func:`integrate` advance it in blocks of steps.
+
+def closed_loop_rhs(market: MarketInstance, cap: float) -> Callable[[np.ndarray], np.ndarray]:
+    """Fast closed-loop drift, tolerant of slightly negative ``mu``.
+
+    The drift of :func:`rhs_closed_loop`, which also accepts states with
+    ``mu < 0`` (raw Runge-Kutta stage values): wherever ``mu <= 0`` the
+    projection branch applies and the ``mu`` entry is ``max(-nu, 0)``.
+    Small markets take one dense matrix-vector product per evaluation,
+    which agrees with :func:`rhs_closed_loop` to rounding.  Large ones
+    (state dimension above ``_DENSE_DRIFT_MAX_DIM``) take a few vector
+    operations and the sums of ``eps`` and ``pi``, in the order of
+    :func:`rhs_closed_loop`, with which they agree bit for bit.
+
+    The returned callable carries its affine pieces as
+    ``rhs.projected_affine``, which lets :func:`integrate` advance it in
+    blocks of steps; for a large market the dense matrix is built the first
+    time something reads it.
     """
-    mat, offset = closed_loop_matrices(market, cap)
     lay = state_layout(market.n)
     i_nu, i_mu = lay.nu, lay.mu
+    if lay.dim <= _DENSE_DRIFT_MAX_DIM:
+        mat, offset = closed_loop_matrices(market, cap)
+
+        def rhs(state: np.ndarray) -> np.ndarray:
+            d = mat @ state + offset
+            if state[i_mu] <= 0.0:
+                neg_nu = -state[i_nu]
+                d[i_mu] = neg_nu if neg_nu > 0.0 else 0.0
+            return d
+
+        rhs.projected_affine = ProjectedAffine(lambda: mat, offset, i_nu, i_mu)
+        return rhs
+
+    q, c0, a = market.q, market.c0, market.a
+    neg_q = -q
+    u_shift = (c0 + cap) / q
+    x_, rho_, eps_, lam_, u_, pi_ = lay.x, lay.rho, lay.eps, lay.lam, lay.u, lay.pi
+    dim = lay.dim
 
     def rhs(state: np.ndarray) -> np.ndarray:
-        d = mat @ state + offset
-        if state[i_mu] <= 0.0:
-            neg_nu = -state[i_nu]
-            d[i_mu] = neg_nu if neg_nu > 0.0 else 0.0
+        x, rho, eps, u, pi = state[x_], state[rho_], state[eps_], state[u_], state[pi_]
+        nu, mu = state[i_nu], state[i_mu]
+        d = np.empty(dim)
+        d[x_] = neg_q * x - c0 - rho - u
+        d[rho_] = x - a - eps
+        d[eps_] = rho - state[lam_]
+        d[lam_] = eps.sum()
+        d[u_] = -u / q - q * pi - x - u_shift
+        d[pi_] = q * u - nu
+        d[i_nu] = pi.sum() + mu
+        neg_nu = -nu
+        d[i_mu] = neg_nu if mu > 0.0 or neg_nu > 0.0 else 0.0
         return d
 
-    rhs.projected_affine = ProjectedAffine(mat, offset, i_nu, i_mu)
+    rhs.projected_affine = ProjectedAffine(
+        lambda: closed_loop_matrix(market), _closed_loop_offset(market, cap), i_nu, i_mu
+    )
     return rhs
 
 
@@ -682,6 +746,8 @@ def integrate(
     length = min(record_stride, n_steps, _BLOCK_MAX_STEPS)
     if affine is not None and length > 1 and mu_index in (None, affine.mu):
         guards = 0 if affine.mu is None else evals
+        # _Blocks is the first reader of affine.matrix, which a large closed
+        # loop builds when read: a run without blocks never allocates it.
         if _blocks_pay_off(y.size, length, n_steps, evals, guards):
             blocks = _Blocks(affine, step, h, length, divergence_limit)
 

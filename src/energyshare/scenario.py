@@ -333,9 +333,12 @@ def run_solve(config: ScenarioConfig) -> EquilibriumReport:
     """
     market = config.market
     cap = config.cap.lambda_max
-    ce = solve_ce(market)
-    sce = solve_sce(market, cap)
-    residuals = kkt_residual_sce(market, cap, sce)
+    # Inputs near float64's range overflow; _require_finite reports that
+    # as the error, so numpy's warnings would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        ce = solve_ce(market)
+        sce = solve_sce(market, cap)
+        residuals = kkt_residual_sce(market, cap, sce)
     report = EquilibriumReport(ce=ce, sce=sce, residuals=residuals, cap_active=sce.nu_star > 0.0)
     _require_finite(_report_doc(report))
     return report
@@ -466,22 +469,25 @@ def run_sweep(config: ScenarioConfig, cap_values) -> list[SweepRow]:
     if not caps:
         raise ValueError("cap_values must be nonempty")
     market = config.market
-    ce = solve_ce(market)
-    welfare_ce = nominal_welfare(market, ce.x_bar)
     rows = []
-    for cap in caps:
-        sce = solve_sce(market, cap)
-        row = SweepRow(
-            lambda_max=cap,
-            lambda_star=sce.lambda_star,
-            nu_star=sce.nu_star,
-            u_norm=float(np.linalg.norm(sce.u_star)),
-            welfare_loss_nominal=welfare_ce - nominal_welfare(market, sce.x_star),
-        )
-        # Names are formatted only on failure: this runs once per cap.
-        if not all(map(math.isfinite, vars(row).values())):
-            _require_finite(vars(row), f"sweep at lambda_max = {cap!r}: ")
-        rows.append(row)
+    # As in run_solve: overflow is reported by _require_finite.  One errstate
+    # for the whole sweep, not one per cap.
+    with np.errstate(over="ignore", invalid="ignore"):
+        ce = solve_ce(market)
+        welfare_ce = nominal_welfare(market, ce.x_bar)
+        for cap in caps:
+            sce = solve_sce(market, cap)
+            row = SweepRow(
+                lambda_max=cap,
+                lambda_star=sce.lambda_star,
+                nu_star=sce.nu_star,
+                u_norm=float(np.linalg.norm(sce.u_star)),
+                welfare_loss_nominal=welfare_ce - nominal_welfare(market, sce.x_star),
+            )
+            # Names are formatted only on failure: this runs once per cap.
+            if not all(map(math.isfinite, vars(row).values())):
+                _require_finite(vars(row), f"sweep at lambda_max = {cap!r}: ")
+            rows.append(row)
     return rows
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import warnings
 
 import pytest
 
@@ -111,6 +112,19 @@ class TestBadArguments:
     def test_exits_2_with_error_line(self, argv, tmp_path, monkeypatch, capsys, fast_config_path):
         monkeypatch.chdir(tmp_path)
         code = main([argv[0], "--config", fast_config_path, *argv[1:]])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    # Overflow on table1 is reported by the error line alone: a numpy
+    # RuntimeWarning, which the CLI would print before it, fails here.
+    @pytest.mark.parametrize(
+        "argv", [["solve", "--lambda-max=-1e308"], ["sweep", "--caps=-1e308"]],
+        ids=["solve", "sweep"],
+    )
+    def test_overflow_warns_nothing_before_the_error_line(self, argv, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([argv[0], "--config", str(TABLE1_PATH), *argv[1:]])
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
 

@@ -6,8 +6,11 @@ steps is unstable for stiff oscillatory instances such as the bundled
 four-agent fixture, which is exercised separately in the acceptance suite.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import energyshare as es
 from energyshare import dynamics
@@ -16,6 +19,22 @@ from energyshare.verification import SIM_RANGES, random_market
 
 def closed_loop_zero(market):
     return np.zeros(es.state_layout(market.n).dim)
+
+
+def sized_market(rng, n):
+    """An ``n``-agent market drawn from the simulation checks' ranges."""
+    r = SIM_RANGES
+    return es.validate_market(list(zip(
+        rng.uniform(r["q_lo"], r["q_hi"], n),
+        rng.uniform(r["c0_lo"], r["c0_hi"], n),
+        rng.uniform(0.0, r["a_hi"], n),
+    )))
+
+
+def structured_rhs(market, cap):
+    """``closed_loop_rhs`` evaluated from its block structure at any size."""
+    with mock.patch.object(dynamics, "_DENSE_DRIFT_MAX_DIM", 0):
+        return es.closed_loop_rhs(market, cap)
 
 
 def affine_step(method, matrix, offset, h):
@@ -150,6 +169,57 @@ class TestRhsClosedLoop:
                 es.rhs_closed_loop(table1_market, state, 4.0),
                 atol=1e-12,
             )
+
+    # Above the size rule the drift is evaluated from its block structure,
+    # in the order of the block form, so the two agree exactly.
+    @pytest.mark.parametrize("n", [70, 1000])
+    def test_structured_drift_is_block_form_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        market = sized_market(rng, n)
+        lay = es.state_layout(n)
+        assert lay.dim > dynamics._DENSE_DRIFT_MAX_DIM
+        cap = es.solve_ce(market).lambda_bar - 2.0
+        fast = es.closed_loop_rhs(market, cap)
+        for _ in range(10):
+            state = rng.normal(scale=10.0, size=lay.dim)
+            state[lay.mu] = abs(state[lay.mu])
+            np.testing.assert_array_equal(fast(state), es.rhs_closed_loop(market, state, cap))
+
+    @pytest.mark.parametrize("n", [4, 70])
+    def test_nonpositive_mu_takes_the_projection(self, n):
+        rng = np.random.default_rng(27)
+        market = sized_market(rng, n)
+        lay = es.state_layout(n)
+        fast = es.closed_loop_rhs(market, 3.0)
+        for mu in (0.0, -0.0, -1e-12, -2.5):
+            for nu in (-1.5, 0.0, 1.5):
+                state = rng.normal(size=lay.dim)
+                state[lay.mu], state[lay.nu] = mu, nu
+                assert fast(state)[lay.mu] == max(-nu, 0.0)
+
+    def test_lazy_matrix_is_the_closed_loop_matrix(self):
+        market = sized_market(np.random.default_rng(28), 70)
+        assert es.state_layout(market.n).dim > dynamics._DENSE_DRIFT_MAX_DIM
+        affine = es.closed_loop_rhs(market, 3.0).projected_affine
+        mat, offset = dynamics.closed_loop_matrices(market, 3.0)
+        np.testing.assert_array_equal(affine.matrix, mat)
+        np.testing.assert_array_equal(affine.offset, offset)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 400), seed=st.integers(0, 2**32 - 1))
+    def test_structured_drift_matches_matrix_over_wide_ranges(self, n, seed):
+        rng = np.random.default_rng(seed)
+        q, neg_c0, a = 10.0 ** rng.uniform(-3.0, 3.0, (3, n))
+        market = es.validate_market(list(zip(q, -neg_c0, a)))
+        cap = float(rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-3.0, 3.0))
+        lay = es.state_layout(n)
+        state = rng.normal(size=lay.dim) * 10.0 ** rng.uniform(-3.0, 3.0, lay.dim)
+        state[lay.mu] = abs(state[lay.mu])
+        d = structured_rhs(market, cap)(state)
+        np.testing.assert_array_equal(d, es.rhs_closed_loop(market, state, cap))
+        mat, offset = dynamics.closed_loop_matrices(market, cap)
+        scale = np.abs(mat) @ np.abs(state) + np.abs(offset)
+        assert (np.abs(d - (mat @ state + offset)) <= 1e-12 * scale).all()
 
     def test_affine_forms_agree_with_block_forms(self, table1_market):
         rng = np.random.default_rng(26)
@@ -409,6 +479,27 @@ class TestIntegrate:
         block, loop = (
             es.integrate(f, np.zeros(mat.shape[0]), h, 100.0, method=method,
                          reference=eq, record_stride=100)
+            for f in (rhs, lambda y: rhs(y))
+        )
+        assert block_steps[0] > 0
+        np.testing.assert_array_equal(block.times, loop.times)
+        atol = 1e-9 * np.abs(loop.states).max()
+        np.testing.assert_allclose(block.states, loop.states, rtol=0.0, atol=atol)
+
+    def test_blocks_match_step_loop_above_the_dense_size(self, block_steps):
+        # The block path reads the dense matrix, which a large closed loop
+        # builds only then; a long run at a large stride repays the tables.
+        market = sized_market(np.random.default_rng(29), 70)
+        cap = es.solve_ce(market).lambda_bar - 2.0
+        lay = es.state_layout(market.n)
+        assert lay.dim > dynamics._DENSE_DRIFT_MAX_DIM
+        rhs = es.closed_loop_rhs(market, cap)
+        eq = es.assemble_equilibrium(market, cap)
+        block, loop = (
+            es.integrate(
+                f, np.zeros(lay.dim), 0.02, 160.0,
+                method="rk4", reference=eq, mu_index=lay.mu, record_stride=256,
+            )
             for f in (rhs, lambda y: rhs(y))
         )
         assert block_steps[0] > 0

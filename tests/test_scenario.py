@@ -217,6 +217,31 @@ class TestRunSimulate:
         assert lines[0] == ",".join(es.trajectory_header(1))
         assert len(lines) > 1
 
+    def test_large_market_builds_no_dense_drift(self, tmp_path, monkeypatch):
+        # At N = 2000 the dense drift matrix would take 800 MB.  A stride-1
+        # run has no block path, so it evaluates the drift from its
+        # structure and its memory is bounded by the recorded rows.
+        def refuse(market):
+            raise AssertionError("the dense closed-loop matrix was built")
+
+        monkeypatch.setattr(es.dynamics, "closed_loop_matrix", refuse)
+        rng = np.random.default_rng(30)
+        n = 2000
+        agents = [
+            {"q": q, "c0": c0, "a": a}
+            for q, c0, a in zip(rng.uniform(0.5, 4.0, n), rng.uniform(-30.0, 0.0, n),
+                                rng.uniform(0.0, 20.0, n))
+        ]
+        cfg = es.load_config(json.dumps({
+            "agents": agents, "lambda_max": 5.0,
+            "sim": {"h": 0.01, "t_end": 0.04, "method": "rk4", "record_stride": 1},
+        }))
+        csv_path = tmp_path / "large.csv"
+        traj, _ = es.run_simulate(cfg, csv_path)
+        assert traj.states.shape == (5, es.state_layout(n).dim)
+        assert np.isfinite(traj.states).all()
+        assert len(csv_path.read_text().splitlines()) == 6
+
 
 class TestRunSweep:
     def test_table1_cap_grid(self, table1_config):
