@@ -21,10 +21,14 @@ code here that loops.
 
 Every block of the closed-loop drift is diagonal or rank one: each agent
 updates from its own states and two market-wide sums, ``sum(eps)`` for the
-price and ``sum(pi)`` for ``nu``.  :func:`closed_loop_rhs` evaluates large
-markets from that structure in O(N); the dense ``(5N+3)**2`` matrix is built
-for small markets, for the block path of :func:`integrate` and for the
-certificates.
+price and ``sum(pi)`` for ``nu``.  The drift is written once, as one O(N)
+kernel on states stacked along a leading batch axis, and so is the reduced
+drift.  Everything else derives from these two kernels: the ``rhs_*``
+functions are thin validating wrappers, :func:`closed_loop_rhs` calls the
+kernel for large markets, each drift matrix is the kernel's linear part
+evaluated on the unit vectors and each offset the kernel at the zero state.
+The dense ``(5N+3)**2`` matrix is built for small markets, for the block
+path of :func:`integrate` and for the certificates.
 """
 
 from __future__ import annotations
@@ -156,6 +160,50 @@ class ConvergenceReport:
 # Right-hand sides
 
 
+def _closed_loop_drift(y: np.ndarray, q, c0=0.0, a=0.0, u_shift=0.0) -> np.ndarray:
+    """The closed-loop drift with ``mu`` free, on a batch of states ``y[..., :]``.
+
+    Leading axes of ``y`` index the batch, and the last holds each state in
+    the order of :func:`state_layout`; the result has the same shape.
+    ``c0``, ``a`` and ``u_shift = (c0 + cap) / q`` are the drift's
+    constants: with their zero defaults it is the linear part, whose values
+    on the unit vectors are the matrix's columns.  The ``mu`` entry is
+    ``-nu``; the projection is the caller's.
+    """
+    lay = state_layout(q.size)
+    x, rho, eps = y[..., lay.x], y[..., lay.rho], y[..., lay.eps]
+    u, pi = y[..., lay.u], y[..., lay.pi]
+    lam, nu, mu = y[..., lay.lam], y[..., lay.nu], y[..., lay.mu]
+    d = np.empty(y.shape)
+    d[..., lay.x] = -q * x - c0 - rho - u
+    d[..., lay.rho] = x - a - eps
+    d[..., lay.eps] = rho - lam[..., None]
+    d[..., lay.lam] = eps.sum(axis=-1)
+    d[..., lay.u] = -u / q - q * pi - x - u_shift
+    d[..., lay.pi] = q * u - nu[..., None]
+    d[..., lay.nu] = pi.sum(axis=-1) + mu
+    d[..., lay.mu] = -nu
+    return d
+
+
+def _closed_loop_constants(market: MarketInstance, cap: float) -> tuple:
+    """The constants of the closed-loop drift: ``q``, ``c0``, ``a``, ``(c0 + cap) / q``."""
+    return market.q, market.c0, market.a, (market.c0 + cap) / market.q
+
+
+def _reduced_drift(y: np.ndarray, q, c0=0.0, sum_a=0.0) -> np.ndarray:
+    """The reduced drift on a batch of states ``y[..., :]``, each ``(x, lam)``.
+
+    ``c0`` and ``sum_a`` are its constants, zero for the linear part.
+    """
+    n = q.size
+    x = y[..., :n]
+    d = np.empty(y.shape)
+    d[..., :n] = -q * x - c0 - y[..., n, None]
+    d[..., n] = x.sum(axis=-1) - sum_a
+    return d
+
+
 def _as_state(state, dim: int, what: str) -> np.ndarray:
     state = np.asarray(state, dtype=float)
     if state.shape != (dim,):
@@ -165,13 +213,7 @@ def _as_state(state, dim: int, what: str) -> np.ndarray:
 
 def rhs_open_loop(market: MarketInstance, state) -> np.ndarray:
     """Drift of the uncontrolled price-seeking dynamics, state (x, rho, eps, lam)."""
-    lay = state_layout(market.n)
-    state = _as_state(state, lay.lam + 1, "open-loop state")
-    x, rho, eps, lam = state[lay.x], state[lay.rho], state[lay.eps], state[lay.lam]
-    dx = -market.q * x - market.c0 - rho
-    drho = x - market.a - eps
-    deps = rho - lam
-    return np.concatenate([dx, drho, deps, [eps.sum()]])
+    return rhs_controlled(market, state, np.zeros(market.n))
 
 
 def rhs_controlled(market: MarketInstance, state, u_input) -> np.ndarray:
@@ -181,9 +223,9 @@ def rhs_controlled(market: MarketInstance, state, u_input) -> np.ndarray:
     u_input = np.asarray(u_input, dtype=float)
     if u_input.shape != (lay.n,):
         raise DimensionMismatch(f"u_input has shape {u_input.shape}, expected ({lay.n},)")
-    out = rhs_open_loop(market, state)
-    out[lay.x] -= u_input
-    return out
+    y = np.zeros(lay.dim)
+    y[: lay.lam + 1], y[lay.u] = state, u_input
+    return _closed_loop_drift(y, market.q, market.c0, market.a)[: lay.lam + 1]
 
 
 def rhs_controller(market: MarketInstance, state, cap: float) -> np.ndarray:
@@ -192,122 +234,74 @@ def rhs_controller(market: MarketInstance, state, cap: float) -> np.ndarray:
     Requires ``mu >= 0``; the projection keeps ``mu`` from drifting below
     zero once it sits on the boundary.
     """
+    return rhs_closed_loop(market, state, cap)[state_layout(market.n).u.start :]
+
+
+def rhs_closed_loop(market: MarketInstance, state, cap: float) -> np.ndarray:
+    """Drift of the interconnection: market block driven by the controller's u.
+
+    Requires ``mu >= 0``, as :func:`rhs_controller` does.
+    """
     lay = state_layout(market.n)
     state = _as_state(state, lay.dim, "closed-loop state")
     mu = float(state[lay.mu])
     if mu < 0.0:
         raise NegativeMu(f"mu = {mu} must be nonnegative")
-    x = state[lay.x]
-    u = state[lay.u]
-    pi = state[lay.pi]
-    nu = float(state[lay.nu])
-    du = -u / market.q - market.q * pi - x - (market.c0 + cap) / market.q
-    dpi = market.q * u - nu
-    dnu = float(pi.sum()) + mu
-    dmu = conditional_projection(-nu, mu)
-    return np.concatenate([du, dpi, [dnu], [dmu]])
-
-
-def rhs_closed_loop(market: MarketInstance, state, cap: float) -> np.ndarray:
-    """Drift of the interconnection: market block driven by the controller's u."""
-    lay = state_layout(market.n)
-    state = _as_state(state, lay.dim, "closed-loop state")
-    market_block = rhs_controlled(market, state[: lay.lam + 1], state[lay.u])
-    controller_block = rhs_controller(market, state, cap)
-    return np.concatenate([market_block, controller_block])
+    d = _closed_loop_drift(state, *_closed_loop_constants(market, cap))
+    d[lay.mu] = conditional_projection(d[lay.mu], mu)
+    return d
 
 
 def rhs_reduced(market: MarketInstance, state) -> np.ndarray:
     """Operator-knows-generation variant, state (x, lam) of dimension N+1."""
-    n = market.n
-    state = _as_state(state, n + 1, "reduced state")
-    x, lam = state[:n], state[n]
-    dx = -market.q * x - market.c0 - lam
-    return np.concatenate([dx, [x.sum() - market.sum_a]])
+    state = _as_state(state, market.n + 1, "reduced state")
+    return _reduced_drift(state, market.q, market.c0, market.sum_a)
 
 
 # ---------------------------------------------------------------------------
-# Affine assembly (fast path shared with the stability certificate)
+# Affine forms, derived from the drifts above
 
 
-def _write_open_loop(market: MarketInstance, mat: np.ndarray) -> None:
-    """Write the open-loop drift matrix into the zeroed square ``mat``, in place.
+def _linear_part(kernel, q: np.ndarray, dim: int, size: int) -> np.ndarray:
+    """Matrix of the linear part of ``kernel`` on the first ``size`` of ``dim`` components.
 
-    ``mat`` spans the open-loop state or the whole closed-loop one, which
-    has the open-loop state as its prefix.
+    Row ``j`` of ``kernel(I, q)``, whose constants default to zero, is the
+    drift of the ``j``-th unit vector: the matrix's column ``j``.  The
+    transpose is copied to C order.
     """
-    lay = state_layout(market.n)
-    eye = np.eye(lay.n)
-    mat[lay.x, lay.x] = -np.diag(market.q)
-    mat[lay.x, lay.rho] = -eye
-    mat[lay.rho, lay.x] = eye
-    mat[lay.rho, lay.eps] = -eye
-    mat[lay.eps, lay.rho] = eye
-    mat[lay.eps, lay.lam] = -np.ones(lay.n)
-    mat[lay.lam, lay.eps] = np.ones(lay.n)
-
-
-def _open_loop_offset(market: MarketInstance, dim: int) -> np.ndarray:
-    """Offset of the open-loop drift, zero-padded to ``dim`` entries."""
-    lay = state_layout(market.n)
-    offset = np.zeros(dim)
-    offset[lay.x] = -market.c0
-    offset[lay.rho] = -market.a
-    return offset
+    columns = kernel(np.eye(size, dim), q)[:, :size]
+    return np.ascontiguousarray(columns.T)
 
 
 def closed_loop_matrix(market: MarketInstance) -> np.ndarray:
-    """Drift matrix of the closed loop on the branch where mu evolves freely."""
-    lay = state_layout(market.n)
-    q = market.q
-    eye = np.eye(lay.n)
-    ones = np.ones(lay.n)
-    mat = np.zeros((lay.dim, lay.dim))
-    _write_open_loop(market, mat)
-    mat[lay.x, lay.u] = -eye
-    mat[lay.u, lay.x] = -eye
-    mat[lay.u, lay.u] = -np.diag(1.0 / q)
-    mat[lay.u, lay.pi] = -np.diag(q)
-    mat[lay.pi, lay.u] = np.diag(q)
-    mat[lay.pi, lay.nu] = -ones
-    mat[lay.nu, lay.pi] = ones
-    mat[lay.nu, lay.mu] = 1.0
-    mat[lay.mu, lay.nu] = -1.0
-    return mat
+    """Drift matrix of the closed loop on the branch where mu evolves freely.
 
-
-def _closed_loop_offset(market: MarketInstance, cap: float) -> np.ndarray:
-    """Constant offset of the closed-loop drift."""
-    lay = state_layout(market.n)
-    offset = _open_loop_offset(market, lay.dim)
-    offset[lay.u] = -(market.c0 + cap) / market.q
-    return offset
+    The drift kernel with zero constants, evaluated on the identity.  The
+    identity is freed before the kernel's output is copied to C order, so
+    the build holds about two dense ``(5N+3)**2`` arrays at its peak.
+    """
+    dim = state_layout(market.n).dim
+    return _linear_part(_closed_loop_drift, market.q, dim, dim)
 
 
 def closed_loop_matrices(market: MarketInstance, cap: float) -> tuple[np.ndarray, np.ndarray]:
-    """Drift matrix and constant offset of the closed loop."""
-    return closed_loop_matrix(market), _closed_loop_offset(market, cap)
+    """Drift matrix and constant offset (the drift at the zero state) of the closed loop."""
+    zero = np.zeros(state_layout(market.n).dim)
+    offset = _closed_loop_drift(zero, *_closed_loop_constants(market, cap))
+    return closed_loop_matrix(market), offset
 
 
 def open_loop_matrices(market: MarketInstance) -> tuple[np.ndarray, np.ndarray]:
     """Drift matrix and constant offset of the uncontrolled dynamics."""
-    dim = state_layout(market.n).lam + 1
-    mat = np.zeros((dim, dim))
-    _write_open_loop(market, mat)
-    return mat, _open_loop_offset(market, dim)
+    lay = state_layout(market.n)
+    mat = _linear_part(_closed_loop_drift, market.q, lay.dim, lay.lam + 1)
+    return mat, rhs_open_loop(market, np.zeros(lay.lam + 1))
 
 
 def reduced_matrices(market: MarketInstance) -> tuple[np.ndarray, np.ndarray]:
     """Drift matrix and constant offset of the reduced dynamics."""
-    n = market.n
-    mat = np.zeros((n + 1, n + 1))
-    mat[:n, :n] = -np.diag(market.q)
-    mat[:n, n] = -np.ones(n)
-    mat[n, :n] = np.ones(n)
-    offset = np.zeros(n + 1)
-    offset[:n] = -market.c0
-    offset[n] = -market.sum_a
-    return mat, offset
+    dim = market.n + 1
+    return _linear_part(_reduced_drift, market.q, dim, dim), rhs_reduced(market, np.zeros(dim))
 
 
 @dataclass(frozen=True, eq=False)
@@ -363,9 +357,10 @@ def closed_loop_rhs(market: MarketInstance, cap: float) -> Callable[[np.ndarray]
     projection branch applies and the ``mu`` entry is ``max(-nu, 0)``.
     Small markets take one dense matrix-vector product per evaluation,
     which agrees with :func:`rhs_closed_loop` to rounding.  Large ones
-    (state dimension above ``_DENSE_DRIFT_MAX_DIM``) take a few vector
-    operations and the sums of ``eps`` and ``pi``, in the order of
-    :func:`rhs_closed_loop`, with which they agree bit for bit.
+    (state dimension above ``_DENSE_DRIFT_MAX_DIM``) call the drift kernel
+    behind :func:`rhs_closed_loop` itself, a few vector operations and the
+    sums of ``eps`` and ``pi``, so the two agree bit for bit.  Both paths
+    share one projection.
 
     The returned callable carries its affine pieces as
     ``rhs.projected_affine``, which lets :func:`integrate` advance it in
@@ -376,41 +371,28 @@ def closed_loop_rhs(market: MarketInstance, cap: float) -> Callable[[np.ndarray]
     i_nu, i_mu = lay.nu, lay.mu
     if lay.dim <= _DENSE_DRIFT_MAX_DIM:
         mat, offset = closed_loop_matrices(market, cap)
+        affine = ProjectedAffine(lambda: mat, offset, i_nu, i_mu)
 
-        def rhs(state: np.ndarray) -> np.ndarray:
-            d = mat @ state + offset
-            if state[i_mu] <= 0.0:
-                neg_nu = -state[i_nu]
-                d[i_mu] = neg_nu if neg_nu > 0.0 else 0.0
-            return d
+        def drift(state: np.ndarray) -> np.ndarray:
+            return mat @ state + offset
+    else:
+        constants = _closed_loop_constants(market, cap)
 
-        rhs.projected_affine = ProjectedAffine(lambda: mat, offset, i_nu, i_mu)
-        return rhs
+        def drift(state: np.ndarray) -> np.ndarray:
+            return _closed_loop_drift(state, *constants)
 
-    q, c0, a = market.q, market.c0, market.a
-    neg_q = -q
-    u_shift = (c0 + cap) / q
-    x_, rho_, eps_, lam_, u_, pi_ = lay.x, lay.rho, lay.eps, lay.lam, lay.u, lay.pi
-    dim = lay.dim
+        affine = ProjectedAffine(
+            lambda: closed_loop_matrix(market), drift(np.zeros(lay.dim)), i_nu, i_mu
+        )
 
     def rhs(state: np.ndarray) -> np.ndarray:
-        x, rho, eps, u, pi = state[x_], state[rho_], state[eps_], state[u_], state[pi_]
-        nu, mu = state[i_nu], state[i_mu]
-        d = np.empty(dim)
-        d[x_] = neg_q * x - c0 - rho - u
-        d[rho_] = x - a - eps
-        d[eps_] = rho - state[lam_]
-        d[lam_] = eps.sum()
-        d[u_] = -u / q - q * pi - x - u_shift
-        d[pi_] = q * u - nu
-        d[i_nu] = pi.sum() + mu
-        neg_nu = -nu
-        d[i_mu] = neg_nu if mu > 0.0 or neg_nu > 0.0 else 0.0
+        d = drift(state)
+        if state[i_mu] <= 0.0:
+            neg_nu = -state[i_nu]
+            d[i_mu] = neg_nu if neg_nu > 0.0 else 0.0
         return d
 
-    rhs.projected_affine = ProjectedAffine(
-        lambda: closed_loop_matrix(market), _closed_loop_offset(market, cap), i_nu, i_mu
-    )
+    rhs.projected_affine = affine
     return rhs
 
 

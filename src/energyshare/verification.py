@@ -476,12 +476,14 @@ def run_verify(config, num_random_instances: int = 200, seed: int | None = None)
         seed: RNG seed; defaults to the config's seed.
 
     Raises:
-        ValidationError: ``num_random_instances`` is below 1.
+        ValidationError: ``num_random_instances`` is below 1 or the seed below 0.
     """
     if num_random_instances < 1:
         raise ValidationError(f"num_random_instances must be >= 1, got {num_random_instances}")
     if seed is None:
         seed = config.seed
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     results = []
     for name, check in CHECKS:
         try:

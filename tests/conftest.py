@@ -2,7 +2,9 @@
 
 The oracles recompute equilibria by solving the dense optimality systems
 with a generic linear solver, deliberately avoiding the closed-form
-expressions used by the library.
+expressions used by the library.  The drift oracles evaluate the model's
+equations one agent at a time, with their own indexing, since every drift
+form the library offers comes from one kernel.
 """
 
 from pathlib import Path
@@ -65,3 +67,54 @@ def sce_oracle(market, cap):
         nu = 0.0
     return x, lam, nu / market.q, nu
 
+
+def _entry(*terms):
+    """One drift entry: the sum of its terms and the sum of their magnitudes."""
+    return sum(terms), sum(abs(t) for t in terms)
+
+
+def closed_loop_drift_oracle(market, state, cap):
+    """Closed-loop drift from the model's equations, one agent at a time.
+
+    The state is read with its own indexing, ``[x, rho, eps, lam, u, pi,
+    nu, mu]`` in blocks of N, and each entry is a scalar sum of its terms.
+    On the free branch (``mu > 0``) ``dmu = -nu``; otherwise ``dmu =
+    max(-nu, 0)``.  Returns the drift and, per entry, the sum of its terms'
+    magnitudes, the scale that a rounded evaluation is held to.
+    """
+    n = market.n
+    q, c0, a = (np.asarray(v, dtype=float).tolist() for v in (market.q, market.c0, market.a))
+    s = np.asarray(state, dtype=float).tolist()
+    x, rho, eps, lam = s[:n], s[n : 2 * n], s[2 * n : 3 * n], s[3 * n]
+    u, pi, nu, mu = s[3 * n + 1 : 4 * n + 1], s[4 * n + 1 : 5 * n + 1], s[5 * n + 1], s[5 * n + 2]
+    rows = (
+        [_entry(-q[i] * x[i], -c0[i], -rho[i], -u[i]) for i in range(n)]
+        + [_entry(x[i], -a[i], -eps[i]) for i in range(n)]
+        + [_entry(rho[i], -lam) for i in range(n)]
+        + [_entry(*eps)]
+        + [_entry(-u[i] / q[i], -q[i] * pi[i], -x[i], -(c0[i] + cap) / q[i]) for i in range(n)]
+        + [_entry(q[i] * u[i], -nu) for i in range(n)]
+        + [_entry(*pi, mu)]
+        + [_entry(-nu if mu > 0.0 else max(-nu, 0.0))]
+    )
+    drift, scale = zip(*rows)
+    return np.array(drift), np.array(scale)
+
+
+def reduced_drift_oracle(market, state):
+    """Reduced drift ``(dx, dlam)`` from the model's equations, with its scale."""
+    n = market.n
+    q, c0, a = (np.asarray(v, dtype=float).tolist() for v in (market.q, market.c0, market.a))
+    s = np.asarray(state, dtype=float).tolist()
+    x, lam = s[:n], s[n]
+    rows = [_entry(-q[i] * x[i], -c0[i], -lam) for i in range(n)] + [_entry(*x, *(-v for v in a))]
+    drift, scale = zip(*rows)
+    return np.array(drift), np.array(scale)
+
+
+def assert_matches_oracle(got, oracle, rel=1e-12):
+    """``got`` agrees with an oracle's ``(drift, scale)`` to ``rel`` of the scale, per entry."""
+    drift, scale = oracle
+    gap = np.abs(np.asarray(got) - drift)
+    excess = float((gap - rel * scale).max())
+    assert excess <= 0.0, f"worst gap exceeds the tolerance by {excess:.3e}"

@@ -105,12 +105,17 @@ class TestBadArguments:
             # The "=" form: argparse reads a separate "-1e308" as an option.
             ["solve", "--lambda-max=-1e308"],
             ["sweep", "--caps=-1e308"],
+            ["verify", "--seed=-1"],
+            # The last --config wins; the test writes this one.
+            ["verify", "--config", "negative_seed.json"],
         ],
         ids=["zero_instances", "negative_step", "zero_horizon", "missing_out_directory",
-             "unbounded_record", "solve_overflows", "sweep_overflows"],
+             "unbounded_record", "solve_overflows", "sweep_overflows", "negative_seed",
+             "negative_config_seed"],
     )
     def test_exits_2_with_error_line(self, argv, tmp_path, monkeypatch, capsys, fast_config_path):
         monkeypatch.chdir(tmp_path)
+        (tmp_path / "negative_seed.json").write_text(FAST_CONFIG[:-1] + ', "seed": -3}')
         code = main([argv[0], "--config", fast_config_path, *argv[1:]])
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 import energyshare as es
 from energyshare import dynamics
 from energyshare.verification import SIM_RANGES, random_market
+from conftest import assert_matches_oracle, closed_loop_drift_oracle, reduced_drift_oracle
 
 
 def closed_loop_zero(market):
@@ -220,6 +221,7 @@ class TestRhsClosedLoop:
         mat, offset = dynamics.closed_loop_matrices(market, cap)
         scale = np.abs(mat) @ np.abs(state) + np.abs(offset)
         assert (np.abs(d - (mat @ state + offset)) <= 1e-12 * scale).all()
+        assert_matches_oracle(d, closed_loop_drift_oracle(market, state, cap))
 
     def test_affine_forms_agree_with_block_forms(self, table1_market):
         rng = np.random.default_rng(26)
@@ -231,6 +233,62 @@ class TestRhsClosedLoop:
             np.testing.assert_allclose(mat @ s + off, es.rhs_open_loop(m, s), atol=1e-12)
             sr = rng.normal(size=5)
             np.testing.assert_allclose(rmat @ sr + roff, es.rhs_reduced(m, sr), atol=1e-12)
+
+
+class TestDriftOracle:
+    """Every form of the drift against the per-agent equations of conftest."""
+
+    @staticmethod
+    def instance(n):
+        rng = np.random.default_rng(40 + n)
+        market = sized_market(rng, n)
+        return market, float(rng.uniform(1.0, 8.0)), rng
+
+    @pytest.mark.parametrize("n", [1, 4, 70])
+    def test_matrices(self, n):
+        market, cap, rng = self.instance(n)
+        lay = es.state_layout(n)
+        mat, off = dynamics.closed_loop_matrices(market, cap)
+        ol_mat, ol_off = es.open_loop_matrices(market)
+        red_mat, red_off = es.reduced_matrices(market)
+        for _ in range(5):
+            y = rng.normal(scale=10.0, size=lay.dim)
+            y[lay.mu] = abs(y[lay.mu])
+            assert_matches_oracle(mat @ y + off, closed_loop_drift_oracle(market, y, cap))
+            y[lay.u] = 0.0  # the open loop is the closed loop's prefix without control
+            drift, scale = closed_loop_drift_oracle(market, y, cap)
+            prefix = slice(0, lay.lam + 1)
+            assert_matches_oracle(ol_mat @ y[prefix] + ol_off, (drift[prefix], scale[prefix]))
+            yr = y[: n + 1]
+            assert_matches_oracle(red_mat @ yr + red_off, reduced_drift_oracle(market, yr))
+
+    @pytest.mark.parametrize("n", [1, 4, 70])
+    def test_block_forms(self, n):
+        market, cap, rng = self.instance(n)
+        lay = es.state_layout(n)
+        prefix = slice(0, lay.lam + 1)
+        for k in range(5):
+            y = rng.normal(scale=10.0, size=lay.dim)
+            y[lay.mu] = abs(y[lay.mu]) if k else 0.0
+            drift, scale = closed_loop_drift_oracle(market, y, cap)
+            assert_matches_oracle(es.rhs_closed_loop(market, y, cap), (drift, scale))
+            assert_matches_oracle(es.rhs_controlled(market, y[prefix], y[lay.u]),
+                                  (drift[prefix], scale[prefix]))
+            assert_matches_oracle(es.rhs_reduced(market, y[: n + 1]),
+                                  reduced_drift_oracle(market, y[: n + 1]))
+
+    @pytest.mark.parametrize("dense_max", [0, 10**9], ids=["structured", "dense"])
+    @pytest.mark.parametrize("n", [1, 4, 70])
+    def test_closed_loop_rhs_on_both_branches(self, n, dense_max):
+        market, cap, rng = self.instance(n)
+        lay = es.state_layout(n)
+        with mock.patch.object(dynamics, "_DENSE_DRIFT_MAX_DIM", dense_max):
+            fast = es.closed_loop_rhs(market, cap)
+        for mu in (2.0, 1e-9, 0.0, -1e-12, -2.5):
+            for nu in (-1.5, 0.0, 1.5):
+                y = rng.normal(scale=10.0, size=lay.dim)
+                y[lay.mu], y[lay.nu] = mu, nu
+                assert_matches_oracle(fast(y), closed_loop_drift_oracle(market, y, cap))
 
 
 class TestRhsReduced:
