@@ -34,7 +34,7 @@ path of :func:`integrate` and for the certificates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -70,8 +70,12 @@ class StateLayout:
         return 5 * self.n + 3
 
 
+@lru_cache
 def state_layout(n: int) -> StateLayout:
-    """Where each block of the ``n``-agent closed-loop state sits."""
+    """Where each block of the ``n``-agent closed-loop state sits.
+
+    Cached per ``n``: the drift kernel asks for it on every evaluation.
+    """
     return StateLayout(
         n=n,
         x=slice(0, n),
@@ -512,35 +516,87 @@ _STEPPERS = {"euler": (_euler_step, 1), "rk4": (_rk4_step, 4)}
 METHODS = tuple(_STEPPERS)
 
 # A block is at most _BLOCK_MAX_STEPS steps; a power of two makes a full
-# block one matrix-vector product.  The tables of all branches may take at
-# most _BLOCK_MAX_BYTES; that bounds the memory the block path adds to a
-# run (about 430 state components for Euler at full block length) and says
-# nothing of its speed, which _blocks_pay_off weighs.
+# block one matrix-vector product per bit of its length.  A block costs the
+# interpreter about as much as ten single steps (~50 us against ~5 us for an
+# Euler step at N = 5 on a 2-vCPU Xeon VM), so blocks shorter than
+# _BLOCK_MIN_STEPS are not worth building.  The tables of all branches may
+# take at most _BLOCK_MAX_BYTES, and at most _RECORD_BLOCK_MAX_BYTES when the
+# blocks record states inside themselves.  These bound the memory the block
+# path adds to a run and say nothing of its speed, which _blocks_pay_off
+# weighs.  Blocks that record nothing inside reach full length up to about
+# 430 state components for Euler.  Blocks that record every step are 512
+# Euler steps long at N = 1 (dim 8) and 64 at N = 5 (dim 28), and exist up
+# to about 50 components; a run at stride 100 such as table1.json takes 512
+# rk4 steps at a time.
 _BLOCK_MAX_STEPS = 1 << 12
+_BLOCK_MIN_STEPS = 1 << 4
 _BLOCK_MAX_BYTES = 1 << 26
+_RECORD_BLOCK_MAX_BYTES = 1 << 20
 
 
-def _blocks_pay_off(dim: int, length: int, n_steps: int, evals: int, guards: int) -> bool:
-    """Whether the block tables cost well under the step loop they replace.
+def _blocks_pay_off(dim: int, length: int, stride: int, n_steps: int, evals: int,
+                    guards: int) -> bool:
+    """Whether blocks of ``length`` steps cost well under the step loop they replace.
 
     ``evals`` is the number of drift evaluations per step and ``guards``
     the number of guard rows checked per step on one branch: one per stage
     for a drift with a projected component, which has two branches, and
-    none for a plain affine drift, which has one.  Counted in multiply-adds,
-    the step loop spends ``evals * dim**2`` per step.  The tables of one
-    branch compose the step from its stage maps (``evals * dim**3``), take
-    ``bits = length.bit_length()`` squarings of the step matrix
-    (``dim**3`` each) and build at most ``2 * guards * length`` guard rows
-    (``dim**2`` each); for all branches together to cost at most half the
-    loop, ``2 * branches * ((evals + bits) * dim + 2 * guards * length)
-    <= evals * n_steps``.  The interpreter's per-step cost, which the block
-    path also saves, is left out, so the choice errs towards the step loop.
+    none for a plain affine drift, which has one.  A block also yields the
+    ``records = (length - 1) // stride`` states recorded inside it, ``dim``
+    rows each.  Counted in multiply-adds, the step loop spends
+    ``evals * dim**2`` per step.  The tables of one branch compose the step
+    from its stage maps (``evals * dim**3``), take ``bits =
+    length.bit_length()`` squarings of the step matrix (``dim**3`` each), as
+    many again for the map of ``stride`` steps when there are records, and
+    build by doubling at most twice their ``rows = guards * length + dim *
+    records`` rows (``dim**2`` each); for all branches together to cost at
+    most half the loop, ``2 * branches * ((evals + squarings) * dim + 2 *
+    rows) <= evals * n_steps``.  Left out are the products that apply a
+    block, ``rows * dim`` per block, and the interpreter's per-step cost,
+    which the block path saves.  The first is small against the loop except
+    for Euler recording every step, where it matches the loop's
+    multiply-adds and the saving is the interpreter's cost alone; the
+    record cap keeps such blocks to small states, where that cost dominates.
     """
     bits = length.bit_length()
+    records = (length - 1) // stride
+    squarings = 2 * bits if records else bits
+    rows = guards * length + dim * records
     branches = 2 if guards else 1
-    table_bytes = branches * 8 * (bits * (dim + 1) * dim + guards * (length + 1) * (dim + 1))
-    cost = 2 * branches * ((evals + bits) * dim + 2 * guards * length)
-    return cost <= evals * n_steps and table_bytes <= _BLOCK_MAX_BYTES
+    table_bytes = branches * 8 * (squarings * (dim + 1) * dim + rows * (dim + 1))
+    cost = 2 * branches * ((evals + squarings) * dim + 2 * rows)
+    max_bytes = _RECORD_BLOCK_MAX_BYTES if records else _BLOCK_MAX_BYTES
+    return cost <= evals * n_steps and table_bytes <= max_bytes
+
+
+def _compose(outer: tuple, inner: tuple) -> tuple:
+    """The affine map ``(P, t)``, ``y -> P @ y + t``, of ``outer`` after ``inner``."""
+    return outer[0] @ inner[0], outer[0] @ inner[1] + outer[1]
+
+
+def _squarings(unit: tuple, count: int) -> list:
+    """``[unit**(2**i) for 2**i <= count]`` of the affine map ``unit``."""
+    powers = [unit]
+    while 2 ** len(powers) <= count:
+        powers.append(_compose(powers[-1], powers[-1]))
+    return powers
+
+
+def _doubled(rows: np.ndarray, sums: np.ndarray, powers: list, count: int) -> tuple:
+    """Affine rows of ``count`` units from those of the first.
+
+    ``rows @ y + sums`` reads some components after the first unit of
+    steps from ``y``; ``powers[i]`` is the map of ``2**i`` units.  The rows
+    of unit ``j + n`` are those of unit ``j`` applied after ``n`` units.
+    """
+    size = count * rows.shape[0]
+    for power, total in powers:
+        if rows.shape[0] >= size:
+            break
+        head = rows[: size - rows.shape[0]]
+        sums = np.concatenate([sums, head @ total + sums[: head.shape[0]]])
+        rows = np.concatenate([rows, head @ power])
+    return rows, sums
 
 
 class _Branch:
@@ -549,17 +605,22 @@ class _Branch:
     One step of the method is run on affine maps ``y -> M @ y + c``, stored
     as ``[M | c]``, so the step map ``y -> step @ y + shift`` and the
     ``guard`` component of every stage state are composed by the same code
-    as a single step.  Holds ``(step**(2**i), S_(2**i))`` with ``S_j`` the
-    sum of ``step**i @ shift`` over ``i < j``, so that ``j`` steps apply as
-    ``step**j @ y + S_j``.  From a start ``y``, stage ``s`` of step
-    ``j + 1`` has its guard component at ``rows[j * stages + s] @ y +
-    sums[j * stages + s]`` for every ``j < length``.  ``growth[j] =
-    max(1, ||step||_2)**j``, with which ``||y_j||_inf <= growth[j] *
-    (||y||_2 + j * ||shift||_2)``.
+    as a single step.  Holds ``powers[i] = (step**(2**i), S_(2**i))`` with
+    ``S_j`` the sum of ``step**i @ shift`` over ``i < j``, so that ``j``
+    steps apply as ``step**j @ y + S_j``.
+
+    From a start ``y``, ``rows @ y + sums`` gives, unit by unit of
+    ``stride`` steps, the guard component at every stage of each of the
+    unit's steps (``stride * stages`` values) and then the whole state
+    after the unit (``dim`` values), for the ``records = (length - 1) //
+    stride`` states strictly inside a block; the guard values of the last
+    ``length - records * stride`` steps follow.  ``growth[j] = max(1,
+    ||step||_2)**j``, with which ``||y_j||_inf <= growth[j] * (||y||_2 + j *
+    ||shift||_2)``.
     """
 
     def __init__(self, method_step, matrix: np.ndarray, offset: np.ndarray, h: float,
-                 guard: int | None, length: int):
+                 guard: int | None, length: int, stride: int):
         dim = offset.size
         guards = []
 
@@ -572,22 +633,20 @@ class _Branch:
 
         mapped = method_step(drift, np.eye(dim, dim + 1), h)
         step, shift = mapped[:, :-1], mapped[:, -1]
-        self.stages = len(guards)
+        self.stages, self.stride, self.dim = len(guards), stride, dim
+        self.powers = _squarings((step, shift), length)
         guards = np.array(guards).reshape(-1, dim + 1)
-        rows, sums = guards[:, :-1], guards[:, -1]
-        power, total, covered = step, shift, 1
-        self.powers = []
-        while True:
-            self.powers.append((power, total))
-            # The rows of step j + n are those of step j times step**n;
-            # S_(j+n) = step**j S_n + S_j.
-            sums = np.concatenate([sums, rows @ total + sums])
-            rows = np.concatenate([rows, rows @ power])
-            covered *= 2
-            if covered > length:
-                break
-            power, total = power @ power, power @ total + total
-        kept = length * self.stages
+        rows, sums = _doubled(guards[:, :-1], guards[:, -1], self.powers, min(stride, length))
+        records = (length - 1) // stride
+        if records:
+            unit = (np.eye(dim), np.zeros(dim))
+            for i, power in enumerate(self.powers):
+                if stride >> i & 1:
+                    unit = _compose(power, unit)
+            unit_powers = self.powers if stride == 1 else _squarings(unit, records)
+            rows, sums = _doubled(np.vstack([rows, unit[0]]), np.append(sums, unit[1]),
+                                  unit_powers, records + 1)
+        kept = length * self.stages + records * dim
         self.rows, self.sums = rows[:kept], sums[:kept]
         with np.errstate(over="ignore"):
             self.growth = max(1.0, float(np.linalg.norm(step, 2))) ** np.arange(length + 1)
@@ -612,29 +671,48 @@ class _Blocks:
     drift stays on that branch and every state they reach provably stays
     within the divergence limit; the step after that is the caller's to
     take with the ordinary single-step code, which also applies the clamp.
+    Each branch builds its tables the first time a block starts on it.
     """
 
     def __init__(self, affine: ProjectedAffine, method_step, h: float, length: int,
-                 limit: float):
-        mu, nu = affine.mu, affine.nu
-        self.free = _Branch(method_step, affine.matrix, affine.offset, h, mu, length)
-        self.pinned = None
-        if mu is not None:
-            matrix, offset = affine.matrix.copy(), affine.offset.copy()
-            matrix[mu], offset[mu] = 0.0, 0.0
-            self.pinned = _Branch(method_step, matrix, offset, h, nu, length)
-        self.mu, self.nu, self.limit = mu, nu, limit
+                 stride: int, limit: float):
+        self.affine, self.limit = affine, limit
+        self.branch = lambda matrix, offset, guard: _Branch(
+            method_step, matrix, offset, h, guard, length, stride
+        )
 
-    def advance(self, y: np.ndarray, steps: int) -> tuple[np.ndarray, int]:
-        """Take up to ``steps <= length`` steps from ``y``; return the new state and the count."""
-        if self.mu is None or y[self.mu] > 0.0:
+    @cached_property
+    def free(self) -> _Branch:
+        return self.branch(self.affine.matrix, self.affine.offset, self.affine.mu)
+
+    @cached_property
+    def pinned(self) -> _Branch:
+        matrix, offset = self.affine.matrix.copy(), self.affine.offset.copy()
+        matrix[self.affine.mu], offset[self.affine.mu] = 0.0, 0.0
+        return self.branch(matrix, offset, self.affine.nu)
+
+    def advance(self, y: np.ndarray, steps: int, records: np.ndarray) -> tuple[np.ndarray, int]:
+        """Take up to ``steps <= length`` steps from ``y``; return the new state and the count.
+
+        The block starts on the record grid unless ``records`` is empty:
+        row ``m`` of ``records`` receives the state after ``(m + 1) *
+        stride`` steps, valid for the rows within the steps taken.
+        """
+        mu, nu = self.affine.mu, self.affine.nu
+        if mu is None or y[mu] > 0.0:
             branch, strict = self.free, True
-        elif y[self.nu] >= 0.0:
+        elif y[nu] >= 0.0:
             branch, strict = self.pinned, False
         else:
             return y, 0
-        n = steps * branch.stages
-        guard = branch.rows[:n] @ y + branch.sums[:n]
+        inside, dim = records.shape[0], branch.dim
+        guard = branch.rows[: steps * branch.stages + inside * dim] @ y
+        guard += branch.sums[: guard.size]
+        if inside:
+            cut = inside * (branch.stride * branch.stages + dim)
+            head = guard[:cut].reshape(inside, -1)
+            records[:] = head[:, -dim:]
+            guard = np.concatenate([head[:, :-dim].ravel(), guard[cut:]])
         ok = (guard > 0.0 if strict else guard >= 0.0).reshape(steps, branch.stages).all(axis=1)
         size = float(np.linalg.norm(y))
         if not branch.growth[steps] * (size + steps * branch.shift_norm) <= self.limit:
@@ -676,17 +754,22 @@ def integrate(
         divergence_limit: abort once the state's infinity norm exceeds this
             bound or turns non-finite.
 
-    A drift from :func:`closed_loop_rhs` or :func:`affine_rhs` that records
-    every k > 1 steps advances many steps at once, with either method,
-    when the run is long enough to repay the precomputation (see
-    ``_blocks_pay_off``).  Between ``mu`` switches the drift is affine, so
-    one step is an affine map composed from the method's stage maps, and
-    precomputed powers of it apply a block of steps.  The branch condition
-    is checked at every stage of every step inside the block, and the
-    first step that leaves the branch or may cross ``divergence_limit`` is
-    taken with the single-step code.  This is the same recurrence, rounded
-    through the matrix powers: the states agree with the step-by-step ones
-    to ~1e-12 of their size.
+    A drift from :func:`closed_loop_rhs` or :func:`affine_rhs` advances
+    many steps at once, with either method and at any ``record_stride``.
+    Between ``mu`` switches the drift is affine, so one step is an affine
+    map composed from the method's stage maps, and precomputed powers of
+    it apply a block of steps.  A block is the longest power of two of at
+    most 4096 steps whose tables repay their cost (see
+    ``_blocks_pay_off``); when none of at least 16 steps does, the run
+    takes the step loop.  A block may span records: one matrix product
+    gives the branch condition at every stage of every step inside it
+    and every state recorded there.  The first step that leaves the
+    branch or may cross ``divergence_limit`` is taken with the
+    single-step code.  This is the same recurrence, rounded through the
+    matrix powers: the states agree with the step-by-step ones to ~1e-12
+    of their size.  On one core of a 2-vCPU Xeon VM the 200 000 Euler
+    steps of ``verify``'s Euler check, recorded at every step, take
+    ~0.1 s instead of ~1.9 s.
 
     Returns:
         The recorded :class:`Trajectory`.
@@ -725,29 +808,49 @@ def integrate(
 
     blocks = None
     affine = getattr(rhs, "projected_affine", None)
-    length = min(record_stride, n_steps, _BLOCK_MAX_STEPS)
-    if affine is not None and length > 1 and mu_index in (None, affine.mu):
+    if affine is not None and mu_index in (None, affine.mu):
         guards = 0 if affine.mu is None else evals
+        # The longest block that pays; the choice reads only sizes, since
         # _Blocks is the first reader of affine.matrix, which a large closed
         # loop builds when read: a run without blocks never allocates it.
-        if _blocks_pay_off(y.size, length, n_steps, evals, guards):
-            blocks = _Blocks(affine, step, h, length, divergence_limit)
+        length = 1 << (min(n_steps, _BLOCK_MAX_STEPS).bit_length() - 1)
+        while length >= _BLOCK_MIN_STEPS and not _blocks_pay_off(
+            y.size, length, record_stride, n_steps, evals, guards
+        ):
+            length //= 2
+        if length >= _BLOCK_MIN_STEPS:
+            blocks = _Blocks(affine, step, h, length, record_stride, divergence_limit)
 
     times[0], states[0] = 0.0, y
-    k = 0
-    for rec_i in range(1, n_rec):
-        next_rec = min(rec_i * record_stride, n_steps)
-        while k < next_rec:
-            if blocks is not None:
-                steps = min(next_rec - k, length)
-                y, taken = blocks.advance(y, steps)
-                k += taken
-                # The guard and the matrix powers round differently, so mu
-                # may land a few ulps below 0 where the guard saw it above.
-                if mu_index is not None and y[mu_index] < 0.0:
-                    y[mu_index] = 0.0
-                if taken == steps:
-                    continue
+    k, rec = 0, 1  # steps taken, rows recorded
+    while k < n_steps:
+        steps, taken = 1, 0  # one single step, unless a block takes them
+        if blocks is not None:
+            # A block ends on a record when one is within reach.  Started off
+            # the record grid it ends at the next record, so the records
+            # inside a block sit at multiples of the stride from its start.
+            reach = min(k + length, n_steps)
+            if k % record_stride:
+                reach = min(reach, k + record_stride - k % record_stride)
+            elif reach < n_steps and reach - k >= record_stride:
+                reach -= reach % record_stride
+            steps = reach - k
+            inside = (steps - 1) // record_stride
+            y, taken = blocks.advance(y, steps, states[rec : rec + inside])
+            # The guard, the recorded rows and the matrix powers round
+            # differently, so mu may land a few ulps below 0 where the guard
+            # saw it above.
+            done = min(taken, steps - 1) // record_stride
+            if done:
+                times[rec : rec + done] = (k + record_stride * np.arange(1, done + 1)) * h
+                if mu_index is not None:
+                    mu = states[rec : rec + done, mu_index]
+                    np.maximum(mu, 0.0, out=mu)
+                rec += done
+            k += taken
+            if mu_index is not None and y[mu_index] < 0.0:
+                y[mu_index] = 0.0
+        if taken < steps:
             k += 1
             y = step(rhs, y, h)
             if mu_index is not None and y[mu_index] < 0.0:
@@ -756,10 +859,12 @@ def integrate(
                 raise NonfiniteState(
                     f"state diverged at t = {k * h:.6g} "
                     f"(non-finite or |state| > {divergence_limit:g})",
-                    trajectory=_recorded(times[:rec_i].copy(), states[:rec_i].copy(),
+                    trajectory=_recorded(times[:rec].copy(), states[:rec].copy(),
                                          mu_index, ref),
                 )
-        times[rec_i], states[rec_i] = k * h, y
+        if k % record_stride == 0 or k == n_steps:
+            times[rec], states[rec] = k * h, y
+            rec += 1
 
     return _recorded(times, states, mu_index, ref)
 

@@ -6,6 +6,7 @@ steps is unstable for stiff oscillatory instances such as the bundled
 four-agent fixture, which is exercised separately in the acceptance suite.
 """
 
+import contextlib
 from unittest import mock
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import energyshare as es
 from energyshare import dynamics
-from energyshare.verification import SIM_RANGES, random_market
+from energyshare.verification import CHECKS, SIM_RANGES, check_rng, random_market
 from conftest import assert_matches_oracle, closed_loop_drift_oracle, reduced_drift_oracle
 
 
@@ -52,19 +53,26 @@ def affine_step(method, matrix, offset, h):
     return eye + ha @ poly, h * poly @ offset
 
 
-@pytest.fixture()
-def block_steps(monkeypatch):
-    """Count of the steps that integrate takes through its block path."""
+@contextlib.contextmanager
+def counted_block_steps():
+    """Count of the steps that integrate takes through its block path in the ``with`` body."""
     count = [0]
     advance = dynamics._Blocks.advance
 
-    def counted(self, y, steps):
-        y, taken = advance(self, y, steps)
+    def counted(self, y, steps, records):
+        y, taken = advance(self, y, steps, records)
         count[0] += taken
         return y, taken
 
-    monkeypatch.setattr(dynamics._Blocks, "advance", counted)
-    return count
+    with mock.patch.object(dynamics._Blocks, "advance", counted):
+        yield count
+
+
+@pytest.fixture()
+def block_steps():
+    """Count of the steps that integrate takes through its block path."""
+    with counted_block_steps() as count:
+        yield count
 
 
 class TestRhsOpenLoop:
@@ -466,9 +474,9 @@ class TestIntegrate:
     @pytest.mark.parametrize("method", ["euler", "rk4"])
     def test_blocks_clamp_mu_at_a_block_end(self, method, block_steps):
         # On the free branch mu after j steps is affine in the initial mu.
-        # Near its root the guard rows and the matrix powers of a block may
-        # round to opposite signs, so sweep the floats around the root with
-        # one block per record.
+        # Near its root the guard rows, the recorded rows and the matrix
+        # powers of a block may round to opposite signs, so sweep the floats
+        # around the root with a record at step j.
         market = es.validate_market([(0.8, -10.0, 2.0), (1.6, -6.0, 5.0), (2.5, -15.0, 1.0)])
         lay = es.state_layout(market.n)
         rhs = es.closed_loop_rhs(market, es.solve_ce(market).lambda_bar)
@@ -564,6 +572,60 @@ class TestIntegrate:
         np.testing.assert_array_equal(block.times, loop.times)
         atol = 1e-9 * np.abs(loop.states).max()
         np.testing.assert_allclose(block.states, loop.states, rtol=0.0, atol=atol)
+
+    # Random markets capped on both sides of their CE price, so that mu
+    # switches inside blocks; strides that do not divide the block length
+    # and horizons that the stride does not divide (a partial final record).
+    @settings(max_examples=20, deadline=None)
+    @given(
+        n=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+        method=st.sampled_from(dynamics.METHODS),
+        stride=st.sampled_from([1, 2, 3, 7, 100, 10**6]),
+        n_steps=st.integers(5000, 6000),
+    )
+    def test_blocks_record_inside_as_the_step_loop_does(self, n, seed, method, stride, n_steps):
+        rng = np.random.default_rng(seed)
+        market = sized_market(rng, n)
+        cap = es.solve_ce(market).lambda_bar + rng.uniform(-3.0, 3.0)
+        lay = es.state_layout(n)
+        h = 0.5 * es.euler_stable_step(market) if method == "euler" else 0.02
+        rhs = es.closed_loop_rhs(market, cap)
+        with counted_block_steps() as taken:
+            block = es.integrate(rhs, np.zeros(lay.dim), h, n_steps * h, method=method,
+                                 mu_index=lay.mu, record_stride=stride)
+        loop = es.integrate(lambda y: rhs(y), np.zeros(lay.dim), h, n_steps * h,
+                            method=method, mu_index=lay.mu, record_stride=stride)
+        assert taken[0] > 0
+        assert len(block) == len(loop) == -(-n_steps // stride) + 1
+        np.testing.assert_array_equal(block.times, loop.times)
+        atol = 1e-12 * np.abs(loop.states).max()
+        np.testing.assert_allclose(block.states, loop.states, rtol=0.0, atol=atol)
+        assert block.states[:, lay.mu].min() >= 0.0
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_euler_lyapunov_check_passes_in_blocks(self, table1_config, seed, block_steps):
+        name = "dynamics.euler_lyapunov_monotone"
+        passed, detail = dict(CHECKS)[name](table1_config, check_rng(seed, name), 200)
+        assert passed, detail
+        assert block_steps[0] > 0
+
+    def test_step_halving_reference_runs_in_blocks(self, table1_config, block_steps,
+                                                   monkeypatch):
+        name = "dynamics.step_halving_order"
+        runs = []
+        integrate = dynamics.integrate
+
+        def recorded(rhs, y0, h, t_end, **kwargs):
+            before = block_steps[0]
+            traj = integrate(rhs, y0, h, t_end, **kwargs)
+            runs.append((h, kwargs["method"], block_steps[0] - before))
+            return traj
+
+        monkeypatch.setattr(dynamics, "integrate", recorded)
+        passed, detail = dict(CHECKS)[name](table1_config, check_rng(0, name), 200)
+        assert passed, detail
+        assert (1e-3, "rk4", 10_000) in runs
 
     def test_rejects_negative_initial_mu(self, table1_market):
         y0 = closed_loop_zero(table1_market)
