@@ -919,6 +919,17 @@ def lyapunov_value(state, reference) -> float:
     return float(_half_squared_norm((state - ref).ravel()))
 
 
+def _lyapunov_rise(trajectory: Trajectory) -> tuple[float, bool]:
+    """The worst rise of the recorded Lyapunov value between records (0 if
+    none), and whether every rise stays within ``1e-8 * max(1, V[0])``.
+    """
+    if len(trajectory) < 2:
+        return 0.0, True
+    values = trajectory.lyapunov
+    rise = float(np.diff(values).max())
+    return max(rise, 0.0), rise <= 1e-8 * max(1.0, float(values[0]))
+
+
 def stability_certificate(
     market: MarketInstance,
     trajectory: Trajectory | None = None,
@@ -940,15 +951,11 @@ def stability_certificate(
     residual = float(np.abs(x_sym + b_factor.T @ b_factor).max())
     max_eig = float(np.linalg.eigvalsh(x_sym).max())
 
-    worst = 0.0
-    monotone = True
-    if trajectory is not None and len(trajectory) > 1:
-        values = trajectory.lyapunov
-        if np.isnan(values).any():
+    worst, monotone = 0.0, True
+    if trajectory is not None:
+        if len(trajectory) > 1 and np.isnan(trajectory.lyapunov).any():
             raise ValueError("trajectory has no recorded Lyapunov values (no reference)")
-        increases = np.diff(values)
-        worst = float(max(increases.max(), 0.0))
-        monotone = bool(increases.max() <= 1e-8 * max(1.0, float(values[0])))
+        worst, monotone = _lyapunov_rise(trajectory)
 
     return StabilityCertificate(
         max_eigenvalue_x_sym=max_eig,
@@ -974,7 +981,7 @@ def convergence_report(trajectory: Trajectory, tolerance: float) -> ConvergenceR
         raise ValueError("trajectory has no recorded errors (no reference)")
     within = np.nonzero(errors <= tolerance)[0]
     first = float(trajectory.times[within[0]]) if within.size else None
-    worst = float(max(np.diff(trajectory.lyapunov).max(), 0.0)) if len(trajectory) > 1 else 0.0
+    worst = _lyapunov_rise(trajectory)[0]
     mu_neg = 0.0
     if trajectory.mu_index is not None:
         mu_neg = max(0.0, -float(trajectory.states[:, trajectory.mu_index].min()))

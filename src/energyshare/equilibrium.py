@@ -78,12 +78,13 @@ class KktResidualReport:
     complementarity_gap: float
 
     def max_violation(self) -> float:
-        return max(
+        """The largest of the four residuals; NaN if any of them is NaN."""
+        return float(np.max([
             self.stationarity_norm,
             self.supply_demand_gap,
             self.cap_violation,
             self.complementarity_gap,
-        )
+        ]))
 
 
 def solve_ce(market: MarketInstance) -> CeSolution:

@@ -5,17 +5,30 @@ with a generic linear solver, deliberately avoiding the closed-form
 expressions used by the library.  The drift oracles evaluate the model's
 equations one agent at a time, with their own indexing, since every drift
 form the library offers comes from one kernel.
+
+Hypothesis runs under one profile: no deadline, a fixed sequence of
+examples and no example database, so that every run draws the same cases.
 """
 
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings, strategies as st
 
 import energyshare as es
 
+settings.register_profile("energyshare", deadline=None, derandomize=True, database=None)
+settings.load_profile("energyshare")
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 TABLE1_PATH = REPO_ROOT / "table1.json"
+
+
+def markets(n_max=8, q_lo=0.1, q_hi=20.0, c0_lo=-100.0, c0_hi=0.0, a_hi=50.0):
+    """Valid markets as a hypothesis strategy, over ``random_market``'s ranges."""
+    agent = st.tuples(st.floats(q_lo, q_hi), st.floats(c0_lo, c0_hi), st.floats(0.0, a_hi))
+    return st.lists(agent, min_size=1, max_size=n_max).map(es.validate_market)
 
 
 @pytest.fixture(scope="session")

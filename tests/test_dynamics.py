@@ -214,7 +214,7 @@ class TestRhsClosedLoop:
         np.testing.assert_array_equal(affine.matrix, mat)
         np.testing.assert_array_equal(affine.offset, offset)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(n=st.integers(1, 400), seed=st.integers(0, 2**32 - 1))
     def test_structured_drift_matches_matrix_over_wide_ranges(self, n, seed):
         rng = np.random.default_rng(seed)
@@ -360,15 +360,6 @@ class TestAssembleEquilibrium:
             assert abs(eq[lay.eps].sum()) <= 1e-9 * max(1.0, m.sum_a)
             assert eq[lay.nu] * eq[lay.mu] == 0.0
             assert eq[lay.nu] >= 0.0 and eq[lay.mu] >= 0.0
-
-    def test_drift_vanishes_on_random_instances(self):
-        rng = np.random.default_rng(28)
-        for _ in range(50):
-            m = random_market(rng)
-            cap = rng.uniform(-10, 30)
-            state = es.assemble_equilibrium(m, cap)
-            scale = max(1.0, np.abs(m.c0).max(), np.abs(m.a).max())
-            assert np.abs(es.rhs_closed_loop(m, state, cap)).max() <= 1e-9 * scale
 
 
 class TestIntegrate:
@@ -576,7 +567,7 @@ class TestIntegrate:
     # Random markets capped on both sides of their CE price, so that mu
     # switches inside blocks; strides that do not divide the block length
     # and horizons that the stride does not divide (a partial final record).
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     @given(
         n=st.integers(1, 5),
         seed=st.integers(0, 2**32 - 1),

@@ -44,15 +44,6 @@ class TestSolveCe:
         np.testing.assert_allclose(ce.x_bar, [2.0, 2.0], atol=1e-12)
         assert ce.lambda_bar == pytest.approx(4.0, abs=1e-12)
 
-    def test_kkt_residuals_on_random_markets(self):
-        rng = np.random.default_rng(11)
-        for _ in range(100):
-            m = random_market(rng)
-            ce = es.solve_ce(m)
-            stat = np.abs(m.q * ce.x_bar + m.c0 + ce.lambda_bar).max()
-            gap = abs(ce.x_bar.sum() - m.sum_a)
-            assert max(stat, gap) / residual_scale(m) <= 1e-9
-
     def test_negative_consumption_is_reported_unclamped(self):
         # consumption is unconstrained: an agent with little appetite can
         # come out negative (net seller beyond its generation); no clamping
@@ -70,15 +61,6 @@ class TestAggregateSlack:
 
     def test_table1_at_price_4(self, table1_market):
         assert es.aggregate_slack(table1_market, 4.0) == pytest.approx(116.0 / 15.0, abs=1e-3)
-
-    def test_affine_with_slope_minus_s1(self):
-        rng = np.random.default_rng(12)
-        for _ in range(50):
-            m = random_market(rng)
-            lam = rng.uniform(-20, 20)
-            delta = rng.uniform(0.1, 5.0)
-            diff = es.aggregate_slack(m, lam + delta) - es.aggregate_slack(m, lam)
-            assert diff == pytest.approx(-m.s1 * delta, rel=1e-9)
 
     def test_grows_as_price_drops(self, table1_market):
         assert es.aggregate_slack(table1_market, -1e6) > 1e5
@@ -179,49 +161,10 @@ class TestSolveSce:
         np.testing.assert_array_equal(sce.x_star, ce.x_bar)
         assert sce.lambda_star == ce.lambda_bar
 
-    def test_nu_monotone_in_cap_with_exact_slope(self):
-        rng = np.random.default_rng(16)
-        for _ in range(50):
-            m = random_market(rng)
-            lam_ce = es.solve_ce(m).lambda_bar
-            cap = lam_ce - rng.uniform(0.5, 10.0)
-            delta = rng.uniform(0.1, 3.0)
-            nu_hi = es.solve_sce(m, cap - delta).nu_star
-            nu_lo = es.solve_sce(m, cap).nu_star
-            assert nu_hi > nu_lo
-            assert (nu_hi - nu_lo) / delta == pytest.approx(m.s1 / m.s2, rel=1e-9)
-
-    def test_minimum_norm_among_sampled_feasible_adjustments(self):
-        rng = np.random.default_rng(17)
-        for _ in range(20):
-            m = random_market(rng)
-            lam_ce = es.solve_ce(m).lambda_bar
-            cap = lam_ce - rng.uniform(0.5, 10.0)
-            sce = es.solve_sce(m, cap)
-            best = np.linalg.norm(sce.u_star)
-            # inflate the scalar dual: still feasible, strictly longer
-            for scale in (1.5, 2.0, 5.0):
-                assert np.linalg.norm(scale * sce.nu_star / m.q) >= best - 1e-12
-            # generic feasible adjustments at an admissible price
-            lam_alt = cap - rng.uniform(0.0, 5.0)
-            base = (es.aggregate_slack(m, lam_alt) / m.s2) / m.q
-            for _ in range(5):
-                v = rng.normal(size=m.n)
-                tangent = v - (1.0 / m.q) * float((v / m.q).sum()) / m.s2
-                rival = base + tangent
-                # rival keeps the market clearing at price lam_alt <= cap
-                x_rival = -(m.c0 + rival + lam_alt) / m.q
-                assert x_rival.sum() == pytest.approx(m.sum_a, abs=1e-6 * residual_scale(m))
-                assert np.linalg.norm(rival) >= best - 1e-9
-
 
 class TestDualityChain:
     def test_sw_dual_equals_ce_price(self, table1_market):
         assert es.solve_sw_dual(table1_market) == pytest.approx(CE_PRICE, abs=0.01)
-        rng = np.random.default_rng(18)
-        for _ in range(100):
-            m = random_market(rng)
-            assert abs(es.solve_sw_dual(m) - es.solve_ce(m).lambda_bar) <= 1e-12
 
     def test_sw_dual_single_agent(self):
         m = es.validate_market([(1.0, -10.0, 3.0)])
@@ -265,18 +208,6 @@ class TestModifiedPrimal:
         assert abs(mp.s_bar) <= 1e-9
         assert mp.mu_s_bar == 0.0
 
-    def test_invariants_on_random_instances(self):
-        rng = np.random.default_rng(19)
-        for _ in range(100):
-            m = random_market(rng)
-            cap = rng.uniform(-10, 30)
-            mp = es.solve_modified_primal(m, cap)
-            scale = residual_scale(m)
-            np.testing.assert_allclose(mp.y_bar, es.phi(m, mp.lambda_bar), atol=1e-12)
-            assert mp.s_bar >= -1e-9 * scale
-            assert mp.mu_s_bar >= 0.0
-            assert abs(mp.s_bar * mp.mu_s_bar) <= 1e-9 * scale**2
-
 
 class TestChangeOfVariables:
     def test_table1_determinant(self, table1_market):
@@ -318,17 +249,6 @@ class TestChangeOfVariables:
         assert y_img[0] == pytest.approx(5.0, abs=1e-12)
         assert s_img == pytest.approx(2.0, abs=1e-12)
 
-    def test_identity_on_random_instances(self):
-        rng = np.random.default_rng(21)
-        for _ in range(100):
-            m = random_market(rng)
-            cap = rng.uniform(-10, 30)
-            y_img, s_img = es.map_sce_to_modified_primal(m, es.solve_sce(m, cap))
-            mp = es.solve_modified_primal(m, cap)
-            scale = residual_scale(m)
-            np.testing.assert_allclose(y_img, mp.y_bar, atol=1e-9 * scale)
-            assert s_img == pytest.approx(mp.s_bar, abs=1e-9 * scale)
-
 
 class TestKktResidual:
     def test_solver_output_is_clean(self, table1_market):
@@ -350,6 +270,18 @@ class TestKktResidual:
         assert rep.cap_violation == pytest.approx(4.26, abs=0.01)
         assert rep.stationarity_norm <= 1e-9
         assert rep.supply_demand_gap <= 1e-9
+
+    def test_nan_dual_is_the_max_violation(self, table1_market):
+        sce = es.solve_sce(table1_market, 4.0)
+        candidate = es.SceSolution(
+            x_star=sce.x_star,
+            lambda_star=sce.lambda_star,
+            u_star=sce.u_star,
+            nu_star=np.nan,
+            pi1_star=sce.pi1_star,
+            pi2_star=sce.pi2_star,
+        )
+        assert np.isnan(es.kkt_residual_sce(table1_market, 4.0, candidate).max_violation())
 
     def test_zero_candidate_stationarity_is_c0_norm(self, table1_market):
         zero = es.SceSolution(
@@ -383,13 +315,6 @@ class TestLcpOracle:
 
     def test_table1_slack_cap(self, table1_market):
         assert es.lcp_oracle(table1_market, 10.0, 1e-9) == pytest.approx(8.257, abs=1e-3)
-
-    def test_agreement_with_closed_form(self):
-        rng = np.random.default_rng(22)
-        for _ in range(200):
-            m = random_market(rng)
-            cap = rng.uniform(-10, 30)
-            assert abs(es.lcp_oracle(m, cap, 1e-9) - es.solve_scalar_lcp(m, cap)) <= 1e-8
 
     def test_terminates_when_an_ulp_exceeds_the_tolerance(self):
         # Near a price of 1e9 adjacent floats lie 1.2e-7 apart, far above the

@@ -4,12 +4,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import energyshare as es
 from energyshare.verification import CHECKS, check_rng
-from conftest import TABLE1_PATH
+from conftest import markets
 
 MINIMAL = '{"agents": [{"q": 2.0, "c0": -8.0, "a": 1.0}], "lambda_max": 3.0}'
+
+# The checks that hold a per-market residual to a tolerance.
+RESIDUAL_CHECKS = [(name, check) for name, check in CHECKS if hasattr(check, "residual")]
 
 
 class TestLoadConfig:
@@ -337,6 +341,25 @@ class TestRunVerify:
         passed, detail = check(table1_config, check_rng(3, name), 120)
         assert passed, detail
         assert len(CHECKS) == 26
+
+    # Each check's residual on markets that hypothesis draws, with a seeded
+    # generator for the check's own draws (caps, prices, directions).
+    @pytest.mark.parametrize(
+        "name, check", RESIDUAL_CHECKS, ids=[name for name, _ in RESIDUAL_CHECKS]
+    )
+    @given(market=markets(), seed=st.integers(0, 2**32 - 1))
+    def test_residual_within_tolerance(self, name, check, market, seed):
+        residual = check.residual(market, np.random.default_rng(seed))
+        assert residual <= check.tol, f"{name}: residual {residual:.3e} > {check.tol:.0e}"
+
+    def test_nonfinite_residual_fails(self, table1_config, monkeypatch):
+        def nan_ce(market):
+            return es.equilibrium.CeSolution(x_bar=np.full(market.n, np.nan), lambda_bar=np.nan)
+
+        monkeypatch.setattr("energyshare.equilibrium.solve_ce", nan_ce)
+        for name in ("equilibrium.ce_kkt", "equilibrium.dual_equals_ce"):
+            passed, detail = dict(CHECKS)[name](table1_config, check_rng(0, name), 20)
+            assert not passed, detail
 
     def test_seed_reproducibility(self):
         cfg = es.load_config(MINIMAL)
