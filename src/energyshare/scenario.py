@@ -32,12 +32,13 @@ from .equilibrium import (
     CeSolution,
     KktResidualReport,
     SceSolution,
+    _check_cap,
     kkt_residual_sce,
     solve_ce,
     solve_sce,
 )
 from .errors import MissingField, NonfiniteState, ParseError, ValidationError
-from .market import MarketInstance, SocialPriceCap, validate_market
+from .market import MarketInstance, SocialPriceCap, phi, validate_market
 
 _TOP_KEYS = {"agents", "lambda_max", "sim", "seed"}
 _SIM_KEYS = {"h", "t_end", "method", "record_stride", "init"}
@@ -86,20 +87,20 @@ class EquilibriumReport:
     cap_active: bool
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One price-cap setting and the equilibrium quantities it induces.
+@dataclass(frozen=True, eq=False)
+class Sweep:
+    """The capped equilibrium across price caps: a float64 column per quantity, a row per cap.
 
     ``welfare_loss_nominal`` is the total nominal utility (adjustment-free
     coefficients) at the uncapped equilibrium minus the same quantity at
     the capped one; it is nonnegative and zero while the cap is inactive.
     """
 
-    lambda_max: float
-    lambda_star: float
-    nu_star: float
-    u_norm: float
-    welfare_loss_nominal: float
+    lambda_max: np.ndarray
+    lambda_star: np.ndarray
+    nu_star: np.ndarray
+    u_norm: np.ndarray
+    welfare_loss_nominal: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +108,13 @@ class SweepRow:
 
 
 def _emit_json(value) -> str:
+    # Exact float and list first: reports are made of them (ndarray.tolist()).
+    if type(value) is float:
+        if not math.isfinite(value):
+            raise ValueError(f"cannot serialize non-finite number {value!r}")
+        return repr(value)  # shortest digits that round-trip exactly
+    if type(value) is list:
+        return "[" + ", ".join(map(_emit_json, value)) + "]"
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if value is None:
@@ -114,10 +122,7 @@ def _emit_json(value) -> str:
     if isinstance(value, numbers.Integral):
         return str(int(value))
     if isinstance(value, numbers.Real):
-        value = float(value)
-        if not np.isfinite(value):
-            raise ValueError(f"cannot serialize non-finite number {value!r}")
-        return repr(value)  # shortest digits that round-trip exactly
+        return _emit_json(float(value))
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, Mapping):
@@ -139,13 +144,21 @@ def dumps_canonical(document) -> str:
 # Config loading
 
 
+def _as_float(value: numbers.Real, what: str) -> float:
+    try:
+        return float(value)
+    except OverflowError:  # a JSON integer literal past float64's range
+        digits = len(str(abs(value)))
+        raise ParseError(f"{what} must fit in a float64, got a {digits}-digit integer") from None
+
+
 def _require_number(doc: Mapping, key: str, where: str) -> float:
     if key not in doc:
         raise MissingField(f"{where} lacks required field {key!r}")
     value = doc[key]
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ParseError(f"{where}.{key} must be a number, got {value!r}")
-    return float(value)
+    return _as_float(value, f"{where}.{key}")
 
 
 def _reject_unknown(doc: Mapping, allowed: set, where: str) -> None:
@@ -183,7 +196,7 @@ def _parse_sim(doc, n: int) -> SimSettings:
             for v in init:
                 if isinstance(v, bool) or not isinstance(v, numbers.Real):
                     raise ParseError(f"sim.init entries must be numbers, got {v!r}")
-                values.append(float(v))
+                values.append(_as_float(v, "sim.init entries"))
             if len(values) != expected:
                 raise ParseError(
                     f"sim.init must have {expected} entries (5N+3 for N={n}), got {len(values)}"
@@ -214,7 +227,8 @@ def check_sim(sim: SimSettings, n: int) -> SimSettings:
     if sim.record_stride < 1:
         raise ParseError(f"sim.record_stride must be >= 1, got {sim.record_stride}")
     # Rows as integrate counts them, give or take one; in floats, where t_end / h may be inf.
-    values = (sim.t_end / sim.h / sim.record_stride + 2) * (state_layout(n).dim + 3)
+    # Every stride past the horizon records the same rows: min keeps a huge one a float.
+    values = (sim.t_end / sim.h / min(sim.record_stride, 2**1023) + 2) * (state_layout(n).dim + 3)
     if values > MAX_RECORDED_VALUES:
         raise ParseError(
             f"sim would record {values:.3g} values, more than {MAX_RECORDED_VALUES}; "
@@ -251,6 +265,8 @@ def load_config(source: str | Path) -> ScenarioConfig:
         raise ParseError(
             f"malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise ParseError(f"malformed JSON: {exc}") from None
     if not isinstance(doc, Mapping):
         raise ParseError(f"config must be a JSON object, got {type(doc).__name__}")
     _reject_unknown(doc, _TOP_KEYS, "config")
@@ -284,7 +300,6 @@ def load_config(source: str | Path) -> ScenarioConfig:
 def config_to_json(config: ScenarioConfig) -> str:
     """Serialize a config back to canonical JSON (round-trips losslessly)."""
     sim = config.sim
-    init = sim.init if isinstance(sim.init, str) else list(sim.init)
     doc = {
         "agents": [
             {"q": ag.q, "c0": ag.c0, "a": ag.a} for ag in config.market.agents
@@ -295,7 +310,7 @@ def config_to_json(config: ScenarioConfig) -> str:
             "t_end": sim.t_end,
             "method": sim.method,
             "record_stride": sim.record_stride,
-            "init": init,
+            "init": sim.init,
         },
         "seed": config.seed,
     }
@@ -349,7 +364,7 @@ def _report_doc(report: EquilibriumReport) -> dict:
         "cap_active": report.cap_active,
         "ce": {
             "lambda_bar": report.ce.lambda_bar,
-            "x_bar": list(report.ce.x_bar),
+            "x_bar": report.ce.x_bar.tolist(),
         },
         "residuals": {
             "stationarity_norm": report.residuals.stationarity_norm,
@@ -361,9 +376,9 @@ def _report_doc(report: EquilibriumReport) -> dict:
             "lambda_star": report.sce.lambda_star,
             "nu_star": report.sce.nu_star,
             "pi1_star": report.sce.pi1_star,
-            "pi2_star": list(report.sce.pi2_star),
-            "u_star": list(report.sce.u_star),
-            "x_star": list(report.sce.x_star),
+            "pi2_star": report.sce.pi2_star.tolist(),
+            "u_star": report.sce.u_star.tolist(),
+            "x_star": report.sce.x_star.tolist(),
         },
     }
 
@@ -451,59 +466,52 @@ def run_simulate(
     return trajectory, report
 
 
-def nominal_welfare(market: MarketInstance, x: np.ndarray) -> float:
-    """Total utility at allocation ``x`` with adjustment-free coefficients."""
-    return float((-0.5 * market.q * x**2 - market.c0 * x).sum())
+def nominal_welfare(market: MarketInstance, x: np.ndarray) -> float | np.ndarray:
+    """Total utility at allocation ``x`` (each row of a 2-D ``x``), adjustment-free coefficients."""
+    return (-0.5 * market.q * x**2 - market.c0 * x).sum(axis=-1)
 
 
-def run_sweep(config: ScenarioConfig, cap_values) -> list[SweepRow]:
-    """Solve the capped equilibrium across a list of price caps.
+def run_sweep(config: ScenarioConfig, cap_values) -> Sweep:
+    """Solve the capped equilibrium across a list of price caps, all caps at once.
 
-    Rows with a cap at or above the competitive price all coincide with
-    the uncapped equilibrium (zero adjustment, zero welfare loss).
+    The solution is closed-form in the cap, so each column is one numpy
+    expression over the caps, equal to ``solve_sce``'s value cap by cap.
 
     Raises:
-        ValidationError: a value of some row is not finite.
+        NonfiniteInput, ValidationError: the first cap, in input order, that
+            is not finite or whose row has a value that is not finite.
     """
-    caps = [float(c) for c in cap_values]
-    if not caps:
+    caps = np.array([float(c) for c in cap_values])
+    if not caps.size:
         raise ValueError("cap_values must be nonempty")
     market = config.market
-    rows = []
-    # As in run_solve: overflow is reported by _require_finite.  One errstate
-    # for the whole sweep, not one per cap.
+    # As in run_solve: overflow is reported by _require_finite.
     with np.errstate(over="ignore", invalid="ignore"):
         ce = solve_ce(market)
-        welfare_ce = nominal_welfare(market, ce.x_bar)
-        for cap in caps:
-            sce = solve_sce(market, cap)
-            row = SweepRow(
-                lambda_max=cap,
-                lambda_star=sce.lambda_star,
-                nu_star=sce.nu_star,
-                u_norm=float(np.linalg.norm(sce.u_star)),
-                welfare_loss_nominal=welfare_ce - nominal_welfare(market, sce.x_star),
-            )
-            # Names are formatted only on failure: this runs once per cap.
-            if not all(map(math.isfinite, vars(row).values())):
-                _require_finite(vars(row), f"sweep at lambda_max = {cap!r}: ")
-            rows.append(row)
-    return rows
-
-
-def sweep_to_csv(rows: list[SweepRow]) -> str:
-    lines = ["lambda_max,lambda_star,nu_star,u_norm,welfare_loss_nominal_utilities"]
-    for row in rows:
-        lines.append(
-            ",".join(
-                repr(float(v))
-                for v in (
-                    row.lambda_max,
-                    row.lambda_star,
-                    row.nu_star,
-                    row.u_norm,
-                    row.welfare_loss_nominal,
-                )
-            )
+        active = ~(ce.lambda_bar <= caps)  # a NaN cap fails below
+        lam = np.where(active, caps, ce.lambda_bar)
+        demand = phi(market, lam[:, None])
+        nu = np.where(active, (demand.sum(axis=1) - market.sum_a) / market.s2, 0.0)
+        x = demand - nu[:, None] / market.q**2
+        u = nu[:, None] / market.q
+        sweep = Sweep(
+            lambda_max=caps,
+            lambda_star=lam,
+            nu_star=nu,
+            u_norm=np.sqrt(np.vecdot(u, u)),
+            welfare_loss_nominal=nominal_welfare(market, ce.x_bar) - nominal_welfare(market, x),
         )
+    table = np.column_stack(list(vars(sweep).values()))
+    bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
+    if bad.size:
+        cap = _check_cap(caps[bad[0]])
+        _require_finite(dict(zip(vars(sweep), table[bad[0]])), f"sweep at lambda_max = {cap!r}: ")
+    return sweep
+
+
+def sweep_to_csv(sweep: Sweep) -> str:
+    """The sweep as CSV, one row per cap, with shortest round-trip floats."""
+    table = np.column_stack(list(vars(sweep).values())).tolist()
+    lines = ["lambda_max,lambda_star,nu_star,u_norm,welfare_loss_nominal_utilities"]
+    lines += [",".join(map(repr, row)) for row in table]
     return "\n".join(lines) + "\n"

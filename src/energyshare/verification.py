@@ -425,12 +425,10 @@ def _csv_schema(config, rng, instances):
 def _sweep_monotone(config, rng, instances):
     lam_ce = eq.solve_ce(config.market).lambda_bar
     caps = sorted(rng.uniform(lam_ce - 10.0, lam_ce + 5.0, 9))
-    rows = scn.run_sweep(config, caps)
-    nus = [r.nu_star for r in rows]
-    lams = [r.lambda_star for r in rows]
-    ok = all(nus[i] >= nus[i + 1] - 1e-12 for i in range(len(nus) - 1))
-    ok = ok and all(lams[i] <= lams[i + 1] + 1e-12 for i in range(len(lams) - 1))
-    ok = ok and all(lam <= lam_ce + 1e-12 for lam in lams)
+    sweep = scn.run_sweep(config, caps)
+    nus, lams = sweep.nu_star, sweep.lambda_star
+    ok = bool((nus[:-1] >= nus[1:] - 1e-12).all() and (lams[:-1] <= lams[1:] + 1e-12).all()
+              and (lams <= lam_ce + 1e-12).all())
     return ok, "nu_star nonincreasing, lambda_star nondecreasing and capped at the CE price"
 
 

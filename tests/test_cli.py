@@ -15,6 +15,8 @@ FAST_CONFIG = (
     ' "lambda_max": 2.0}'
 )
 
+BIG = int("9" * 400)  # past float64's range, as a JSON integer literal
+
 
 @pytest.fixture()
 def fast_config_path(tmp_path):
@@ -133,6 +135,61 @@ class TestBadArguments:
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    # A JSON integer literal converts to float only inside float64's range.
+    @pytest.mark.parametrize(
+        "field, edit",
+        [
+            ("agents[0].a", lambda doc: doc["agents"][0].update(a=BIG)),
+            ("config.lambda_max", lambda doc: doc.update(lambda_max=-BIG)),
+            ("sim.t_end", lambda doc: doc["sim"].update(t_end=BIG)),
+            ("sim.init entries", lambda doc: doc["sim"].update(init=[BIG] * 23)),
+        ],
+        ids=["a", "lambda_max", "t_end", "init"],
+    )
+    def test_integer_past_float_range_is_input_error(self, field, edit, tmp_path, capsys):
+        doc = json.loads(TABLE1_PATH.read_text())
+        edit(doc)
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        assert main(["solve", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {field} must fit in a float64, got a 400-digit integer\n"
+        )
+
+    def test_integer_past_python_digit_limit_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text(TABLE1_PATH.read_text().replace('"a": 48.0', '"a": ' + "9" * 5000))
+        assert main(["solve", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: malformed JSON: ")
+
+    # A stride past the horizon records the first and the last state.
+    def test_stride_past_float_range_records_two_rows(self, tmp_path):
+        doc = json.loads(TABLE1_PATH.read_text())
+        doc["sim"].update(t_end=1.0, record_stride=BIG)
+        path = tmp_path / "stride.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "run.csv"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 3
+
+    # The first failing cap in input order decides the error, whether its
+    # row overflows or the cap itself is not finite.
+    @pytest.mark.parametrize(
+        "caps, err",
+        [
+            ("-1e308,nan", "error: sweep at lambda_max = -1e+308: nu_star = inf is not finite: "
+                           "the inputs exceed float64's range\n"),
+            ("nan,-1e308", "error: price cap must be finite, got nan\n"),
+            ("1,inf,-1e308", "error: price cap must be finite, got inf\n"),
+        ],
+    )
+    def test_sweep_reports_the_first_failing_cap(self, caps, err, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["sweep", "--config", str(TABLE1_PATH), f"--caps={caps}"])
+        assert code == 2
+        assert capsys.readouterr().err == err
+
 
 class TestModuleEntryPoint:
     def test_python_m_invocation(self):
@@ -150,6 +207,12 @@ class TestModuleEntryPoint:
 
 
 class TestSweep:
+    def test_stdout_bytes_are_pinned(self, capsys):
+        argv = ["sweep", "--config", str(TABLE1_PATH), "--caps", "2,4,6,8.26,10"]
+        assert main(argv) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "b000534fc20964588cfffe33edbf6a66a6d3054af25166053d92ca3f10f3e676"
+
     def test_stdout_table(self, capsys, fast_config_path):
         code = main(["sweep", "--config", fast_config_path, "--caps", "0.5,1.0,2.0,5.0"])
         assert code == 0

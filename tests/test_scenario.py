@@ -1,6 +1,7 @@
 """Scenario I/O: config parsing, reports, simulation export, sweep, verify."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -118,8 +119,6 @@ class TestRunSolve:
         assert rep.residuals.max_violation() <= 1e-9
 
     def test_slack_cap_report(self, table1_config):
-        from dataclasses import replace
-
         cfg = replace(table1_config, cap=es.SocialPriceCap(lambda_max=10.0))
         rep = es.run_solve(cfg)
         assert not rep.cap_active
@@ -187,8 +186,6 @@ class TestRunSimulate:
         assert summary["final_error"] <= 1e-3
 
     def test_equilibrium_init_stays_put(self, table1_config, tmp_path):
-        from dataclasses import replace
-
         init = es.assemble_equilibrium(table1_config.market, 4.0)
         cfg = replace(
             table1_config,
@@ -198,8 +195,6 @@ class TestRunSimulate:
         assert np.abs(traj.states - init).max() <= 1e-9
 
     def test_single_step_two_rows(self, table1_config, tmp_path):
-        from dataclasses import replace
-
         cfg = replace(
             table1_config,
             sim=es.SimSettings(h=1e-3, t_end=1e-3, method="euler", record_stride=1),
@@ -247,36 +242,48 @@ class TestRunSimulate:
         assert len(csv_path.read_text().splitlines()) == 6
 
 
+def reference_sweep_csv(market, caps):
+    """The sweep CSV cap by cap, from ``solve_sce`` and the 1-D welfare."""
+    welfare_ce = es.scenario.nominal_welfare(market, es.solve_ce(market).x_bar)
+    lines = ["lambda_max,lambda_star,nu_star,u_norm,welfare_loss_nominal_utilities"]
+    for cap in caps:
+        sce = es.solve_sce(market, cap)
+        row = (cap, sce.lambda_star, sce.nu_star, np.linalg.norm(sce.u_star),
+               welfare_ce - es.scenario.nominal_welfare(market, sce.x_star))
+        lines.append(",".join(repr(float(v)) for v in row))
+    return "\n".join(lines) + "\n"
+
+
 class TestRunSweep:
     def test_table1_cap_grid(self, table1_config):
-        rows = es.run_sweep(table1_config, [2.0, 4.0, 6.0, 8.26, 10.0])
+        sweep = es.run_sweep(table1_config, [2.0, 4.0, 6.0, 8.26, 10.0])
         lam_ce = es.solve_ce(table1_config.market).lambda_bar
         np.testing.assert_allclose(
-            [r.lambda_star for r in rows], [2.0, 4.0, 6.0, lam_ce, lam_ce], atol=1e-12
+            sweep.lambda_star, [2.0, 4.0, 6.0, lam_ce, lam_ce], atol=1e-12
         )
-        u_norms = [r.u_norm for r in rows]
+        u_norms = sweep.u_norm
         assert u_norms[1] == pytest.approx(6.41, abs=0.01)
         assert u_norms[3] == u_norms[4] == 0.0
 
     def test_inactive_region_rows_identical(self, table1_config):
-        rows = es.run_sweep(table1_config, [10.0, 100.0])
-        assert rows[0].lambda_star == rows[1].lambda_star
-        assert rows[0].nu_star == rows[1].nu_star == 0.0
-        assert rows[0].u_norm == rows[1].u_norm == 0.0
-        assert rows[0].welfare_loss_nominal == rows[1].welfare_loss_nominal == 0.0
+        sweep = es.run_sweep(table1_config, [10.0, 100.0])
+        assert sweep.lambda_star[0] == sweep.lambda_star[1]
+        assert sweep.nu_star[0] == sweep.nu_star[1] == 0.0
+        assert sweep.u_norm[0] == sweep.u_norm[1] == 0.0
+        assert sweep.welfare_loss_nominal[0] == sweep.welfare_loss_nominal[1] == 0.0
 
     def test_monotonicity_and_welfare_loss(self, table1_config):
         caps = [1.0, 2.0, 3.0, 5.0, 7.0, 8.0, 9.0, 12.0]
-        rows = es.run_sweep(table1_config, caps)
-        nus = [r.nu_star for r in rows]
-        lams = [r.lambda_star for r in rows]
+        sweep = es.run_sweep(table1_config, caps)
+        nus = sweep.nu_star
+        lams = sweep.lambda_star
         lam_ce = es.solve_ce(table1_config.market).lambda_bar
         assert all(nus[i] >= nus[i + 1] for i in range(len(nus) - 1))
         assert all(lams[i] <= lams[i + 1] for i in range(len(lams) - 1))
         assert all(lam <= lam_ce + 1e-12 for lam in lams)
-        assert all(r.welfare_loss_nominal >= -1e-9 for r in rows)
+        assert all(w >= -1e-9 for w in sweep.welfare_loss_nominal)
         # the binding region loses welfare, strictly more for tighter caps
-        assert rows[0].welfare_loss_nominal > rows[3].welfare_loss_nominal > 0.0
+        assert sweep.welfare_loss_nominal[0] > sweep.welfare_loss_nominal[3] > 0.0
 
     def test_csv_rendering(self, table1_config):
         text = es.sweep_to_csv(es.run_sweep(table1_config, [4.0]))
@@ -288,6 +295,31 @@ class TestRunSweep:
     def test_empty_caps_rejected(self, table1_config):
         with pytest.raises(ValueError):
             es.run_sweep(table1_config, [])
+
+    # Caps around the CE price: the price itself and its neighbouring floats,
+    # where the binding branch starts, plus negative, unsorted and repeated caps.
+    @given(market=markets(), data=st.data())
+    def test_csv_matches_per_cap_reference(self, table1_config, market, data):
+        lam = es.solve_ce(market).lambda_bar
+        near = [lam, np.nextafter(lam, -np.inf), np.nextafter(lam, np.inf)]
+        cap = st.one_of(st.sampled_from(near), st.floats(lam - 100.0, lam + 20.0),
+                        st.floats(-1e3, 0.0))
+        caps = data.draw(st.lists(cap, min_size=1, max_size=16))
+        caps += data.draw(st.lists(st.sampled_from(caps), max_size=3))
+        config = replace(table1_config, market=market)
+        assert es.sweep_to_csv(es.run_sweep(config, caps)) == reference_sweep_csv(market, caps)
+
+    # Row sums past 128 elements add in numpy's pairwise blocks.
+    def test_csv_matches_per_cap_reference_at_n_2000(self, table1_config):
+        rng = np.random.default_rng(12)
+        n = 2000
+        market = es.validate_market(list(zip(
+            rng.uniform(1e-3, 1e3, n), rng.uniform(-1e3, 0.0, n), rng.uniform(0.0, 1e3, n)
+        )))
+        lam = es.solve_ce(market).lambda_bar
+        caps = [*rng.uniform(lam - 1e3, lam + 1e2, 40), lam, np.nextafter(lam, -np.inf)]
+        config = replace(table1_config, market=market)
+        assert es.sweep_to_csv(es.run_sweep(config, caps)) == reference_sweep_csv(market, caps)
 
 
 class TestSerialization:
@@ -302,9 +334,47 @@ class TestSerialization:
         assert text.index('"a"') < text.index('"b"')
         assert text.index('"c"') < text.index('"d"')
 
-    def test_csv_floats_round_trip_exactly(self, table1_config, tmp_path):
-        from dataclasses import replace
+    def test_every_type_keeps_its_bytes(self):
+        doc = {
+            "bool": True, "np_bool": np.bool_(False), "int": 3, "np_int": np.int64(-4),
+            "np_float": np.float64(0.1), "neg_zero": -0.0, "big": 1e300, "none": None,
+            "tuple": (1, 2.5), "array": np.array([1.5, -0.0]), "int_array": np.arange(2),
+            "list": [np.float64(2.0), [0.5], "s", False],
+        }
+        assert es.dumps_canonical(doc) == (
+            '{"array": [1.5, -0.0], "big": 1e+300, "bool": true, "int": 3, "int_array": [0, 1],'
+            ' "list": [2.0, [0.5], "s", false], "neg_zero": -0.0, "none": null, "np_bool": false,'
+            ' "np_float": 0.1, "np_int": -4, "tuple": [1, 2.5]}\n'
+        )
 
+    @pytest.mark.parametrize(
+        "value, shown",
+        [(float("nan"), "nan"), (np.float64("inf"), "inf"), ([1.0, float("-inf")], "-inf"),
+         (np.array([np.nan]), "nan"), ((np.inf,), "inf")],
+    )
+    def test_nonfinite_number_is_refused(self, value, shown):
+        with pytest.raises(ValueError, match=f"^cannot serialize non-finite number {shown}$"):
+            es.dumps_canonical({"v": value})
+
+    # The emitter writes exact floats and lists on a path of their own; the
+    # same documents as numpy floats and tuples take the general path.
+    def test_reports_match_the_general_path(self, table1_config, tmp_path):
+        def general(value):
+            if type(value) is float:
+                return np.float64(value)
+            if type(value) is list:
+                return tuple(map(general, value))
+            if type(value) is dict:
+                return {k: general(v) for k, v in value.items()}
+            return value
+
+        es.run_simulate(table1_config, tmp_path / "run.csv", tmp_path / "run.summary.json")
+        texts = [(tmp_path / "run.summary.json").read_text(),
+                 es.report_to_json(es.run_solve(table1_config))]
+        for text in texts:
+            assert es.dumps_canonical(general(json.loads(text))) == text
+
+    def test_csv_floats_round_trip_exactly(self, table1_config, tmp_path):
         cfg = replace(
             table1_config,
             sim=es.SimSettings(h=0.01, t_end=0.2, method="rk4", record_stride=1),
