@@ -67,7 +67,9 @@ class SocialPriceCap:
 class MarketInstance:
     """Validated, immutable collection of agents plus derived aggregates.
 
-    The aggregates are precomputed once at validation time:
+    The columns ``q``, ``c0`` and ``a`` are the only stored copy of the
+    agents; ``agents`` rebuilds their records from the columns.  The
+    aggregates are precomputed once at validation time:
 
     * ``sum_a``: total renewable generation, sum of a_i
     * ``s1``:    sum of 1/q_i
@@ -78,7 +80,6 @@ class MarketInstance:
     read-only and the dataclass is frozen.
     """
 
-    agents: tuple[AgentParams, ...]
     q: np.ndarray
     c0: np.ndarray
     a: np.ndarray
@@ -95,21 +96,28 @@ class MarketInstance:
     @property
     def n(self) -> int:
         """Number of agents."""
-        return len(self.agents)
+        return self.q.size
+
+    @property
+    def agents(self) -> tuple[AgentParams, ...]:
+        """Each agent's record, built from the columns."""
+        return tuple(map(AgentParams, self.q.tolist(), self.c0.tolist(), self.a.tolist()))
 
 
-def _coerce_agent(record, index: int) -> AgentParams:
+def _coerce_agent(record, index: int) -> tuple[float, float, float]:
+    if type(record) is tuple and len(record) == 3:  # the config parser's rows
+        return float(record[0]), float(record[1]), float(record[2])
     if isinstance(record, AgentParams):
-        return record
+        return float(record.q), float(record.c0), float(record.a)
     if isinstance(record, Mapping):
         try:
-            return AgentParams(q=float(record["q"]), c0=float(record["c0"]), a=float(record["a"]))
+            return float(record["q"]), float(record["c0"]), float(record["a"])
         except KeyError as exc:
             raise MissingField(f"agent record {index} lacks required field {exc.args[0]!r}") from None
     if isinstance(record, (Sequence, np.ndarray)) and not isinstance(record, (str, bytes)):
         if len(record) != 3:
             raise MissingField(f"agent record {index} must have exactly (q, c0, a), got {len(record)} values")
-        return AgentParams(q=float(record[0]), c0=float(record[1]), a=float(record[2]))
+        return float(record[0]), float(record[1]), float(record[2])
     raise MissingField(f"agent record {index} has unsupported type {type(record).__name__}")
 
 
@@ -129,18 +137,16 @@ def validate_market(records) -> MarketInstance:
         NonpositiveCurvature: some q_i <= 0.
         NegativeGeneration: some a_i < 0.
     """
-    agents = tuple(_coerce_agent(rec, i) for i, rec in enumerate(records))
-    if not agents:
+    rows = [_coerce_agent(rec, i) for i, rec in enumerate(records)]
+    if not rows:
         raise EmptyMarket("market must contain at least one agent")
 
-    q = np.array([ag.q for ag in agents], dtype=float)
-    c0 = np.array([ag.c0 for ag in agents], dtype=float)
-    a = np.array([ag.a for ag in agents], dtype=float)
+    q, c0, a = np.array(rows, dtype=float).T.copy()
 
     for name, arr in (("q", q), ("c0", c0), ("a", a)):
         bad = np.nonzero(~np.isfinite(arr))[0]
         if bad.size:
-            raise NonfiniteInput(f"agent {bad[0]}: {name} = {arr[bad[0]]!r} is not finite")
+            raise NonfiniteInput(f"agent {bad[0]}: {name} = {float(arr[bad[0]])!r} is not finite")
     bad = np.nonzero(q <= 0.0)[0]
     if bad.size:
         raise NonpositiveCurvature(f"agent {bad[0]}: q = {q[bad[0]]} must be strictly positive")
@@ -155,7 +161,6 @@ def validate_market(records) -> MarketInstance:
         warnings.warn(note, MarketWarning, stacklevel=2)
 
     return MarketInstance(
-        agents=agents,
         q=q,
         c0=c0,
         a=a,

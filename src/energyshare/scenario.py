@@ -156,15 +156,18 @@ def _require_number(doc: Mapping, key: str, where: str) -> float:
     if key not in doc:
         raise MissingField(f"{where} lacks required field {key!r}")
     value = doc[key]
+    if type(value) is float:  # what json.loads gives for every non-integer number
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ParseError(f"{where}.{key} must be a number, got {value!r}")
     return _as_float(value, f"{where}.{key}")
 
 
 def _reject_unknown(doc: Mapping, allowed: set, where: str) -> None:
+    if doc.keys() <= allowed:
+        return
     unknown = sorted(set(doc) - allowed)
-    if unknown:
-        raise ParseError(f"{where} has unknown key {unknown[0]!r}")
+    raise ParseError(f"{where} has unknown key {unknown[0]!r}")
 
 
 def _parse_sim(doc, n: int) -> SimSettings:
@@ -249,14 +252,16 @@ def load_config(source: str | Path) -> ScenarioConfig:
         MissingField: a required field is absent.
         ValidationError: the agent records fail market validation.
     """
-    if isinstance(source, Path):
-        text = source.read_text()
-    elif isinstance(source, str) and source.lstrip().startswith("{"):
+    if isinstance(source, str) and source.lstrip().startswith("{"):
         text = source
     else:
         try:
-            text = Path(source).read_text()
+            text = Path(source).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"config file {str(source)!r} is not UTF-8: {exc}") from None
         except OSError as exc:
+            if isinstance(source, Path):  # a Path's caller gets the OSError itself
+                raise
             raise ParseError(f"cannot read config file {source!r}: {exc}") from None
 
     try:
@@ -265,7 +270,8 @@ def load_config(source: str | Path) -> ScenarioConfig:
         raise ParseError(
             f"malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
-    except ValueError as exc:  # an integer literal past Python's digit limit
+    # An integer literal past Python's digit limit, or nesting past the recursion limit.
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"malformed JSON: {exc}") from None
     if not isinstance(doc, Mapping):
         raise ParseError(f"config must be a JSON object, got {type(doc).__name__}")
@@ -276,15 +282,18 @@ def load_config(source: str | Path) -> ScenarioConfig:
     agents_doc = doc["agents"]
     if not isinstance(agents_doc, Sequence) or isinstance(agents_doc, str):
         raise ParseError("config.agents must be a list of agent records")
-    records = []
+    rows = []
     for i, rec in enumerate(agents_doc):
-        if not isinstance(rec, Mapping):
-            raise ParseError(f"agents[{i}] must be an object, got {type(rec).__name__}")
-        _reject_unknown(rec, _AGENT_KEYS, f"agents[{i}]")
-        records.append(
-            {key: _require_number(rec, key, f"agents[{i}]") for key in ("q", "c0", "a")}
-        )
-    market = validate_market(records)
+        where = f"agents[{i}]"
+        if type(rec) is not dict and not isinstance(rec, Mapping):
+            raise ParseError(f"{where} must be an object, got {type(rec).__name__}")
+        _reject_unknown(rec, _AGENT_KEYS, where)
+        rows.append((
+            _require_number(rec, "q", where),
+            _require_number(rec, "c0", where),
+            _require_number(rec, "a", where),
+        ))
+    market = validate_market(rows)
 
     cap = SocialPriceCap(lambda_max=_require_number(doc, "lambda_max", "config"))
 

@@ -108,16 +108,23 @@ class TestBadArguments:
             ["solve", "--lambda-max=-1e308"],
             ["sweep", "--caps=-1e308"],
             ["verify", "--seed=-1"],
-            # The last --config wins; the test writes this one.
+            # The last --config wins; the test writes these.
             ["verify", "--config", "negative_seed.json"],
+            ["solve", "--config", "utf16.json"],
+            ["solve", "--config", "deeply_nested.json"],
         ],
         ids=["zero_instances", "negative_step", "zero_horizon", "missing_out_directory",
              "unbounded_record", "solve_overflows", "sweep_overflows", "negative_seed",
-             "negative_config_seed"],
+             "negative_config_seed", "non_utf8_config", "deeply_nested_config"],
     )
     def test_exits_2_with_error_line(self, argv, tmp_path, monkeypatch, capsys, fast_config_path):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "negative_seed.json").write_text(FAST_CONFIG[:-1] + ', "seed": -3}')
+        (tmp_path / "utf16.json").write_bytes(FAST_CONFIG.encode("utf-16"))  # starts ff fe
+        depth = 100_000
+        (tmp_path / "deeply_nested.json").write_text(
+            '{"agents": ' + "[" * depth + "]" * depth + ', "lambda_max": 2.0}'
+        )
         code = main([argv[0], "--config", fast_config_path, *argv[1:]])
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")

@@ -52,6 +52,14 @@ class TestValidateMarket:
             with pytest.raises(es.NonfiniteInput):
                 es.validate_market([bad])
 
+    def test_nonfinite_message_prints_a_plain_float(self):
+        with pytest.raises(es.NonfiniteInput, match=r"^agent 1: c0 = -inf is not finite$"):
+            es.validate_market([(1.0, -1.0, 1.0), (1.0, np.float64(-np.inf), 1.0)])
+
+    def test_none_is_not_read_as_nan(self):
+        with pytest.raises(TypeError):
+            es.validate_market([(None, -1.0, 1.0)])
+
     def test_positive_c0_warns_but_validates(self):
         with pytest.warns(es.MarketWarning):
             m = es.validate_market([(1.0, 2.5, 1.0)])
@@ -59,12 +67,16 @@ class TestValidateMarket:
         assert "c0 = 2.5" in m.warnings[0]
 
     def test_instance_arrays_are_read_only(self, table1_market):
-        with pytest.raises(ValueError):
-            table1_market.q[0] = 99.0
+        for column in (table1_market.q, table1_market.c0, table1_market.a):
+            assert not column.flags.writeable
+            with pytest.raises(ValueError):
+                column[0] = 99.0
 
     def test_missing_field_in_record(self):
         with pytest.raises(es.MissingField):
             es.validate_market([{"q": 1.0, "c0": -1.0}])
+        with pytest.raises(es.MissingField, match="exactly"):
+            es.validate_market([(1.0, -1.0)])
 
 
 class TestConditionalProjection:

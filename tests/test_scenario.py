@@ -17,6 +17,79 @@ MINIMAL = '{"agents": [{"q": 2.0, "c0": -8.0, "a": 1.0}], "lambda_max": 3.0}'
 RESIDUAL_CHECKS = [(name, check) for name, check in CHECKS if hasattr(check, "residual")]
 
 
+def _doc(agents, **top):
+    return {"agents": agents, "lambda_max": 3.0, **top}
+
+
+_OK = {"q": 1.0, "c0": -1.0, "a": 1.0}
+_INF, _NAN = float("inf"), float("nan")
+
+# Malformed configs, each with the error that load_config raises first.
+# Every agent parses before any is validated; validation checks each column
+# over all agents (non-finite, then q, then a) before the cap and sim.
+LOAD_ERRORS = {
+    "parse_error_beats_earlier_invalid_agent": (
+        _doc([{"q": 0.0, "c0": -1.0, "a": 1.0}, _OK, {"q": "x", "c0": -1.0, "a": 1.0}]),
+        es.ParseError, "agents[2].q must be a number, got 'x'"),
+    "unknown_key_beats_missing_field": (
+        _doc([{"q": 1.0, "c0": -1.0, "b": 1.0}]),
+        es.ParseError, "agents[0] has unknown key 'b'"),
+    "first_unknown_key_in_sorted_order": (
+        _doc([{"z": 1.0, "q": 1.0, "c0": -1.0, "a": 1.0, "b": 2}]),
+        es.ParseError, "agents[0] has unknown key 'b'"),
+    "missing_fields_in_field_order": (
+        _doc([{"a": 1.0}]), es.MissingField, "agents[0] lacks required field 'q'"),
+    "true_is_not_a_number": (
+        _doc([{"q": True, "c0": -1.0, "a": 1.0}]),
+        es.ParseError, "agents[0].q must be a number, got True"),
+    "string_is_not_a_number": (
+        _doc([{"q": 1.0, "c0": "1.0", "a": 1.0}]),
+        es.ParseError, "agents[0].c0 must be a number, got '1.0'"),
+    "null_is_not_a_number": (
+        _doc([{"q": 1.0, "c0": -1.0, "a": None}]),
+        es.ParseError, "agents[0].a must be a number, got None"),
+    "non_object_agent": (
+        _doc([_OK, 1.0]), es.ParseError, "agents[1] must be an object, got float"),
+    "list_agent": (
+        _doc([[1.0, -1.0, 1.0]]), es.ParseError, "agents[0] must be an object, got list"),
+    "agents_as_object": (
+        _doc(_OK), es.ParseError, "config.agents must be a list of agent records"),
+    "no_agents": (_doc([]), es.EmptyMarket, "market must contain at least one agent"),
+    "400_digit_integer": (
+        _doc([{"q": 1.0, "c0": -1.0, "a": int("9" * 400)}]),
+        es.ParseError, "agents[0].a must fit in a float64, got a 400-digit integer"),
+    "unknown_top_level_key_beats_agents": (
+        _doc([{"q": "x"}], gamma=1), es.ParseError, "config has unknown key 'gamma'"),
+    "agents_beat_missing_lambda_max": (
+        {"agents": [{"q": 0.0, "c0": -1.0, "a": 1.0}]},
+        es.NonpositiveCurvature, "agent 0: q = 0.0 must be strictly positive"),
+    "true_lambda_max": (
+        _doc([_OK], lambda_max=True),
+        es.ParseError, "config.lambda_max must be a number, got True"),
+    "nan_q": (
+        _doc([{"q": 1.0, "c0": _INF, "a": 1.0}, {"q": _NAN, "c0": -1.0, "a": 1.0}]),
+        es.NonfiniteInput, "agent 1: q = nan is not finite"),
+    "nonfinite_beats_nonpositive": (
+        _doc([{"q": 0.0, "c0": -1.0, "a": 1.0}, {"q": 1.0, "c0": -1.0, "a": -_INF}]),
+        es.NonfiniteInput, "agent 1: a = -inf is not finite"),
+    "nonpositive_beats_negative_generation": (
+        _doc([{"q": 1.0, "c0": -1.0, "a": -1.0}, {"q": -0.0, "c0": -1.0, "a": 1.0}]),
+        es.NonpositiveCurvature, "agent 1: q = -0.0 must be strictly positive"),
+    "negative_generation": (
+        _doc([_OK, {"q": 1.0, "c0": -1.0, "a": -0.5}]),
+        es.NegativeGeneration, "agent 1: a = -0.5 must be nonnegative"),
+    "nan_lambda_max": (
+        _doc([_OK], lambda_max=_NAN), es.NonfiniteInput, "lambda_max must be finite, got nan"),
+    "market_beats_sim": (
+        _doc([{"q": 0.0, "c0": -1.0, "a": 1.0}], sim={"method": "heun"}),
+        es.NonpositiveCurvature, "agent 0: q = 0.0 must be strictly positive"),
+    "sim_beats_seed": (
+        _doc([_OK], sim={"h": -1.0}, seed=True),
+        es.ParseError, "sim.h must be positive and finite, got -1.0"),
+    "unknown_sim_key": (_doc([_OK], sim={"dt": 1.0}), es.ParseError, "sim has unknown key 'dt'"),
+}
+
+
 class TestLoadConfig:
     def test_table1_fixture(self, table1_config):
         assert table1_config.market.n == 4
@@ -107,6 +180,44 @@ class TestLoadConfig:
             es.load_config(
                 '{"agents": [{"q": 1.0, "c0": -1.0, "a": 1.0}], "lambda_max": 3.0, "seed": true}'
             )
+
+    @pytest.mark.parametrize("doc, error, message", LOAD_ERRORS.values(), ids=LOAD_ERRORS)
+    def test_first_error_and_its_message(self, doc, error, message):
+        with pytest.raises(error) as info:
+            es.load_config(json.dumps(doc))
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+    def test_integer_fields_give_the_bits_of_their_floats(self):
+        as_int = es.load_config(json.dumps(_doc([{"q": 2, "c0": -8, "a": 0}], lambda_max=3)))
+        as_float = es.load_config(json.dumps(_doc([{"q": 2.0, "c0": -8.0, "a": 0.0}])))
+        for column in ("q", "c0", "a"):
+            got, want = getattr(as_int.market, column), getattr(as_float.market, column)
+            assert got.tobytes() == want.tobytes()
+        assert type(as_int.cap.lambda_max) is float
+
+    # Every record form that validate_market takes, and the config parser,
+    # give the same market to the bit.
+    @given(market=markets())
+    def test_every_record_form_builds_the_same_market(self, market):
+        def bits(m):
+            aggregates = np.array([m.sum_a, m.s1, m.s2, m.sqc])
+            return [m.q.tobytes(), m.c0.tobytes(), m.a.tobytes(), aggregates.tobytes()]
+
+        q, c0, a = market.q.tolist(), market.c0.tolist(), market.a.tolist()
+        doc = _doc([{"q": x, "c0": y, "a": z} for x, y, z in zip(q, c0, a)])
+        assert bits(es.load_config(json.dumps(doc)).market) == bits(market)
+        table = np.column_stack([q, c0, a])
+        forms = [
+            market.agents,
+            doc["agents"],
+            list(zip(q, c0, a)),
+            [list(row) for row in zip(q, c0, a)],
+            list(table),
+            list(zip(market.q, market.c0, market.a)),
+        ]
+        for records in forms:
+            assert bits(es.validate_market(records)) == bits(market)
 
 
 class TestRunSolve:
