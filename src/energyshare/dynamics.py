@@ -33,6 +33,7 @@ path of :func:`integrate` and for the certificates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable
@@ -532,6 +533,9 @@ _BLOCK_MAX_STEPS = 1 << 12
 _BLOCK_MIN_STEPS = 1 << 4
 _BLOCK_MAX_BYTES = 1 << 26
 _RECORD_BLOCK_MAX_BYTES = 1 << 20
+# One matrix product costs the interpreter about as much as this many
+# multiply-adds (~1.6 us against ~0.2 ns at dim 23 on a 2-vCPU Xeon VM).
+_PRODUCT_COST = 1 << 13
 
 
 def _blocks_pay_off(dim: int, length: int, stride: int, n_steps: int, evals: int,
@@ -599,6 +603,12 @@ def _doubled(rows: np.ndarray, sums: np.ndarray, powers: list, count: int) -> tu
     return rows, sums
 
 
+# A branch looks for a power of its step map with norm at most 1 among the
+# first _CONTRACTION_MAX_SQUARINGS squarings (2**63 steps, more than any run
+# takes); without one it has no certified tail.
+_CONTRACTION_MAX_SQUARINGS = 64
+
+
 class _Branch:
     """Block tables of one method on one affine drift ``y -> matrix @ y + offset``.
 
@@ -609,18 +619,25 @@ class _Branch:
     ``S_j`` the sum of ``step**i @ shift`` over ``i < j``, so that ``j``
     steps apply as ``step**j @ y + S_j``.
 
-    From a start ``y``, ``rows @ y + sums`` gives, unit by unit of
-    ``stride`` steps, the guard component at every stage of each of the
-    unit's steps (``stride * stages`` values) and then the whole state
-    after the unit (``dim`` values), for the ``records = (length - 1) //
-    stride`` states strictly inside a block; the guard values of the last
-    ``length - records * stride`` steps follow.  ``growth[j] = max(1,
-    ||step||_2)**j``, with which ``||y_j||_inf <= growth[j] * (||y||_2 + j *
-    ||shift||_2)``.
+    From a start ``y``, ``guard_rows @ y + guard_sums`` gives the guard
+    component at every stage of each of a block's ``length`` steps, step
+    after step (``stages`` values each), and ``record_rows @ y +
+    record_sums`` the state after each ``stride`` steps, for the ``records
+    = (length - 1) // stride`` states strictly inside a block.
+
+    The branch's maps keep the subspace ``S``: ``{y[pin] = 0}`` on the
+    pinned branch, whose step map keeps ``mu = y[pin]`` exactly, and all of
+    R^d without a ``pin``.  Its norms are taken on ``S``, where the pinned
+    map is nonexpansive although ``nu`` reads ``mu``'s column.  ``norms[i]
+    = ||step**(2**i)|_S||_2`` up to the first at most 1, past which every
+    power has norm at most 1.  ``growth[j]``, the largest product of
+    ``max(1, norms[b])`` over the binary digits ``b`` of any ``i <= j``,
+    bounds ``||step**i|_S||_2`` for ``i <= j``, so that a start ``y`` in
+    ``S`` gives ``||y_j||_2 <= growth[j] * (||y||_2 + j * ||shift||_2)``.
     """
 
     def __init__(self, method_step, matrix: np.ndarray, offset: np.ndarray, h: float,
-                 guard: int | None, length: int, stride: int):
+                 guard: int | None, pin: int | None, length: int, stride: int, limit: float):
         dim = offset.size
         guards = []
 
@@ -633,30 +650,134 @@ class _Branch:
 
         mapped = method_step(drift, np.eye(dim, dim + 1), h)
         step, shift = mapped[:, :-1], mapped[:, -1]
-        self.stages, self.stride, self.dim = len(guards), stride, dim
+        self.stages, self.stride, self.dim, self.pin, self.limit = (
+            len(guards), stride, dim, pin, limit
+        )
         self.powers = _squarings((step, shift), length)
-        guards = np.array(guards).reshape(-1, dim + 1)
-        rows, sums = _doubled(guards[:, :-1], guards[:, -1], self.powers, min(stride, length))
+        self.guards = np.array(guards).reshape(-1, dim + 1)  # [G_s | g_s] of one step
+        self.guard_rows, self.guard_sums = _doubled(
+            self.guards[:, :-1], self.guards[:, -1], self.powers, length
+        )
         records = (length - 1) // stride
         if records:
-            unit = (np.eye(dim), np.zeros(dim))
-            for i, power in enumerate(self.powers):
-                if stride >> i & 1:
-                    unit = _compose(power, unit)
+            unit = self.map(stride)
             unit_powers = self.powers if stride == 1 else _squarings(unit, records)
-            rows, sums = _doubled(np.vstack([rows, unit[0]]), np.append(sums, unit[1]),
-                                  unit_powers, records + 1)
-        kept = length * self.stages + records * dim
-        self.rows, self.sums = rows[:kept], sums[:kept]
+            self.record_rows, self.record_sums = _doubled(*unit, unit_powers, records)
+        self.keep = np.ones(dim, dtype=bool)  # the components of S
+        if pin is not None:
+            self.keep[pin] = False
+            self.pin_norm = float(np.linalg.norm(step[self.keep, pin]))
+        self.norms = []
+        for power, _ in self.powers:
+            self.norms.append(self._norm(power))
+            if self.norms[-1] <= 1.0:
+                break
+        bits = np.arange(length + 1)[:, None] >> np.arange(len(self.norms)) & 1
         with np.errstate(over="ignore"):
-            self.growth = max(1.0, float(np.linalg.norm(step, 2))) ** np.arange(length + 1)
+            bound = np.where(bits, np.maximum(1.0, self.norms), 1.0).prod(axis=1)
+        self.growth = np.maximum.accumulate(bound)
         self.shift_norm = float(np.linalg.norm(shift))
+
+    def _norm(self, power: np.ndarray) -> float:
+        """``||power|_S||_2``; inf for a power that is not finite."""
+        power = power[np.ix_(self.keep, self.keep)]
+        if not np.isfinite(power).all():
+            return np.inf
+        return float(np.linalg.svd(power, compute_uv=False)[0])
+
+    @cached_property
+    def bound(self) -> float:
+        """``K >= sup_j ||step**j|_S||_2``, or inf if no power shows one.
+
+        ``K`` is the product of ``max(1, norms[i])`` below the first power
+        ``2**I`` of norm at most 1: every ``j`` is ``m * 2**I`` plus a sum
+        of lower powers of two.  Past the table the squarings go on, under
+        ``np.errstate`` because a diverging map overflows, until one has
+        norm at most 1 or is not finite.
+        """
+        norms, power = list(self.norms), self.powers[len(self.norms) - 1][0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            while 1.0 < norms[-1] < np.inf and len(norms) < _CONTRACTION_MAX_SQUARINGS:
+                power = power @ power
+                norms.append(self._norm(power))
+        if not norms[-1] <= 1.0:
+            return np.inf
+        return float(np.maximum(1.0, norms[:-1]).prod())
+
+    @cached_property
+    def ball(self) -> tuple[np.ndarray, float]:
+        """The branch's fixed point ``y_b`` and a radius that traps a run on the branch.
+
+        ``y_b`` solves ``(I - step) y = shift`` on ``S``.  At ``y_b`` every
+        stage state is ``y_b``, so stage ``s``'s guard has the margin ``m_s
+        = G_s @ y_b + g_s``; from ``y`` in ``S`` with ``e = y - y_b`` it reads
+        ``m_s + G_s @ step**j @ e`` after ``j`` steps, which is at least
+        ``m_s / 2`` while ``||G_s|_S||_2 * K * ||e||_2 <= m_s / 2``.  With
+        ``||y_b||_inf + K * ||e||_2 <= limit`` every later state stays within
+        the divergence limit too.  The radius is the largest ``||e||_2`` for
+        which both hold, 0 when a margin is not positive (a cap at the CE
+        price puts ``y_b`` on the boundary) or ``K`` is infinite.
+        """
+        keep, (step, shift) = self.keep, self.powers[0]
+        center = np.zeros(self.dim)
+        try:
+            center[keep] = np.linalg.solve(np.eye(keep.sum()) - step[np.ix_(keep, keep)],
+                                           shift[keep])
+        except np.linalg.LinAlgError:
+            return center, 0.0
+        margins = self.guards[:, :-1] @ center + self.guards[:, -1]
+        if not (margins > 0.0).all():
+            return center, 0.0
+        guard_norms = np.linalg.norm(self.guards[:, :-1][:, keep], axis=1)
+        room = min(float(np.min(margins / guard_norms, initial=np.inf)) / 2.0,
+                   self.limit - float(np.abs(center).max()))
+        radius = room / self.bound
+        return center, radius if radius > 0.0 else 0.0
+
+    def map(self, steps: int) -> tuple:
+        """The affine map ``(step**steps, S_steps)``, composed from the powers."""
+        unit = (np.eye(self.dim), np.zeros(self.dim))
+        for i, power in enumerate(self.powers):
+            if steps >> i & 1:
+                unit = _compose(power, unit)
+        return unit
 
     def apply(self, y: np.ndarray, steps: int) -> np.ndarray:
         for i, (power, total) in enumerate(self.powers):
             if steps >> i & 1:
                 y = power @ y + total
         return y
+
+    def tail(self, y: np.ndarray, first: int, last: int, records: np.ndarray) -> None:
+        """Fill ``records`` from ``y``, which lies ``first`` steps before row 0.
+
+        The rows follow one ``stride`` apart, except the final row, ``last``
+        steps after the one before it.  The squarings go on past the block
+        table as far as a stride needs.  The rows one stride apart come
+        ``batch`` at a time, each batch one product with the stacked maps
+        of 1 to ``batch`` strides.
+        A product costs the interpreter about ``_PRODUCT_COST``
+        multiply-adds and each map in the stack ``dim**3`` to build, so
+        ``batch = sqrt(rows * _PRODUCT_COST / dim**3)`` balances the two,
+        within the record cap.
+        """
+        while self.stride >> len(self.powers):  # first and last are at most a stride
+            self.powers.append(_compose(self.powers[-1], self.powers[-1]))
+        records[0] = self.apply(y, first)
+        full = records.shape[0] - (1 if last == self.stride else 2)
+        if full > 0:
+            dim = self.dim
+            batch = min(full, max(1, _RECORD_BLOCK_MAX_BYTES // (8 * dim * (dim + 1))),
+                        max(1, math.isqrt(full * _PRODUCT_COST // dim**3)))
+            unit = self.map(self.stride)
+            rows, sums = _doubled(*unit, _squarings(unit, batch), batch)
+            for i in range(0, full, batch):
+                count = min(batch, full - i)
+                records[i + 1 : i + 1 + count] = (
+                    rows[: count * dim] @ records[i] + sums[: count * dim]
+                ).reshape(count, dim)
+        if full < records.shape[0] - 1:
+            records[-1] = self.apply(records[-2], last)
 
 
 class _Blocks:
@@ -671,25 +792,34 @@ class _Blocks:
     drift stays on that branch and every state they reach provably stays
     within the divergence limit; the step after that is the caller's to
     take with the ordinary single-step code, which also applies the clamp.
-    Each branch builds its tables the first time a block starts on it.
+    :meth:`finish` ends the run at once from a state that the branch's
+    :attr:`_Branch.ball` traps.  Each branch builds its tables the first
+    time a block starts on it.
     """
 
     def __init__(self, affine: ProjectedAffine, method_step, h: float, length: int,
                  stride: int, limit: float):
-        self.affine, self.limit = affine, limit
-        self.branch = lambda matrix, offset, guard: _Branch(
-            method_step, matrix, offset, h, guard, length, stride
+        self.affine = affine
+        self.branch = lambda matrix, offset, guard, pin: _Branch(
+            method_step, matrix, offset, h, guard, pin, length, stride, limit
         )
 
     @cached_property
     def free(self) -> _Branch:
-        return self.branch(self.affine.matrix, self.affine.offset, self.affine.mu)
+        return self.branch(self.affine.matrix, self.affine.offset, self.affine.mu, None)
 
     @cached_property
     def pinned(self) -> _Branch:
         matrix, offset = self.affine.matrix.copy(), self.affine.offset.copy()
         matrix[self.affine.mu], offset[self.affine.mu] = 0.0, 0.0
-        return self.branch(matrix, offset, self.affine.nu)
+        return self.branch(matrix, offset, self.affine.nu, self.affine.mu)
+
+    def _branch_of(self, y: np.ndarray) -> _Branch | None:
+        """The branch on which ``y`` evaluates the drift, None past the pinned one."""
+        mu, nu = self.affine.mu, self.affine.nu
+        if mu is None or y[mu] > 0.0:
+            return self.free
+        return self.pinned if y[nu] >= 0.0 else None
 
     def advance(self, y: np.ndarray, steps: int, records: np.ndarray) -> tuple[np.ndarray, int]:
         """Take up to ``steps <= length`` steps from ``y``; return the new state and the count.
@@ -698,28 +828,54 @@ class _Blocks:
         row ``m`` of ``records`` receives the state after ``(m + 1) *
         stride`` steps, valid for the rows within the steps taken.
         """
-        mu, nu = self.affine.mu, self.affine.nu
-        if mu is None or y[mu] > 0.0:
-            branch, strict = self.free, True
-        elif y[nu] >= 0.0:
-            branch, strict = self.pinned, False
-        else:
+        branch = self._branch_of(y)
+        if branch is None:
             return y, 0
-        inside, dim = records.shape[0], branch.dim
-        guard = branch.rows[: steps * branch.stages + inside * dim] @ y
-        guard += branch.sums[: guard.size]
-        if inside:
-            cut = inside * (branch.stride * branch.stages + dim)
-            head = guard[:cut].reshape(inside, -1)
-            records[:] = head[:, -dim:]
-            guard = np.concatenate([head[:, :-dim].ravel(), guard[cut:]])
-        ok = (guard > 0.0 if strict else guard >= 0.0).reshape(steps, branch.stages).all(axis=1)
-        size = float(np.linalg.norm(y))
-        if not branch.growth[steps] * (size + steps * branch.shift_norm) <= self.limit:
-            j = np.arange(1, steps + 1)
-            ok &= branch.growth[1 : steps + 1] * (size + j * branch.shift_norm) <= self.limit
-        taken = int(np.argmin(np.append(ok, False)))  # leading steps that pass
+        checked = steps * branch.stages
+        guard = branch.guard_rows[:checked] @ y + branch.guard_sums[:checked]
+        if records.size:
+            flat = records.reshape(-1)  # a view: the rows are consecutive rows of the record
+            np.matmul(branch.record_rows[: flat.size], y, out=flat)
+            flat += branch.record_sums[: flat.size]
+        taken = steps
+        if checked:
+            # The free branch's guard (mu) is strict, the pinned one's (nu) is not.
+            ok = guard > 0.0 if branch.pin is None else guard >= 0.0
+            first = int(ok.argmin())
+            if not ok[first]:
+                taken = first // branch.stages
+        size, shift = math.sqrt(y @ y), branch.shift_norm
+        if branch.pin is not None and y[branch.pin] != 0.0:
+            # Off S (an unclamped run), the held mu acts as one more constant shift.
+            off = abs(float(y[branch.pin]))
+            size, shift = size + off, shift + branch.pin_norm * off
+        if taken and not branch.growth[taken] * (size + taken * shift) <= branch.limit:
+            j = np.arange(1, taken + 1)
+            bounded = branch.growth[1 : taken + 1] * (size + j * shift) <= branch.limit
+            taken = int(np.argmin(bounded))  # the leading steps that stay within the limit
         return branch.apply(y, taken), taken
+
+    def finish(self, y: np.ndarray, k: int, n_steps: int, records: np.ndarray) -> bool:
+        """Record the rest of the run from ``y``, the state after ``k`` steps, if it is trapped.
+
+        ``y`` is trapped when it lies in its branch's ``S`` and within the
+        radius of the branch's :attr:`_Branch.ball`: then no later stage
+        state leaves the branch or the divergence limit, and every later
+        state is the branch's affine map of ``y``.  Row ``m`` of
+        ``records`` receives the state after step ``min((k // stride + 1 +
+        m) * stride, n_steps)``.  Returns whether it did.
+        """
+        branch = self._branch_of(y)
+        if branch is None or (branch.pin is not None and y[branch.pin] != 0.0):
+            return False
+        center, radius = branch.ball
+        e = y - center
+        if not e @ e < radius * radius:
+            return False
+        stride, rows = branch.stride, records.shape[0]
+        first = min((k // stride + 1) * stride, n_steps) - k
+        branch.tail(y, first, n_steps - k - first - (rows - 2) * stride, records)
+        return True
 
 
 def integrate(
@@ -771,6 +927,20 @@ def integrate(
     steps of ``verify``'s Euler check, recorded at every step, take
     ~0.1 s instead of ~1.9 s.
 
+    A run that ends a whole block close enough to its branch's fixed
+    point is trapped there: on the branch's invariant subspace the powers
+    of the step map are bounded (the discrete form of the closed loop's
+    ``-B.T @ B`` certificate), so no later stage state can leave the
+    branch or cross ``divergence_limit`` (see ``_Branch.ball``).  Its
+    remaining records then come straight from powers of the map of one
+    stride, several records per matrix product, with no guard and no
+    per-step check.  That is the recurrence the blocks apply, rounded the
+    same way.  A cap at the CE price puts the fixed point on the boundary
+    of both branches, and such a run is never trapped.  On the same VM
+    ``table1.json``'s run takes ~5 ms instead of ~15 ms (trapped at t =
+    146 of 1200), at ``t_end = 1.2e5`` and stride 10**4 ~0.03 s instead of
+    ~1.6 s, and at ``t_end = 1e9`` and stride 10**7 ~0.03 s.
+
     Returns:
         The recorded :class:`Trajectory`.
 
@@ -821,6 +991,19 @@ def integrate(
         if length >= _BLOCK_MIN_STEPS:
             blocks = _Blocks(affine, step, h, length, record_stride, divergence_limit)
 
+    grid = min(record_stride, n_steps)  # row i sits at step min(i * grid, n_steps)
+
+    def filled(stop: int) -> int:
+        """Time rows ``rec`` to ``stop``, which a block or the tail filled, and clamp their mu."""
+        times[rec:stop] = np.minimum(np.arange(rec, stop) * grid, n_steps) * h
+        if mu_index is not None:
+            # The guard, the recorded rows and the matrix powers round
+            # differently, so mu may land a few ulps below 0 where the guard
+            # saw it above.
+            mu = states[rec:stop, mu_index]
+            np.maximum(mu, 0.0, out=mu)
+        return stop
+
     times[0], states[0] = 0.0, y
     k, rec = 0, 1  # steps taken, rows recorded
     while k < n_steps:
@@ -837,16 +1020,9 @@ def integrate(
             steps = reach - k
             inside = (steps - 1) // record_stride
             y, taken = blocks.advance(y, steps, states[rec : rec + inside])
-            # The guard, the recorded rows and the matrix powers round
-            # differently, so mu may land a few ulps below 0 where the guard
-            # saw it above.
             done = min(taken, steps - 1) // record_stride
             if done:
-                times[rec : rec + done] = (k + record_stride * np.arange(1, done + 1)) * h
-                if mu_index is not None:
-                    mu = states[rec : rec + done, mu_index]
-                    np.maximum(mu, 0.0, out=mu)
-                rec += done
+                rec = filled(rec + done)
             k += taken
             if mu_index is not None and y[mu_index] < 0.0:
                 y[mu_index] = 0.0
@@ -865,6 +1041,8 @@ def integrate(
         if k % record_stride == 0 or k == n_steps:
             times[rec], states[rec] = k * h, y
             rec += 1
+        if taken == steps and k < n_steps and blocks.finish(y, k, n_steps, states[rec:]):
+            rec, k = filled(n_rec), n_steps
 
     return _recorded(times, states, mu_index, ref)
 

@@ -72,6 +72,26 @@ class TestSimulate:
         assert summary["converged"] is True
         assert "converged" in capsys.readouterr().out
 
+    def test_long_horizon_finishes(self, tmp_path):
+        # 5e10 rk4 steps and 5001 records: after a few blocks the run is
+        # trapped near its fixed point, and the rest is recorded from powers
+        # of the map of one stride.
+        import subprocess
+        import sys
+
+        doc = json.loads(TABLE1_PATH.read_text())
+        doc["sim"].update(t_end=1e9, record_stride=10**7)
+        cfg, out = tmp_path / "long.json", tmp_path / "long.csv"
+        cfg.write_text(json.dumps(doc))
+        proc = subprocess.run(
+            [sys.executable, "-m", "energyshare.cli", "simulate", "--config", str(cfg),
+             "--out", str(out)],
+            cwd=REPO_ROOT / "src", capture_output=True, text=True, timeout=20,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "; converged" in proc.stdout
+        assert len(out.read_text().splitlines()) == 1 + 5001
+
     def test_divergence_exits_3_with_partial_csv(self, tmp_path, capsys):
         cfg = tmp_path / "stiff.json"
         cfg.write_text(

@@ -55,24 +55,44 @@ def affine_step(method, matrix, offset, h):
 
 @contextlib.contextmanager
 def counted_block_steps():
-    """Count of the steps that integrate takes through its block path in the ``with`` body."""
-    count = [0]
-    advance = dynamics._Blocks.advance
+    """Steps that integrate takes in the ``with`` body through its block path.
+
+    Yields ``[block, tail]``: ``block`` counts the steps of every block
+    and of the tail, ``tail`` those of the tail alone.
+    """
+    count = [0, 0]
+    advance, finish = dynamics._Blocks.advance, dynamics._Blocks.finish
 
     def counted(self, y, steps, records):
         y, taken = advance(self, y, steps, records)
         count[0] += taken
         return y, taken
 
-    with mock.patch.object(dynamics._Blocks, "advance", counted):
+    def counted_finish(self, y, k, n_steps, records):
+        done = finish(self, y, k, n_steps, records)
+        if done:
+            count[0] += n_steps - k
+            count[1] += n_steps - k
+        return done
+
+    with mock.patch.object(dynamics._Blocks, "advance", counted), \
+            mock.patch.object(dynamics._Blocks, "finish", counted_finish):
         yield count
 
 
 @pytest.fixture()
 def block_steps():
-    """Count of the steps that integrate takes through its block path."""
+    """``[block, tail]``: steps that integrate takes through blocks and the tail, and the tail."""
     with counted_block_steps() as count:
         yield count
+
+
+def rk4_stage_maps(matrix, h):
+    """Linear parts of rk4's four stage states on the drift ``matrix @ y + offset``."""
+    eye = np.eye(matrix.shape[0])
+    two = eye + 0.5 * h * matrix
+    three = eye + 0.5 * h * matrix @ two
+    return [eye, two, three, eye + h * matrix @ three]
 
 
 class TestRhsOpenLoop:
@@ -517,6 +537,7 @@ class TestIntegrate:
                 )
             errors.append(excinfo.value)
         assert block_steps[0] > 0
+        assert block_steps[1] == 0
         block, loop = errors
         assert str(block) == str(loop)  # the message names the step's time
         np.testing.assert_array_equal(block.trajectory.times, loop.trajectory.times)
@@ -593,6 +614,133 @@ class TestIntegrate:
         atol = 1e-12 * np.abs(loop.states).max()
         np.testing.assert_allclose(block.states, loop.states, rtol=0.0, atol=atol)
         assert block.states[:, lay.mu].min() >= 0.0
+
+    # Started near the fixed point, the run is trapped at its first block
+    # end, and the tail records the rest: a first stretch to the record
+    # grid, whole strides, and a partial stride to the horizon.
+    @pytest.mark.parametrize(
+        "drift, stride",
+        [("closed_loop", s) for s in (1, 7, 100, 4096, 10**4)] + [("affine", 100)],
+    )
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    def test_tail_records_as_the_step_loop_does(self, table1_market, method, drift, stride,
+                                                 block_steps):
+        lay = es.state_layout(4)
+        if drift == "closed_loop":
+            rhs = es.closed_loop_rhs(table1_market, 4.0)
+            eq, mu_index = es.assemble_equilibrium(table1_market, 4.0), lay.mu
+            h = 0.5 * es.euler_stable_step(table1_market)
+        else:
+            mat, off = es.open_loop_matrices(table1_market)
+            rhs = es.affine_rhs(mat, off)
+            eq, mu_index = es.open_loop_equilibrium(table1_market), None
+            eigs = np.linalg.eigvals(mat)
+            h = 0.5 * float((-2.0 * eigs.real / np.abs(eigs) ** 2).min())
+        h = h if method == "euler" else 0.02
+        y0 = eq + 1e-3 * np.random.default_rng(0).normal(size=eq.size)
+        if mu_index is not None:
+            y0[mu_index] = 0.0  # the cap binds: the fixed point is pinned
+        # Long enough for blocks that record every step to repay their tables.
+        t_end = (stride + (2**14 if method == "euler" else 2**12) + 1) * h
+        block, loop = (
+            es.integrate(f, y0, h, t_end, method=method, mu_index=mu_index, record_stride=stride)
+            for f in (rhs, lambda y: rhs(y))
+        )
+        assert block_steps[1] > 0
+        np.testing.assert_array_equal(block.times, loop.times)
+        atol = 1e-12 * np.abs(loop.states).max()
+        np.testing.assert_allclose(block.states, loop.states, rtol=0.0, atol=atol)
+
+    # At the CE price the fixed point has mu = nu = 0: neither guard has a
+    # margin, however close the run comes.
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    def test_no_tail_at_the_ce_price(self, method, block_steps):
+        market = es.validate_market([(0.8, -10.0, 2.0), (1.6, -6.0, 5.0), (2.5, -15.0, 1.0)])
+        cap = es.solve_ce(market).lambda_bar
+        lay = es.state_layout(market.n)
+        h = 0.5 * es.euler_stable_step(market) if method == "euler" else 0.02
+        rhs = es.closed_loop_rhs(market, cap)
+        y0 = es.assemble_equilibrium(market, cap) + 1e-6 * np.random.default_rng(1).normal(
+            size=lay.dim
+        )
+        y0[lay.mu] = 0.0
+        block, loop = (
+            es.integrate(f, y0, h, 60.0, method=method, mu_index=lay.mu, record_stride=250)
+            for f in (rhs, lambda y: rhs(y))
+        )
+        assert block_steps[0] > 0
+        assert block_steps[1] == 0
+        np.testing.assert_array_equal(block.times, loop.times)
+        atol = 1e-12 * np.abs(loop.states).max()
+        np.testing.assert_allclose(block.states, loop.states, rtol=0.0, atol=atol)
+
+    def test_no_tail_off_the_pinned_subspace(self, block_steps):
+        # Unclamped, a negative mu stays put on the pinned branch and moves
+        # its fixed point: this run ends its first block close to the
+        # branch's fixed point, then leaves the branch.  The trap holds
+        # only on mu = 0.
+        market = es.validate_market([(3.9, -6.5, 9.6)])
+        cap = es.solve_ce(market).lambda_bar - 1.4
+        lay = es.state_layout(market.n)
+        rhs = es.closed_loop_rhs(market, cap)
+        y0 = es.assemble_equilibrium(market, cap)
+        y0[lay.mu] = -0.25
+        block, loop = (
+            es.integrate(f, y0, 0.02, 60.0, method="rk4", record_stride=100)
+            for f in (rhs, lambda y: rhs(y))
+        )
+        assert block_steps[0] > 0
+        assert (loop.states[:, lay.mu] > 0.0).any()
+        np.testing.assert_array_equal(block.times, loop.times)
+        atol = 1e-12 * np.abs(loop.states).max()
+        np.testing.assert_allclose(block.states, loop.states, rtol=0.0, atol=atol)
+
+    def test_pinned_growth_is_bounded_on_its_subspace(self, table1_market):
+        # nu reads mu's column, so the pinned step map has norm 1.010; on
+        # mu = 0, where every pinned block starts, it is nonexpansive.
+        lay = es.state_layout(4)
+        affine = es.closed_loop_rhs(table1_market, 4.0).projected_affine
+        blocks = dynamics._Blocks(affine, dynamics._rk4_step, 0.02, 4096, 10**4,
+                                  dynamics.DIVERGENCE_LIMIT)
+        growth = blocks.pinned.growth
+        matrix, offset = affine.matrix.copy(), affine.offset.copy()
+        matrix[lay.mu], offset[lay.mu] = 0.0, 0.0
+        step, _ = affine_step("rk4", matrix, offset, 0.02)
+        assert np.linalg.norm(step, 2) > 1.01
+        keep = np.arange(lay.dim) != lay.mu
+        power = np.eye(lay.dim)
+        for j in range(1, 65):
+            power = step @ power
+            assert np.linalg.norm(power[np.ix_(keep, keep)], 2) <= growth[j] * (1.0 + 1e-12)
+        assert growth[-1] <= 1.0 + 1e-8
+
+    # A binding cap pins mu at the fixed point, guarded by nu; a slack one
+    # leaves mu free, guarded by mu itself.
+    @pytest.mark.parametrize("cap, guard", [(4.0, "nu"), (10.0, "mu")], ids=["pinned", "free"])
+    def test_trap_radius(self, table1_market, cap, guard):
+        # Half the margin over the guard rows' norm on S and over
+        # K = sup_j ||step**j|_S||, each found here from the closed-form
+        # fixed point, rk4's stage maps and the powers themselves.
+        lay, h = es.state_layout(4), 0.02
+        affine = es.closed_loop_rhs(table1_market, cap).projected_affine
+        blocks = dynamics._Blocks(affine, dynamics._rk4_step, h, 512, 100,
+                                  dynamics.DIVERGENCE_LIMIT)
+        matrix, offset = affine.matrix.copy(), affine.offset.copy()
+        keep = np.ones(lay.dim, dtype=bool)
+        if guard == "nu":
+            matrix[lay.mu], offset[lay.mu], keep[lay.mu] = 0.0, 0.0, False
+        eq = es.assemble_equilibrium(table1_market, cap)
+        g = getattr(lay, guard)
+        row_norm = max(np.linalg.norm(stage[g, keep]) for stage in rk4_stage_maps(matrix, h))
+        step, _ = affine_step("rk4", matrix, offset, h)
+        sub, power, bound = step[np.ix_(keep, keep)], np.eye(keep.sum()), 1.0
+        for _ in range(64):  # the powers contract from the second on
+            power = sub @ power
+            bound = max(bound, np.linalg.norm(power, 2))
+        center, radius = (blocks.pinned if guard == "nu" else blocks.free).ball
+        np.testing.assert_allclose(center, eq, rtol=0.0, atol=1e-10 * np.abs(eq).max())
+        assert eq[g] > 1.0
+        assert radius == pytest.approx(eq[g] / (2.0 * row_norm * bound), rel=1e-8)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_euler_lyapunov_check_passes_in_blocks(self, table1_config, seed, block_steps):
