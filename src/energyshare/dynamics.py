@@ -1057,6 +1057,18 @@ def _half_squared_norm(d: np.ndarray) -> np.ndarray:
     return 0.5 * np.vecdot(d, d)
 
 
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """``a.max(axis=1)``; a tall ``a`` is reduced a column at a time, which is faster than
+    reducing each short row, and equal, since a max does not depend on order."""
+    rows, cols = a.shape
+    if rows <= cols:
+        return a.max(axis=1)
+    out = a[:, 0].copy()
+    for j in range(1, cols):
+        np.maximum(out, a[:, j], out=out)
+    return out
+
+
 def _recorded(times: np.ndarray, states: np.ndarray, mu_index: int | None,
               ref: np.ndarray | None) -> Trajectory:
     """The recorded rows with ``V = 0.5 * ||y - ref||**2`` and ``max |y - ref|`` per row.
@@ -1071,7 +1083,7 @@ def _recorded(times: np.ndarray, states: np.ndarray, mu_index: int | None,
         for start in range(0, rows, chunk):
             d = states[start : start + chunk] - ref
             lyapunov[start : start + chunk] = _half_squared_norm(d)
-            residuals[start : start + chunk] = np.abs(d, out=d).max(axis=1)
+            residuals[start : start + chunk] = _row_max(np.abs(d, out=d))
     return Trajectory(
         times=times,
         states=states,

@@ -37,7 +37,8 @@ from .equilibrium import (
     solve_ce,
     solve_sce,
 )
-from .errors import MissingField, NonfiniteState, ParseError, ValidationError
+from ._shortest import format_table
+from .errors import DimensionMismatch, MissingField, NonfiniteState, ParseError, ValidationError
 from .market import MarketInstance, SocialPriceCap, phi, validate_market
 
 _TOP_KEYS = {"agents", "lambda_max", "sim", "seed"}
@@ -52,8 +53,11 @@ SUMMARY_TOLERANCE = 1e-3
 # Its V and error columns and the CSV writer only add bounded chunks.
 MAX_RECORDED_VALUES = 2**27
 
-# Values that write_trajectory_csv formats at once (~100 B each as text).
-_CSV_CHUNK_VALUES = 1 << 16
+# Values that write_trajectory_csv formats at once.  Formatting takes ~230 B
+# a value at its peak (the fixed-width text and its bytes copy, the integer
+# columns of the digit search), ~2 MB a chunk.  Larger chunks ran slower: a
+# 26 x 5006 table took 52 ms at 3 rows a chunk, 41 ms at one.
+_CSV_CHUNK_VALUES = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -410,15 +414,25 @@ def trajectory_header(n: int) -> list[str]:
 
 
 def write_trajectory_csv(trajectory: Trajectory, n: int, path: str | Path) -> None:
-    """Write a closed-loop trajectory as CSV (LF endings, exact floats), in bounded chunks."""
+    """Write a closed-loop trajectory as CSV (LF endings, exact floats), in bounded chunks.
+
+    Raises:
+        DimensionMismatch: the states are not those of an ``n``-agent
+            market; nothing is written.
+    """
+    dim = state_layout(n).dim
+    if trajectory.states.shape[1] != dim:
+        raise DimensionMismatch(
+            f"trajectory states have {trajectory.states.shape[1]} columns, "
+            f"the state of {n} agents has {dim}"
+        )
     columns = (trajectory.times[:, None], trajectory.states, trajectory.lyapunov[:, None],
                trajectory.equilibrium_residuals[:, None])
-    chunk = max(1, _CSV_CHUNK_VALUES // sum(c.shape[1] for c in columns))
-    with open(path, "w", newline="\n") as out:
-        out.write(",".join(trajectory_header(n)) + "\n")
+    chunk = max(1, _CSV_CHUNK_VALUES // (dim + 3))
+    with open(path, "wb") as out:
+        out.write((",".join(trajectory_header(n)) + "\n").encode())
         for start in range(0, len(trajectory), chunk):
-            table = np.hstack([c[start : start + chunk] for c in columns])
-            out.write("".join(",".join(map(repr, row)) + "\n" for row in table.tolist()))
+            out.write(format_table(np.hstack([c[start : start + chunk] for c in columns])))
 
 
 def summary_to_json(report: ConvergenceReport) -> str:
@@ -520,7 +534,6 @@ def run_sweep(config: ScenarioConfig, cap_values) -> Sweep:
 
 def sweep_to_csv(sweep: Sweep) -> str:
     """The sweep as CSV, one row per cap, with shortest round-trip floats."""
-    table = np.column_stack(list(vars(sweep).values())).tolist()
-    lines = ["lambda_max,lambda_star,nu_star,u_norm,welfare_loss_nominal_utilities"]
-    lines += [",".join(map(repr, row)) for row in table]
-    return "\n".join(lines) + "\n"
+    table = np.column_stack(list(vars(sweep).values()))
+    header = "lambda_max,lambda_star,nu_star,u_norm,welfare_loss_nominal_utilities\n"
+    return header + format_table(table).decode()

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import energyshare as es
+from energyshare import _shortest, scenario
 from energyshare.verification import CHECKS, check_rng
 from conftest import markets
 
@@ -498,22 +499,70 @@ class TestSerialization:
         assert values[24] == traj.lyapunov[-1]
         assert values[25] == traj.equilibrium_residuals[-1]
 
-    def test_csv_in_chunks_matches_formatting_all_rows_at_once(self, tmp_path):
-        from energyshare import scenario
-
-        rows = scenario._CSV_CHUNK_VALUES // 11 + 7  # 11 values a row for one agent
+    # One agent's 11 values a row, and a market's 5006, each over several
+    # chunks; a state column of inf, -inf and NaN.
+    @pytest.mark.parametrize(
+        "n, rows, nonfinite",
+        [(1, scenario._CSV_CHUNK_VALUES // 11 + 7, False), (1000, 7, False), (1, 300, True)],
+        ids=["one", "wide", "inf"],
+    )
+    def test_csv_in_chunks_matches_formatting_all_rows_at_once(self, tmp_path, n, rows, nonfinite):
         rng = np.random.default_rng(5)
         times = np.arange(rows) * 0.1
-        states = rng.normal(size=(rows, 8)) * 10.0 ** rng.integers(-300, 300, size=(rows, 8))
+        dim = es.state_layout(n).dim
+        states = rng.normal(size=(rows, dim)) * 10.0 ** rng.integers(-300, 300, size=(rows, dim))
+        if nonfinite:
+            states[:, 2] = rng.choice([np.inf, -np.inf, np.nan, -0.0, 2.5], size=rows)
         traj = es.Trajectory(
             times=times, states=states, lyapunov=rng.uniform(size=rows),
             equilibrium_residuals=np.full(rows, np.nan),
         )
-        es.write_trajectory_csv(traj, 1, tmp_path / "long.csv")
+        es.write_trajectory_csv(traj, n, tmp_path / "long.csv")
         table = np.column_stack([times, states, traj.lyapunov, traj.equilibrium_residuals])
-        lines = [",".join(es.trajectory_header(1))]
+        lines = [",".join(es.trajectory_header(n))]
         lines += [",".join(map(repr, row)) for row in table.tolist()]
         assert (tmp_path / "long.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+
+    def test_csv_width_must_match_the_market(self, tmp_path):
+        traj = es.Trajectory(times=np.arange(2.0), states=np.zeros((2, 13)),
+                             lyapunov=np.zeros(2), equilibrium_residuals=np.zeros(2))
+        es.write_trajectory_csv(traj, 2, tmp_path / "two.csv")
+        with pytest.raises(es.DimensionMismatch, match="13 columns, the state of 3 agents has 18"):
+            es.write_trajectory_csv(traj, 3, tmp_path / "three.csv")
+        assert not (tmp_path / "three.csv").exists()
+
+
+def repr_csv(table: np.ndarray) -> bytes:
+    return "".join(",".join(map(repr, row)) + "\n" for row in table.tolist()).encode()
+
+
+def vector_table(values: np.ndarray, cols: int = 8) -> np.ndarray:
+    """``values`` repeated into a table large enough for the vectorised formatter."""
+    size = -(-max(values.size, _shortest._MIN_VECTOR_VALUES) // cols) * cols
+    return np.resize(values, (size // cols, cols))
+
+
+# The CSV formatter's text is repr's, value by value: byte for byte, on
+# every float64 bit pattern (subnormals, both zeros, infinities, NaN payloads).
+class TestTableText:
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=16))
+    def test_every_bit_pattern(self, patterns):
+        table = vector_table(np.array(patterns, dtype=np.uint64).view(np.float64))
+        assert _shortest.format_table(table) == repr_csv(table)
+
+    def test_edge_values(self):
+        edges = [5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 2.0**53 - 1,
+                 2.0**53 + 1, 2.0**53 + 2, 9999999999999998.0, 1e15, 1e16, 0.0001, 1e-05, 1e22, 1e23, 0.1,
+                 2 / 3, 0.0, np.inf, np.nan, *range(1, 1001)]
+        # Every power of two: a lower neighbour half as far as the upper one.
+        values = np.concatenate([edges, np.ldexp(1.0, np.arange(-1074, 1024))])
+        for table in (vector_table(np.concatenate([values, -values]), 7), vector_table(values, 1)):
+            assert _shortest.format_table(table) == repr_csv(table)
+
+    def test_random_bit_patterns(self):
+        patterns = np.random.default_rng(15).integers(0, 2**64, size=10**5, dtype=np.uint64)
+        table = patterns.view(np.float64).reshape(-1, 10)
+        assert _shortest.format_table(table) == repr_csv(table)
 
 
 class TestRunVerify:
