@@ -23,7 +23,6 @@ from .errors import (
 from .market import SocialPriceCap
 from .scenario import (
     check_sim,
-    config_to_json,
     load_config,
     report_to_json,
     run_simulate,

@@ -160,15 +160,12 @@ def validate_market(records) -> MarketInstance:
         notes.append(note)
         warnings.warn(note, MarketWarning, stacklevel=2)
 
+    # Inputs near float64's range overflow here; the solvers' callers
+    # report the non-finite results, so numpy's warnings would only repeat it.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        s1, s2, sqc = float((1.0 / q).sum()), float((1.0 / q**2).sum()), float((c0 / q).sum())
     return MarketInstance(
-        q=q,
-        c0=c0,
-        a=a,
-        sum_a=float(a.sum()),
-        s1=float((1.0 / q).sum()),
-        s2=float((1.0 / q**2).sum()),
-        sqc=float((c0 / q).sum()),
-        warnings=tuple(notes),
+        q=q, c0=c0, a=a, sum_a=float(a.sum()), s1=s1, s2=s2, sqc=sqc, warnings=tuple(notes)
     )
 
 

@@ -13,7 +13,7 @@ import json
 import math
 import numbers
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -111,37 +111,45 @@ class Sweep:
 # Canonical JSON
 
 
-def _emit_json(value) -> str:
-    # Exact float and list first: reports are made of them (ndarray.tolist()).
-    if type(value) is float:
-        if not math.isfinite(value):
-            raise ValueError(f"cannot serialize non-finite number {value!r}")
-        return repr(value)  # shortest digits that round-trip exactly
-    if type(value) is list:
-        return "[" + ", ".join(map(_emit_json, value)) + "]"
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if value is None:
-        return "null"
+def _fields(value):
+    """The encoder's hook for what its C code does not write: the JSON form of ``value``."""
+    if is_dataclass(value):
+        return vars(value)  # a result's field names are its JSON keys
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, np.bool_):
+        return bool(value)
     if isinstance(value, numbers.Integral):
-        return str(int(value))
+        return int(value)
     if isinstance(value, numbers.Real):
-        return _emit_json(float(value))
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, Mapping):
-        items = ", ".join(
-            f"{json.dumps(str(k))}: {_emit_json(v)}" for k, v in sorted(value.items())
-        )
-        return "{" + items + "}"
-    if isinstance(value, (Sequence, np.ndarray)):
-        return "[" + ", ".join(_emit_json(v) for v in value) + "]"
+        return float(value)
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, default=_fields)
+
+
+def _refuse_constant(name: str):
+    raise ValueError(f"cannot serialize non-finite number {float(name)!r}")
+
+
 def dumps_canonical(document) -> str:
-    """Serialize to JSON with sorted keys and exact float round-trips."""
-    return _emit_json(document) + "\n"
+    """Serialize to JSON with sorted keys and exact float round-trips, newline-terminated.
+
+    The standard library's encoder writes every ``float``, ``np.float64``
+    included, with ``float.__repr__`` (the shortest digits that read back to
+    the same float), and tuples as lists.  A dataclass is written as its
+    fields, an array as its list, and other numpy numbers as Python ones.
+
+    Raises:
+        ValueError: the document holds a NaN or an infinity; the message
+            names the first, in key order.
+        TypeError: it holds another type, such as a set or a non-dict Mapping.
+    """
+    text = _ENCODER.encode(document)
+    if "NaN" in text or "Infinity" in text:  # as constants, or only inside strings?
+        json.loads(text, parse_constant=_refuse_constant)
+    return text + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -312,38 +320,28 @@ def load_config(source: str | Path) -> ScenarioConfig:
 
 def config_to_json(config: ScenarioConfig) -> str:
     """Serialize a config back to canonical JSON (round-trips losslessly)."""
-    sim = config.sim
-    doc = {
-        "agents": [
-            {"q": ag.q, "c0": ag.c0, "a": ag.a} for ag in config.market.agents
-        ],
-        "lambda_max": config.cap.lambda_max,
-        "sim": {
-            "h": sim.h,
-            "t_end": sim.t_end,
-            "method": sim.method,
-            "record_stride": sim.record_stride,
-            "init": sim.init,
-        },
-        "seed": config.seed,
-    }
-    return dumps_canonical(doc)
+    return dumps_canonical({"agents": config.market.agents, "lambda_max": config.cap.lambda_max,
+                            "sim": config.sim, "seed": config.seed})
 
 
 # ---------------------------------------------------------------------------
 # Workflows
 
 
-def _require_finite(doc: dict, where: str = "") -> None:
+def _require_finite(doc, where: str = "") -> None:
     """Raise :class:`ValidationError` naming the first non-finite number of ``doc``.
 
-    Keys are visited in sorted order, the order of the JSON report and of
-    the sweep's CSV columns.  Values are numbers, lists of numbers or
-    nested dicts.
+    ``doc`` is a result dataclass or a dict.  Fields and keys are visited in
+    sorted order, the order of the JSON report and of the sweep's CSV
+    columns; values are numbers, arrays of numbers, or nested dataclasses
+    and dicts.
     """
-    for key in sorted(doc):
-        value = doc[key]
-        if type(value) is dict:
+    items = doc if type(doc) is dict else vars(doc)
+    for key in sorted(items):
+        value = items[key]
+        if isinstance(value, np.ndarray):
+            value = value.tolist()
+        elif not isinstance(value, (float, int, np.number, np.bool_)):  # a nested result
             _require_finite(value, f"{where}{key}.")
             continue
         for v in value if type(value) is list else (value,):
@@ -368,36 +366,12 @@ def run_solve(config: ScenarioConfig) -> EquilibriumReport:
         sce = solve_sce(market, cap)
         residuals = kkt_residual_sce(market, cap, sce)
     report = EquilibriumReport(ce=ce, sce=sce, residuals=residuals, cap_active=sce.nu_star > 0.0)
-    _require_finite(_report_doc(report))
+    _require_finite(report)
     return report
 
 
-def _report_doc(report: EquilibriumReport) -> dict:
-    return {
-        "cap_active": report.cap_active,
-        "ce": {
-            "lambda_bar": report.ce.lambda_bar,
-            "x_bar": report.ce.x_bar.tolist(),
-        },
-        "residuals": {
-            "stationarity_norm": report.residuals.stationarity_norm,
-            "supply_demand_gap": report.residuals.supply_demand_gap,
-            "cap_violation": report.residuals.cap_violation,
-            "complementarity_gap": report.residuals.complementarity_gap,
-        },
-        "sce": {
-            "lambda_star": report.sce.lambda_star,
-            "nu_star": report.sce.nu_star,
-            "pi1_star": report.sce.pi1_star,
-            "pi2_star": report.sce.pi2_star.tolist(),
-            "u_star": report.sce.u_star.tolist(),
-            "x_star": report.sce.x_star.tolist(),
-        },
-    }
-
-
 def report_to_json(report: EquilibriumReport) -> str:
-    return dumps_canonical(_report_doc(report))
+    return dumps_canonical(report)
 
 
 def trajectory_header(n: int) -> list[str]:
@@ -436,15 +410,7 @@ def write_trajectory_csv(trajectory: Trajectory, n: int, path: str | Path) -> No
 
 
 def summary_to_json(report: ConvergenceReport) -> str:
-    doc = {
-        "converged": report.converged,
-        "first_time_within_tolerance": report.first_time_within_tolerance,
-        "final_error": report.final_error,
-        "worst_lyapunov_increase": report.worst_lyapunov_increase,
-        "mu_negativity": report.mu_negativity,
-        "tolerance": report.tolerance,
-    }
-    return dumps_canonical(doc)
+    return dumps_canonical(report)
 
 
 def run_simulate(

@@ -38,8 +38,10 @@ from .errors import EnergyShareError, ValidationError
 
 CAP_RANGE = (-10.0, 30.0)
 
-# Narrower ranges for simulation checks: moderate curvature spread keeps the
-# settling times (and hence the battery's runtime) bounded.
+# Ranges of random_market's draws: WIDE_RANGES for the algebraic checks, and
+# narrower ones for the simulation checks: moderate curvature spread keeps
+# the settling times (and hence the battery's runtime) bounded.
+WIDE_RANGES = dict(n_max=8, q_lo=0.1, q_hi=20.0, c0_lo=-100.0, c0_hi=0.0, a_hi=50.0)
 SIM_RANGES = dict(n_max=5, q_lo=0.5, q_hi=4.0, c0_lo=-30.0, c0_hi=0.0, a_hi=20.0)
 
 RESIDUAL_TOL = 1e-9
@@ -76,12 +78,16 @@ class VerificationReport:
         return lines
 
 
-def random_market(rng, n_max=8, q_lo=0.1, q_hi=20.0, c0_lo=-100.0, c0_hi=0.0, a_hi=50.0):
-    """Draw a valid random market (the defaults are the algebraic checks' wide ranges)."""
-    n = int(rng.integers(1, n_max + 1))
-    q = rng.uniform(q_lo, q_hi, n)
-    c0 = rng.uniform(c0_lo, c0_hi, n)
-    a = rng.uniform(0.0, a_hi, n)
+def random_market(rng, **ranges):
+    """Draw a valid random market over ``ranges``, each missing one from ``WIDE_RANGES``."""
+    unknown = ranges.keys() - WIDE_RANGES.keys()
+    if unknown:
+        raise TypeError(f"random_market got unknown ranges {sorted(unknown)}")
+    r = WIDE_RANGES | ranges
+    n = int(rng.integers(1, r["n_max"] + 1))
+    q = rng.uniform(r["q_lo"], r["q_hi"], n)
+    c0 = rng.uniform(r["c0_lo"], r["c0_hi"], n)
+    a = rng.uniform(0.0, r["a_hi"], n)
     return mkt.validate_market(list(zip(q, c0, a)))
 
 
@@ -477,7 +483,8 @@ def run_verify(config, num_random_instances: int = 200, seed: int | None = None)
         seed: RNG seed; defaults to the config's seed.
 
     Raises:
-        ValidationError: ``num_random_instances`` is below 1 or the seed below 0.
+        ValidationError: ``num_random_instances`` is below 1, the seed is
+            below 0, or a value of the config's equilibria is not finite.
     """
     if num_random_instances < 1:
         raise ValidationError(f"num_random_instances must be >= 1, got {num_random_instances}")
@@ -485,6 +492,7 @@ def run_verify(config, num_random_instances: int = 200, seed: int | None = None)
         seed = config.seed
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
+    scn.run_solve(config)  # a market past float64's range is an input error, not a failed check
     results = []
     for name, check in CHECKS:
         try:

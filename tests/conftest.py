@@ -17,6 +17,7 @@ import pytest
 from hypothesis import settings, strategies as st
 
 import energyshare as es
+from energyshare.verification import WIDE_RANGES
 
 settings.register_profile("energyshare", deadline=None, derandomize=True, database=None)
 settings.load_profile("energyshare")
@@ -25,10 +26,12 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 TABLE1_PATH = REPO_ROOT / "table1.json"
 
 
-def markets(n_max=8, q_lo=0.1, q_hi=20.0, c0_lo=-100.0, c0_hi=0.0, a_hi=50.0):
-    """Valid markets as a hypothesis strategy, over ``random_market``'s ranges."""
-    agent = st.tuples(st.floats(q_lo, q_hi), st.floats(c0_lo, c0_hi), st.floats(0.0, a_hi))
-    return st.lists(agent, min_size=1, max_size=n_max).map(es.validate_market)
+def markets():
+    """Valid markets as a hypothesis strategy, over ``WIDE_RANGES``, ``random_market``'s own."""
+    r = WIDE_RANGES
+    agent = st.tuples(st.floats(r["q_lo"], r["q_hi"]), st.floats(r["c0_lo"], r["c0_hi"]),
+                      st.floats(0.0, r["a_hi"]))
+    return st.lists(agent, min_size=1, max_size=r["n_max"]).map(es.validate_market)
 
 
 @pytest.fixture(scope="session")

@@ -17,6 +17,9 @@ FAST_CONFIG = (
 
 BIG = int("9" * 400)  # past float64's range, as a JSON integer literal
 
+# Valid inputs whose CE price overflows float64: -(sqc + sum_a) / s1 is inf.
+OVERFLOWING_CONFIG = '{"agents": [{"q": 1e-300, "c0": -1e300, "a": 1e300}], "lambda_max": 1.0}'
+
 
 @pytest.fixture()
 def fast_config_path(tmp_path):
@@ -149,18 +152,26 @@ class TestBadArguments:
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
 
-    # Overflow on table1 is reported by the error line alone: a numpy
-    # RuntimeWarning, which the CLI would print before it, fails here.
+    # Overflow is reported by the error line alone: a numpy RuntimeWarning,
+    # which the CLI would print before it, fails here.  The one-agent market's
+    # CE price overflows, and verify refuses it before any check runs.
     @pytest.mark.parametrize(
-        "argv", [["solve", "--lambda-max=-1e308"], ["sweep", "--caps=-1e308"]],
-        ids=["solve", "sweep"],
+        "argv, config",
+        [(["solve", "--lambda-max=-1e308"], TABLE1_PATH.read_text()),
+         (["sweep", "--caps=-1e308"], TABLE1_PATH.read_text()),
+         (["solve"], OVERFLOWING_CONFIG), (["sweep", "--caps=1,2"], OVERFLOWING_CONFIG),
+         (["verify"], OVERFLOWING_CONFIG)],
+        ids=["solve", "sweep", "solve_ce_overflows", "sweep_ce_overflows", "verify_ce_overflows"],
     )
-    def test_overflow_warns_nothing_before_the_error_line(self, argv, capsys):
+    def test_overflow_warns_nothing_before_the_error_line(self, argv, config, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(config)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code = main([argv[0], "--config", str(TABLE1_PATH), *argv[1:]])
+            code = main([argv[0], "--config", str(path), *argv[1:]])
         assert code == 2
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
 
     # A JSON integer literal converts to float only inside float64's range.
     @pytest.mark.parametrize(

@@ -451,10 +451,10 @@ class TestSerialization:
             "bool": True, "np_bool": np.bool_(False), "int": 3, "np_int": np.int64(-4),
             "np_float": np.float64(0.1), "neg_zero": -0.0, "big": 1e300, "none": None,
             "tuple": (1, 2.5), "array": np.array([1.5, -0.0]), "int_array": np.arange(2),
-            "list": [np.float64(2.0), [0.5], "s", False],
+            "list": [np.float64(2.0), [0.5], "s", False], "NaN": "Infinity",
         }
         assert es.dumps_canonical(doc) == (
-            '{"array": [1.5, -0.0], "big": 1e+300, "bool": true, "int": 3, "int_array": [0, 1],'
+            '{"NaN": "Infinity", "array": [1.5, -0.0], "big": 1e+300, "bool": true, "int": 3, "int_array": [0, 1],'
             ' "list": [2.0, [0.5], "s", false], "neg_zero": -0.0, "none": null, "np_bool": false,'
             ' "np_float": 0.1, "np_int": -4, "tuple": [1, 2.5]}\n'
         )
@@ -462,15 +462,15 @@ class TestSerialization:
     @pytest.mark.parametrize(
         "value, shown",
         [(float("nan"), "nan"), (np.float64("inf"), "inf"), ([1.0, float("-inf")], "-inf"),
-         (np.array([np.nan]), "nan"), ((np.inf,), "inf")],
+         (np.array([np.nan]), "nan"), ((np.inf,), "inf"),
+         ({"b": float("nan"), "a": [1.0, float("-inf")]}, "-inf")],
     )
     def test_nonfinite_number_is_refused(self, value, shown):
         with pytest.raises(ValueError, match=f"^cannot serialize non-finite number {shown}$"):
             es.dumps_canonical({"v": value})
 
-    # The emitter writes exact floats and lists on a path of their own; the
-    # same documents as numpy floats and tuples take the general path.
-    def test_reports_match_the_general_path(self, table1_config, tmp_path):
+    # The same documents as numpy floats and tuples keep their bytes.
+    def test_reports_keep_their_bytes_as_numpy_floats_and_tuples(self, table1_config, tmp_path):
         def general(value):
             if type(value) is float:
                 return np.float64(value)
