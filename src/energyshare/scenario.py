@@ -12,8 +12,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, is_dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,11 +38,7 @@ from .equilibrium import (
 )
 from ._shortest import format_table
 from .errors import DimensionMismatch, MissingField, NonfiniteState, ParseError, ValidationError
-from .market import MarketInstance, SocialPriceCap, phi, validate_market
-
-_TOP_KEYS = {"agents", "lambda_max", "sim", "seed"}
-_SIM_KEYS = {"h", "t_end", "method", "record_stride", "init"}
-_AGENT_KEYS = {"q", "c0", "a"}
+from .market import AgentParams, MarketInstance, SocialPriceCap, phi, validate_market
 
 # Convergence tolerance reported by run_simulate summaries.
 SUMMARY_TOLERANCE = 1e-3
@@ -69,6 +64,11 @@ class SimSettings:
     method: str = "euler"
     record_stride: int = 10
     init: str | np.ndarray = "zero"
+
+
+_TOP_KEYS = {"agents", "lambda_max", "sim", "seed"}
+_SIM_KEYS = {f.name for f in fields(SimSettings)}
+_AGENT_KEYS = {f.name for f in fields(AgentParams)}
 
 
 @dataclass(frozen=True)
@@ -164,7 +164,7 @@ def _as_float(value: numbers.Real, what: str) -> float:
         raise ParseError(f"{what} must fit in a float64, got a {digits}-digit integer") from None
 
 
-def _require_number(doc: Mapping, key: str, where: str) -> float:
+def _require_number(doc: dict, key: str, where: str) -> float:
     if key not in doc:
         raise MissingField(f"{where} lacks required field {key!r}")
     value = doc[key]
@@ -175,7 +175,7 @@ def _require_number(doc: Mapping, key: str, where: str) -> float:
     return _as_float(value, f"{where}.{key}")
 
 
-def _reject_unknown(doc: Mapping, allowed: set, where: str) -> None:
+def _reject_unknown(doc: dict, allowed: set, where: str) -> None:
     if doc.keys() <= allowed:
         return
     unknown = sorted(set(doc) - allowed)
@@ -183,7 +183,7 @@ def _reject_unknown(doc: Mapping, allowed: set, where: str) -> None:
 
 
 def _parse_sim(doc, n: int) -> SimSettings:
-    if not isinstance(doc, Mapping):
+    if type(doc) is not dict:
         raise ParseError(f"sim must be an object, got {type(doc).__name__}")
     _reject_unknown(doc, _SIM_KEYS, "sim")
     sim = SimSettings()
@@ -205,7 +205,7 @@ def _parse_sim(doc, n: int) -> SimSettings:
         init = doc["init"]
         if init == "zero":
             sim = replace(sim, init="zero")
-        elif isinstance(init, Sequence) and not isinstance(init, str):
+        elif type(init) is list:
             expected = state_layout(n).dim
             values = []
             for v in init:
@@ -285,19 +285,19 @@ def load_config(source: str | Path) -> ScenarioConfig:
     # An integer literal past Python's digit limit, or nesting past the recursion limit.
     except (ValueError, RecursionError) as exc:
         raise ParseError(f"malformed JSON: {exc}") from None
-    if not isinstance(doc, Mapping):
+    if type(doc) is not dict:
         raise ParseError(f"config must be a JSON object, got {type(doc).__name__}")
     _reject_unknown(doc, _TOP_KEYS, "config")
 
     if "agents" not in doc:
         raise MissingField("config lacks required field 'agents'")
     agents_doc = doc["agents"]
-    if not isinstance(agents_doc, Sequence) or isinstance(agents_doc, str):
+    if type(agents_doc) is not list:
         raise ParseError("config.agents must be a list of agent records")
     rows = []
     for i, rec in enumerate(agents_doc):
         where = f"agents[{i}]"
-        if type(rec) is not dict and not isinstance(rec, Mapping):
+        if type(rec) is not dict:
             raise ParseError(f"{where} must be an object, got {type(rec).__name__}")
         _reject_unknown(rec, _AGENT_KEYS, where)
         rows.append((
@@ -424,8 +424,9 @@ def run_simulate(
     closed-form fixed point; the summary reports convergence at
     ``SUMMARY_TOLERANCE``.  If the integration diverges, the partial
     trajectory is flushed to ``csv_path`` before :class:`NonfiniteState`
-    propagates.
+    propagates; equilibria that are not finite raise :class:`ValidationError`.
     """
+    run_solve(config)  # a market past float64's range is an input error, not a divergence
     market = config.market
     cap = config.cap.lambda_max
     sim = config.sim

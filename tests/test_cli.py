@@ -154,16 +154,19 @@ class TestBadArguments:
 
     # Overflow is reported by the error line alone: a numpy RuntimeWarning,
     # which the CLI would print before it, fails here.  The one-agent market's
-    # CE price overflows, and verify refuses it before any check runs.
+    # CE price overflows, and verify and simulate refuse it before they run.
     @pytest.mark.parametrize(
         "argv, config",
         [(["solve", "--lambda-max=-1e308"], TABLE1_PATH.read_text()),
          (["sweep", "--caps=-1e308"], TABLE1_PATH.read_text()),
          (["solve"], OVERFLOWING_CONFIG), (["sweep", "--caps=1,2"], OVERFLOWING_CONFIG),
-         (["verify"], OVERFLOWING_CONFIG)],
-        ids=["solve", "sweep", "solve_ce_overflows", "sweep_ce_overflows", "verify_ce_overflows"],
+         (["verify"], OVERFLOWING_CONFIG), (["simulate"], OVERFLOWING_CONFIG)],
+        ids=["solve", "sweep", "solve_ce_overflows", "sweep_ce_overflows", "verify_ce_overflows",
+             "simulate_ce_overflows"],
     )
-    def test_overflow_warns_nothing_before_the_error_line(self, argv, config, tmp_path, capsys):
+    def test_overflow_warns_nothing_before_the_error_line(self, argv, config, tmp_path, capsys,
+                                                           monkeypatch):
+        monkeypatch.chdir(tmp_path)  # where simulate would write its CSV
         path = tmp_path / "config.json"
         path.write_text(config)
         with warnings.catch_warnings():

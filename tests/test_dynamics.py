@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import energyshare as es
-from energyshare import dynamics
+from energyshare import _stepping, dynamics
 from energyshare.verification import CHECKS, SIM_RANGES, check_rng, random_market
 from conftest import assert_matches_oracle, closed_loop_drift_oracle, reduced_drift_oracle
 
@@ -61,7 +61,7 @@ def counted_block_steps():
     and of the tail, ``tail`` those of the tail alone.
     """
     count = [0, 0]
-    advance, finish = dynamics._Blocks.advance, dynamics._Blocks.finish
+    advance, finish = _stepping._Blocks.advance, _stepping._Blocks.finish
 
     def counted(self, y, steps, records):
         y, taken = advance(self, y, steps, records)
@@ -75,8 +75,8 @@ def counted_block_steps():
             count[1] += n_steps - k
         return done
 
-    with mock.patch.object(dynamics._Blocks, "advance", counted), \
-            mock.patch.object(dynamics._Blocks, "finish", counted_finish):
+    with mock.patch.object(_stepping._Blocks, "advance", counted), \
+            mock.patch.object(_stepping._Blocks, "finish", counted_finish):
         yield count
 
 
@@ -421,7 +421,7 @@ class TestIntegrate:
     def test_recorded_columns_across_a_chunk_boundary(self, table1_market):
         lay = es.state_layout(4)
         eq = es.assemble_equilibrium(table1_market, 4.0)
-        chunk = dynamics._DEVIATION_CHUNK_BYTES // (8 * lay.dim)
+        chunk = _stepping._DEVIATION_CHUNK_BYTES // (8 * lay.dim)
         h = 0.02
         traj = es.integrate(
             es.closed_loop_rhs(table1_market, 4.0), closed_loop_zero(table1_market),
@@ -700,8 +700,8 @@ class TestIntegrate:
         # mu = 0, where every pinned block starts, it is nonexpansive.
         lay = es.state_layout(4)
         affine = es.closed_loop_rhs(table1_market, 4.0).projected_affine
-        blocks = dynamics._Blocks(affine, dynamics._rk4_step, 0.02, 4096, 10**4,
-                                  dynamics.DIVERGENCE_LIMIT)
+        blocks = _stepping._Blocks(affine, _stepping._rk4_step, 0.02, 4096, 10**4,
+                                   _stepping.DIVERGENCE_LIMIT)
         growth = blocks.pinned.growth
         matrix, offset = affine.matrix.copy(), affine.offset.copy()
         matrix[lay.mu], offset[lay.mu] = 0.0, 0.0
@@ -723,8 +723,8 @@ class TestIntegrate:
         # fixed point, rk4's stage maps and the powers themselves.
         lay, h = es.state_layout(4), 0.02
         affine = es.closed_loop_rhs(table1_market, cap).projected_affine
-        blocks = dynamics._Blocks(affine, dynamics._rk4_step, h, 512, 100,
-                                  dynamics.DIVERGENCE_LIMIT)
+        blocks = _stepping._Blocks(affine, _stepping._rk4_step, h, 512, 100,
+                                   _stepping.DIVERGENCE_LIMIT)
         matrix, offset = affine.matrix.copy(), affine.offset.copy()
         keep = np.ones(lay.dim, dtype=bool)
         if guard == "nu":

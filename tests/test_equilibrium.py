@@ -138,8 +138,6 @@ class TestSolveSce:
             assert sce.pi1_star == pytest.approx(m.s1 * sce.nu_star, rel=1e-12, abs=1e-12)
             np.testing.assert_array_equal(sce.pi2_star, -sce.u_star)
             assert sce.nu_star >= 0.0
-            # complementarity is exact in structure
-            assert sce.nu_star == 0.0 or sce.lambda_star == cap
 
     def test_matches_dense_oracle_on_random_instances(self):
         rng = np.random.default_rng(15)
