@@ -42,7 +42,7 @@ import numpy as np
 # The fixed-step engine, whose public names are this module's too.
 from ._stepping import DIVERGENCE_LIMIT, METHODS, Trajectory, integrate  # noqa: F401
 from ._stepping import ProjectedAffine, _half_squared_norm
-from .equilibrium import solve_ce, solve_sce
+from .equilibrium import SceSolution, solve_ce, solve_sce
 from .errors import DimensionMismatch, NegativeMu
 from .market import MarketInstance, conditional_projection
 
@@ -356,7 +356,11 @@ def assemble_equilibrium(market: MarketInstance, cap: float) -> np.ndarray:
     it: ``pi = (lam* - cap) / q**2`` componentwise and
     ``mu = s2 * (cap - lam*)``, which is complementary to ``nu``.
     """
-    sce = solve_sce(market, cap)
+    return _equilibrium_state(market, cap, solve_sce(market, cap))
+
+
+def _equilibrium_state(market: MarketInstance, cap: float, sce: SceSolution) -> np.ndarray:
+    """:func:`assemble_equilibrium` from ``sce``, the capped equilibrium of ``market`` at ``cap``."""
     lay = state_layout(market.n)
     y = np.empty(lay.dim)
     y[lay.x] = sce.x_star

@@ -121,12 +121,17 @@ def _coerce_agent(record, index: int) -> tuple[float, float, float]:
     raise MissingField(f"agent record {index} has unsupported type {type(record).__name__}")
 
 
+# The least valid q, c0 and a; each must also be finite (NaN fails both tests).
+_LEAST = np.array([[np.nextafter(0.0, 1.0)], [-np.inf], [0.0]])
+
+
 def validate_market(records) -> MarketInstance:
     """Validate raw agent records and build a :class:`MarketInstance`.
 
     Args:
         records: iterable of :class:`AgentParams`, mappings with keys
-            ``q``/``c0``/``a``, or (q, c0, a) triples.
+            ``q``/``c0``/``a``, or (q, c0, a) triples; a float array of
+            such triples, one a row, is taken whole.
 
     Returns:
         A validated market with derived aggregates.
@@ -137,21 +142,24 @@ def validate_market(records) -> MarketInstance:
         NonpositiveCurvature: some q_i <= 0.
         NegativeGeneration: some a_i < 0.
     """
-    rows = [_coerce_agent(rec, i) for i, rec in enumerate(records)]
-    if not rows:
+    if isinstance(records, np.ndarray) and records.dtype.kind == "f" and records.shape[1:] == (3,):
+        rows = records
+    else:
+        rows = [_coerce_agent(rec, i) for i, rec in enumerate(records)]
+    table = np.array(rows, dtype=float).reshape(-1, 3).T.copy()
+    if not table.shape[1]:
         raise EmptyMarket("market must contain at least one agent")
 
-    q, c0, a = np.array(rows, dtype=float).T.copy()
-
-    for name, arr in (("q", q), ("c0", c0), ("a", a)):
-        bad = np.nonzero(~np.isfinite(arr))[0]
+    q, c0, a = table
+    if not ((np.abs(table) < np.inf) & (table >= _LEAST)).all():  # else find the first fault
+        for name, arr in (("q", q), ("c0", c0), ("a", a)):
+            bad = np.nonzero(~np.isfinite(arr))[0]
+            if bad.size:
+                raise NonfiniteInput(f"agent {bad[0]}: {name} = {float(arr[bad[0]])!r} is not finite")
+        bad = np.nonzero(q <= 0.0)[0]
         if bad.size:
-            raise NonfiniteInput(f"agent {bad[0]}: {name} = {float(arr[bad[0]])!r} is not finite")
-    bad = np.nonzero(q <= 0.0)[0]
-    if bad.size:
-        raise NonpositiveCurvature(f"agent {bad[0]}: q = {q[bad[0]]} must be strictly positive")
-    bad = np.nonzero(a < 0.0)[0]
-    if bad.size:
+            raise NonpositiveCurvature(f"agent {bad[0]}: q = {q[bad[0]]} must be strictly positive")
+        bad = np.nonzero(a < 0.0)[0]
         raise NegativeGeneration(f"agent {bad[0]}: a = {a[bad[0]]} must be nonnegative")
 
     notes = []

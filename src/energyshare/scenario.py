@@ -21,7 +21,7 @@ from .dynamics import (
     METHODS,
     ConvergenceReport,
     Trajectory,
-    assemble_equilibrium,
+    _equilibrium_state,
     closed_loop_rhs,
     convergence_report,
     integrate,
@@ -48,10 +48,11 @@ SUMMARY_TOLERANCE = 1e-3
 # Its V and error columns and the CSV writer only add bounded chunks.
 MAX_RECORDED_VALUES = 2**27
 
-# Values that write_trajectory_csv formats at once.  Formatting takes ~230 B
-# a value at its peak (the fixed-width text and its bytes copy, the integer
-# columns of the digit search), ~2 MB a chunk.  Larger chunks ran slower: a
-# 26 x 5006 table took 52 ms at 3 rows a chunk, 41 ms at one.
+# Values that write_trajectory_csv formats at once.  Formatting takes ~330 B
+# a value at its peak (the per-value table constants, the integer columns of
+# the digit search, the fixed-width text and its bytes copy), ~2.7 MB a
+# chunk.  Larger chunks ran slower: a 26 x 5006 table took 24-27 ms at one
+# row a chunk, 29-31 ms at three and 31-34 ms at four (best of 20).
 _CSV_CHUNK_VALUES = 1 << 13
 
 
@@ -305,7 +306,7 @@ def load_config(source: str | Path) -> ScenarioConfig:
             _require_number(rec, "c0", where),
             _require_number(rec, "a", where),
         ))
-    market = validate_market(rows)
+    market = validate_market(np.array(rows, dtype=float).reshape(-1, 3))
 
     cap = SocialPriceCap(lambda_max=_require_number(doc, "lambda_max", "config"))
 
@@ -328,14 +329,31 @@ def config_to_json(config: ScenarioConfig) -> str:
 # Workflows
 
 
+def _numbers(doc) -> np.ndarray:
+    """Every number of ``doc`` (as :func:`_require_finite` reads it), in one float array."""
+    scalars, arrays, docs = [], [], [doc]
+    while docs:
+        items = docs.pop()
+        for value in (items if type(items) is dict else vars(items)).values():
+            if isinstance(value, np.ndarray):
+                arrays.append(value.ravel())
+            elif isinstance(value, (float, int, np.number, np.bool_)):
+                scalars.append(value)
+            else:
+                docs.append(value)
+    return np.concatenate([np.array(scalars, dtype=float), *arrays])
+
+
 def _require_finite(doc, where: str = "") -> None:
     """Raise :class:`ValidationError` naming the first non-finite number of ``doc``.
 
     ``doc`` is a result dataclass or a dict.  Fields and keys are visited in
     sorted order, the order of the JSON report and of the sweep's CSV
     columns; values are numbers, arrays of numbers, or nested dataclasses
-    and dicts.
+    and dicts.  One test covers them all; only a failure visits them.
     """
+    if np.isfinite(_numbers(doc)).all():
+        return
     items = doc if type(doc) is dict else vars(doc)
     for key in sorted(items):
         value = items[key]
@@ -426,12 +444,13 @@ def run_simulate(
     trajectory is flushed to ``csv_path`` before :class:`NonfiniteState`
     propagates; equilibria that are not finite raise :class:`ValidationError`.
     """
-    run_solve(config)  # a market past float64's range is an input error, not a divergence
+    # A market past float64's range is an input error, not a divergence.
+    sce = run_solve(config).sce
     market = config.market
     cap = config.cap.lambda_max
     sim = config.sim
     lay = state_layout(market.n)
-    reference = assemble_equilibrium(market, cap)
+    reference = _equilibrium_state(market, cap, sce)
     y0 = np.zeros(lay.dim) if isinstance(sim.init, str) else np.asarray(sim.init, dtype=float)
     rhs = closed_loop_rhs(market, cap)
     try:

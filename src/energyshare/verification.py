@@ -88,7 +88,7 @@ def random_market(rng, **ranges):
     q = rng.uniform(r["q_lo"], r["q_hi"], n)
     c0 = rng.uniform(r["c0_lo"], r["c0_hi"], n)
     a = rng.uniform(0.0, r["a_hi"], n)
-    return mkt.validate_market(list(zip(q, c0, a)))
+    return mkt.validate_market(np.column_stack((q, c0, a)))
 
 
 def check_rng(seed: int, name: str) -> np.random.Generator:

@@ -75,6 +75,13 @@ class TestSimulate:
         assert summary["converged"] is True
         assert "converged" in capsys.readouterr().out
 
+    def test_table1_bytes_are_pinned(self, tmp_path):
+        out = tmp_path / "run.csv"
+        assert main(["simulate", "--config", str(TABLE1_PATH), "--out", str(out)]) == 0
+        digests = [hashlib.sha256(p.read_bytes()).hexdigest() for p in (out, tmp_path / "run.summary.json")]
+        assert digests == ["d2d96bca1a0f88d788f7a3a24fd82b04ff7f2fd6dddf04f8b270b1fbc2c7e626",
+                           "ad9694d6835620c8d007e84d9156de71adbc49e2a9cbe350d001a1b5ea9865f4"]
+
     def test_long_horizon_finishes(self, tmp_path):
         # 5e10 rk4 steps and 5001 records: after a few blocks the run is
         # trapped near its fixed point, and the rest is recorded from powers

@@ -564,6 +564,23 @@ class TestTableText:
         table = patterns.view(np.float64).reshape(-1, 10)
         assert _shortest.format_table(table) == repr_csv(table)
 
+    def test_boundary_sweep(self):
+        # Where the digit search turns: for every binary exponent the least
+        # and greatest significands and their neighbours (subnormals, powers
+        # of two, zero, inf and NaN among them), and 1 to 3 ulps around 10**k
+        # and (d + 0.5) · 10**k (a digit fewer, ties to even), both signs.
+        exponents = np.arange(2048, dtype=np.uint64) << np.uint64(52)
+        significands = np.array([0, 1, 2, 2**52 - 2, 2**52 - 1], dtype=np.uint64)
+        binary = (exponents[:, None] | significands).ravel()
+        decimal = np.array([float(f"{m}e{k}") for k in range(-323, 309)
+                            for m in ["1", *(f"{d}.5" for d in range(1, 10))]])
+        decimal = decimal[np.isfinite(decimal) & (decimal != 0.0)]
+        nearby = (decimal.view(np.int64)[:, None] + np.arange(-3, 4)).ravel().view(np.uint64)
+        values = np.concatenate([binary, nearby]).view(np.float64)
+        values = np.concatenate([values, -values])
+        for table in (vector_table(values, 7), vector_table(values, 1)):
+            assert _shortest.format_table(table) == repr_csv(table)
+
 
 class TestRunVerify:
     @pytest.mark.parametrize("name, check", CHECKS, ids=[name for name, _ in CHECKS])
