@@ -1,10 +1,15 @@
 """CLI behavior: subcommands, overrides, exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
+import tempfile
 import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import energyshare as es
 from energyshare.cli import main
@@ -271,3 +276,49 @@ class TestSweep:
     def test_bad_caps_is_input_error(self, capsys, fast_config_path):
         assert main(["sweep", "--config", fast_config_path, "--caps", "a,b"]) == 2
         assert "caps" in capsys.readouterr().err
+
+
+# Fields of table1.json, as paths into the document, and values to put there.
+# _BARE_1E400 is written as the bare JSON literal 1e400, which parses to inf;
+# _RENAME moves the field to an unknown key.
+_FIELDS = (
+    [(k,) for k in ("agents", "lambda_max", "sim", "seed")]
+    + [("sim", k) for k in ("h", "t_end", "method", "record_stride", "init")]
+    + [("agents", i, k) for i in range(4) for k in ("q", "c0", "a")]
+)
+_BARE_1E400, _RENAME = "<1e400>", object()
+_VALUES = ["x", True, None, [], {}, 1e308, -1e308, _BARE_1E400, 5e-324, 0, -1, _RENAME]
+
+
+class TestMutatedConfig:
+    # Every documented exit code holds for a config with one or two fields
+    # replaced: 0, 2 (input error) or 3 (divergence), and no exception.
+    # Warnings are not judged here: the MarketWarning of a positive c0 is
+    # documented, and numpy's overflow warnings have tests of their own.
+    @given(edits=st.lists(st.tuples(st.sampled_from(_FIELDS), st.sampled_from(_VALUES)),
+                          min_size=1, max_size=2, unique_by=lambda edit: edit[0]))
+    @settings(max_examples=50)
+    def test_exits_with_a_documented_code(self, edits):
+        doc = json.loads(TABLE1_PATH.read_text())
+        # Deeper fields first, so that a field's parent is still the document's.
+        for (*parents, key), value in sorted(edits, key=lambda edit: -len(edit[0])):
+            holder = doc
+            for part in parents:
+                holder = holder[part]
+            if value is _RENAME:
+                holder[f"unknown_{key}"] = holder.pop(key)
+            else:
+                holder[key] = value
+        text = json.dumps(doc).replace(f'"{_BARE_1E400}"', "1e400")
+        with tempfile.TemporaryDirectory() as tmp:
+            config = Path(tmp) / "config.json"
+            config.write_text(text)
+            for argv in (["solve"], ["simulate", "--out", str(Path(tmp) / "run.csv")],
+                         ["sweep", "--caps", "2,4,6"]):
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                        warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    code = main([argv[0], "--config", str(config), *argv[1:]])
+                assert code in (0, 2, 3), (argv[0], text)
+                assert "Traceback" not in err.getvalue()

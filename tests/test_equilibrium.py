@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import energyshare as es
-from energyshare.verification import random_market
+from energyshare.verification import CAP_RANGE, _residual_scale, random_market
 from conftest import ce_oracle, sce_oracle
 
 # Published two-decimal case-study values for the four-agent fixture.
@@ -14,10 +14,6 @@ CE_X = np.array([41.74, 34.5, 3.17, 0.59])
 CE_PRICE = 8.26
 SCE_X = np.array([40.69, 34.98, 3.55, 0.79])
 SCE_U = np.array([5.31, 3.54, 0.53, 0.26])
-
-
-def residual_scale(market):
-    return max(1.0, np.abs(market.c0).max(), np.abs(market.a).max())
 
 
 class TestSolveCe:
@@ -86,13 +82,13 @@ class TestSolveScalarLcp:
         rng = np.random.default_rng(13)
         for _ in range(100):
             m = random_market(rng)
-            cap = rng.uniform(-10, 30)
+            cap = rng.uniform(*CAP_RANGE)
             lam = es.solve_scalar_lcp(m, cap)
             slack = es.aggregate_slack(m, lam)
             headroom = cap - lam
-            assert slack >= -1e-12 * residual_scale(m)
+            assert slack >= -1e-12 * _residual_scale(m)
             assert headroom >= 0.0
-            assert abs(slack * headroom) <= 1e-12 * residual_scale(m) ** 2
+            assert abs(slack * headroom) <= 1e-12 * _residual_scale(m) ** 2
 
     def test_nonfinite_cap_rejected(self, table1_market):
         with pytest.raises(es.NonfiniteInput):
@@ -132,7 +128,7 @@ class TestSolveSce:
         rng = np.random.default_rng(14)
         for _ in range(100):
             m = random_market(rng)
-            cap = rng.uniform(-10, 30)
+            cap = rng.uniform(*CAP_RANGE)
             sce = es.solve_sce(m, cap)
             np.testing.assert_allclose(sce.u_star, sce.nu_star / m.q, atol=1e-12)
             assert sce.pi1_star == pytest.approx(m.s1 * sce.nu_star, rel=1e-12, abs=1e-12)
@@ -143,10 +139,10 @@ class TestSolveSce:
         rng = np.random.default_rng(15)
         for _ in range(100):
             m = random_market(rng)
-            cap = rng.uniform(-10, 30)
+            cap = rng.uniform(*CAP_RANGE)
             sce = es.solve_sce(m, cap)
             x_ref, lam_ref, u_ref, nu_ref = sce_oracle(m, cap)
-            scale = residual_scale(m)
+            scale = _residual_scale(m)
             np.testing.assert_allclose(sce.x_star, x_ref, atol=1e-9 * scale)
             np.testing.assert_allclose(sce.u_star, u_ref, atol=1e-9 * scale)
             assert sce.lambda_star == pytest.approx(lam_ref, abs=1e-9 * scale)

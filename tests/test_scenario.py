@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 import energyshare as es
 from energyshare import _shortest, scenario
 from energyshare.verification import CHECKS, check_rng
-from conftest import markets
+from conftest import markets, sized_market
 
 MINIMAL = '{"agents": [{"q": 2.0, "c0": -8.0, "a": 1.0}], "lambda_max": 3.0}'
 
@@ -336,13 +336,9 @@ class TestRunSimulate:
             raise AssertionError("the dense closed-loop matrix was built")
 
         monkeypatch.setattr(es.dynamics, "closed_loop_matrix", refuse)
-        rng = np.random.default_rng(30)
         n = 2000
-        agents = [
-            {"q": q, "c0": c0, "a": a}
-            for q, c0, a in zip(rng.uniform(0.5, 4.0, n), rng.uniform(-30.0, 0.0, n),
-                                rng.uniform(0.0, 20.0, n))
-        ]
+        m = sized_market(np.random.default_rng(30), n)
+        agents = [{"q": q, "c0": c0, "a": a} for q, c0, a in zip(m.q, m.c0, m.a)]
         cfg = es.load_config(json.dumps({
             "agents": agents, "lambda_max": 5.0,
             "sim": {"h": 0.01, "t_end": 0.04, "method": "rk4", "record_stride": 1},
