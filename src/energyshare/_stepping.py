@@ -64,11 +64,6 @@ class Trajectory:
     def final_state(self) -> np.ndarray:
         return self.states[-1]
 
-    def mu_series(self) -> np.ndarray | None:
-        if self.mu_index is None:
-            return None
-        return self.states[:, self.mu_index]
-
 
 @dataclass(frozen=True, eq=False)
 class ProjectedAffine:
@@ -233,7 +228,7 @@ class _Branch:
     """
 
     def __init__(self, method_step, matrix: np.ndarray, offset: np.ndarray, h: float,
-                 guard: int | None, pin: int | None, length: int, stride: int, limit: float):
+                 guard: int | None, pin: int | None, length: int, stride: int):
         dim = offset.size
         guards = []
 
@@ -246,9 +241,7 @@ class _Branch:
 
         mapped = method_step(drift, np.eye(dim, dim + 1), h)
         step, shift = mapped[:, :-1], mapped[:, -1]
-        self.stages, self.stride, self.dim, self.pin, self.limit = (
-            len(guards), stride, dim, pin, limit
-        )
+        self.stages, self.stride, self.dim, self.pin = len(guards), stride, dim, pin
         self.powers = _squarings([(step, shift)], length)
         self.guards = np.array(guards).reshape(-1, dim + 1)  # [G_s | g_s] of one step
         self.guard_rows, self.guard_sums = _doubled(
@@ -260,7 +253,6 @@ class _Branch:
         self.keep = np.ones(dim, dtype=bool)  # the components of S
         if pin is not None:
             self.keep[pin] = False
-            self.pin_norm = float(np.linalg.norm(step[self.keep, pin]))
         self.norms = []
         for power, _ in self.powers:
             self.norms.append(self._norm(power))
@@ -307,10 +299,10 @@ class _Branch:
         = G_s @ y_b + g_s``; from ``y`` in ``S`` with ``e = y - y_b`` it reads
         ``m_s + G_s @ step**j @ e`` after ``j`` steps, which is at least
         ``m_s / 2`` while ``||G_s|_S||_2 * K * ||e||_2 <= m_s / 2``.  With
-        ``||y_b||_inf + K * ||e||_2 <= limit`` every later state stays within
-        the divergence limit too.  The radius is the largest ``||e||_2`` for
-        which both hold, 0 when a margin is not positive (a cap at the CE
-        price puts ``y_b`` on the boundary) or ``K`` is infinite.
+        ``||y_b||_inf + K * ||e||_2`` at most the divergence limit, every
+        later state stays within it too.  The radius is the largest
+        ``||e||_2`` for which both hold, 0 when a margin is not positive (a
+        cap at the CE price puts ``y_b`` on the boundary) or ``K`` is infinite.
         """
         keep, (step, shift) = self.keep, self.powers[0]
         center = np.zeros(self.dim)
@@ -324,7 +316,7 @@ class _Branch:
             return center, 0.0
         guard_norms = np.linalg.norm(self.guards[:, :-1][:, keep], axis=1)
         room = min(float(np.min(margins / guard_norms, initial=np.inf)) / 2.0,
-                   self.limit - float(np.abs(center).max()))
+                   DIVERGENCE_LIMIT - float(np.abs(center).max()))
         radius = room / self.bound
         return center, radius if radius > 0.0 else 0.0
 
@@ -381,10 +373,10 @@ class _Blocks:
     """
 
     def __init__(self, affine: ProjectedAffine, method_step, h: float, length: int,
-                 stride: int, limit: float):
+                 stride: int):
         self.affine = affine
         self.branch = lambda matrix, offset, guard, pin: _Branch(
-            method_step, matrix, offset, h, guard, pin, length, stride, limit
+            method_step, matrix, offset, h, guard, pin, length, stride
         )
 
     @cached_property
@@ -431,28 +423,25 @@ class _Blocks:
             if not ok[first]:
                 taken = first // branch.stages
         size, shift = math.sqrt(y @ y), branch.shift_norm
-        if branch.pin is not None and y[branch.pin] != 0.0:
-            # Off S (an unclamped run), the held mu acts as one more constant shift.
-            off = abs(float(y[branch.pin]))
-            size, shift = size + off, shift + branch.pin_norm * off
-        if taken and not branch.growth[taken] * (size + taken * shift) <= branch.limit:
+        if taken and not branch.growth[taken] * (size + taken * shift) <= DIVERGENCE_LIMIT:
             j = np.arange(1, taken + 1)
-            bounded = branch.growth[1 : taken + 1] * (size + j * shift) <= branch.limit
+            bounded = branch.growth[1 : taken + 1] * (size + j * shift) <= DIVERGENCE_LIMIT
             taken = int(np.argmin(bounded))  # the leading steps that stay within the limit
         return branch.apply(y, taken), taken
 
     def finish(self, y: np.ndarray, k: int, n_steps: int, records: np.ndarray) -> bool:
         """Record the rest of the run from ``y``, the state after ``k`` steps, if it is trapped.
 
-        ``y`` is trapped when it lies in its branch's ``S`` and within the
-        radius of the branch's :attr:`_Branch.ball`: then no later stage
-        state leaves the branch or the divergence limit, and every later
-        state is the branch's affine map of ``y``.  Row ``m`` of
-        ``records`` receives the state after step ``min((k // stride + 1 +
-        m) * stride, n_steps)``.  Returns whether it did.
+        A run with blocks clamps ``mu``, so ``y`` lies in its branch's ``S``
+        and is trapped within the radius of the branch's
+        :attr:`_Branch.ball`: then no later stage state leaves the branch or
+        the divergence limit, and every later state is the branch's affine
+        map of ``y``.  Row ``m`` of ``records`` receives the state after
+        step ``min((k // stride + 1 + m) * stride, n_steps)``.  Returns
+        whether it did.
         """
         branch = self._branch_of(y)
-        if branch is None or (branch.pin is not None and y[branch.pin] != 0.0):
+        if branch is None:
             return False
         center, radius = branch.ball
         e = y - center
@@ -473,7 +462,6 @@ def integrate(
     reference=None,
     mu_index: int | None = None,
     record_stride: int = 1,
-    divergence_limit: float = DIVERGENCE_LIMIT,
 ) -> Trajectory:
     """Fixed-step march of ``dy/dt = rhs(y)`` from ``y0`` to ``t_end``.
 
@@ -493,17 +481,16 @@ def integrate(
             full step that component is clamped to [0, inf).
         record_stride: record every k-th step (the initial and final states
             are always recorded).
-        divergence_limit: abort once the state's infinity norm exceeds this
-            bound or turns non-finite.
 
     A drift that carries its :class:`ProjectedAffine` pieces as
-    ``rhs.projected_affine`` takes blocks, with either method and at any
-    ``record_stride``: the longest power of two of at most 4096 steps whose
-    tables repay their cost (see ``_blocks_pay_off``), or the step loop
-    when none of at least 16 steps does.  One matrix product gives the
+    ``rhs.projected_affine``, run with ``mu_index`` its projected component
+    (None for a plain affine drift), takes blocks, with either method and
+    at any ``record_stride``: the longest power of two of at most 4096
+    steps whose tables repay their cost (see ``_blocks_pay_off``), or the
+    step loop when none of at least 16 steps does.  One matrix product gives the
     branch condition at every stage of every step in a block and every
     state recorded inside it; the first step that leaves the branch or may
-    cross ``divergence_limit`` is taken with the single-step code.  A run
+    cross ``DIVERGENCE_LIMIT`` is taken with the single-step code.  A run
     that ends a whole block close enough to its branch's fixed point is
     trapped there (see ``_Branch.ball``): on the branch's invariant
     subspace the powers of the step map are bounded (the discrete form of
@@ -524,8 +511,9 @@ def integrate(
         The recorded :class:`Trajectory`.
 
     Raises:
-        NonfiniteState: the state diverged; the partial trajectory recorded
-            so far, columns and all, rides on the exception.
+        NonfiniteState: the state's infinity norm exceeded
+            ``DIVERGENCE_LIMIT`` or turned non-finite; the partial trajectory
+            recorded so far, columns and all, rides on the exception.
     """
     y = np.array(y0, dtype=float)
     if y.ndim != 1:
@@ -558,7 +546,7 @@ def integrate(
 
     blocks = None
     affine = getattr(rhs, "projected_affine", None)
-    if affine is not None and mu_index in (None, affine.mu):
+    if affine is not None and mu_index == affine.mu:
         guards = 0 if affine.mu is None else evals
         # The longest block that pays; the choice reads only sizes, since
         # _Blocks is the first reader of affine.matrix, which a large closed
@@ -569,7 +557,7 @@ def integrate(
         ):
             length //= 2
         if length >= _BLOCK_MIN_STEPS:
-            blocks = _Blocks(affine, step, h, length, record_stride, divergence_limit)
+            blocks = _Blocks(affine, step, h, length, record_stride)
 
     def filled(stop: int) -> int:
         """Clamp mu in rows ``rec`` to ``stop``, which a block or the tail wrote: the
@@ -607,10 +595,10 @@ def integrate(
             y = step(rhs, y, h)
             if mu_index is not None and y[mu_index] < 0.0:
                 y[mu_index] = 0.0
-            if not (np.abs(y).max() <= divergence_limit):  # also catches NaN
+            if not (np.abs(y).max() <= DIVERGENCE_LIMIT):  # also catches NaN
                 raise NonfiniteState(
                     f"state diverged at t = {k * h:.6g} "
-                    f"(non-finite or |state| > {divergence_limit:g})",
+                    f"(non-finite or |state| > {DIVERGENCE_LIMIT:g})",
                     trajectory=_recorded(times[:rec].copy(), states[:rec].copy(),
                                          mu_index, ref),
                 )

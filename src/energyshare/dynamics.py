@@ -94,14 +94,11 @@ class StabilityCertificate:
     """Numerical evidence for the closed loop's Lyapunov argument.
 
     The drift matrix's symmetric part must factor as ``-B.T @ B`` (hence be
-    negative semidefinite); optionally a simulated trajectory is checked
-    for monotone Lyapunov decrease up to a per-step slack.
+    negative semidefinite).
     """
 
     max_eigenvalue_x_sym: float
     factorization_residual: float
-    lyapunov_monotone: bool
-    worst_lyapunov_increase: float
 
 
 @dataclass(frozen=True)
@@ -452,17 +449,14 @@ def _lyapunov_rise(trajectory: Trajectory) -> tuple[float, bool]:
     return max(rise, 0.0), rise <= 1e-8 * max(1.0, float(values[0]))
 
 
-def stability_certificate(
-    market: MarketInstance,
-    trajectory: Trajectory | None = None,
-) -> StabilityCertificate:
+def stability_certificate(market: MarketInstance) -> StabilityCertificate:
     """Check the algebraic stability structure of the closed loop.
 
     The symmetric part of the drift matrix must equal ``-B.T @ B`` for
     ``B = [diag(sqrt(q)), 0, 0, 0, diag(1/sqrt(q)), 0, 0, 0]``, which
-    certifies negative semidefiniteness.  If a trajectory with recorded
-    Lyapunov values is supplied, its per-step increases are checked against
-    the slack ``1e-8 * max(1, V[0])``.
+    certifies negative semidefiniteness, so that ``V = 0.5 * ||y - y*||**2``
+    cannot rise along the closed loop.  Whether a simulated run's ``V``
+    falls is judged from its recorded column (:func:`convergence_report`).
     """
     lay = state_layout(market.n)
     drift = closed_loop_matrix(market)
@@ -472,19 +466,7 @@ def stability_certificate(
     b_factor[:, lay.u] = np.diag(1.0 / np.sqrt(market.q))
     residual = float(np.abs(x_sym + b_factor.T @ b_factor).max())
     max_eig = float(np.linalg.eigvalsh(x_sym).max())
-
-    worst, monotone = 0.0, True
-    if trajectory is not None:
-        if len(trajectory) > 1 and np.isnan(trajectory.lyapunov).any():
-            raise ValueError("trajectory has no recorded Lyapunov values (no reference)")
-        worst, monotone = _lyapunov_rise(trajectory)
-
-    return StabilityCertificate(
-        max_eigenvalue_x_sym=max_eig,
-        factorization_residual=residual,
-        lyapunov_monotone=monotone,
-        worst_lyapunov_increase=worst,
-    )
+    return StabilityCertificate(max_eigenvalue_x_sym=max_eig, factorization_residual=residual)
 
 
 def convergence_report(trajectory: Trajectory, tolerance: float) -> ConvergenceReport:

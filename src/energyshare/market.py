@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,7 +87,6 @@ class MarketInstance:
     s1: float
     s2: float
     sqc: float
-    warnings: tuple[str, ...] = field(default=(), compare=False)
 
     def __post_init__(self):
         for arr in (self.q, self.c0, self.a):
@@ -105,8 +104,6 @@ class MarketInstance:
 
 
 def _coerce_agent(record, index: int) -> tuple[float, float, float]:
-    if type(record) is tuple and len(record) == 3:  # the config parser's rows
-        return float(record[0]), float(record[1]), float(record[2])
     if isinstance(record, AgentParams):
         return float(record.q), float(record.c0), float(record.a)
     if isinstance(record, Mapping):
@@ -134,7 +131,8 @@ def validate_market(records) -> MarketInstance:
             such triples, one a row, is taken whole.
 
     Returns:
-        A validated market with derived aggregates.
+        A validated market with derived aggregates.  Each agent with a
+        positive ``c0`` is reported by a :class:`MarketWarning`.
 
     Raises:
         EmptyMarket: no records were supplied.
@@ -162,19 +160,15 @@ def validate_market(records) -> MarketInstance:
         bad = np.nonzero(a < 0.0)[0]
         raise NegativeGeneration(f"agent {bad[0]}: a = {a[bad[0]]} must be nonnegative")
 
-    notes = []
     for i in np.nonzero(c0 > 0.0)[0]:
-        note = f"agent {i}: c0 = {c0[i]} is positive; the usual sign convention is c0 <= 0"
-        notes.append(note)
-        warnings.warn(note, MarketWarning, stacklevel=2)
+        warnings.warn(f"agent {i}: c0 = {c0[i]} is positive; the usual sign convention is c0 <= 0",
+                      MarketWarning, stacklevel=2)
 
     # Inputs near float64's range overflow here; the solvers' callers
     # report the non-finite results, so numpy's warnings would only repeat it.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         s1, s2, sqc = float((1.0 / q).sum()), float((1.0 / q**2).sum()), float((c0 / q).sum())
-    return MarketInstance(
-        q=q, c0=c0, a=a, sum_a=float(a.sum()), s1=s1, s2=s2, sqc=sqc, warnings=tuple(notes)
-    )
+    return MarketInstance(q=q, c0=c0, a=a, sum_a=float(a.sum()), s1=s1, s2=s2, sqc=sqc)
 
 
 def conditional_projection(x: float, y: float) -> float:

@@ -40,7 +40,7 @@ from ._shortest import format_table
 from .errors import DimensionMismatch, MissingField, NonfiniteState, ParseError, ValidationError
 from .market import AgentParams, MarketInstance, SocialPriceCap, phi, validate_market
 
-# Convergence tolerance reported by run_simulate summaries.
+# Infinity-norm error of a settled run, in run_simulate's summary and verify's runs.
 SUMMARY_TOLERANCE = 1e-3
 
 # Largest record a run may ask for, in float64 values (1 GiB), rows of 5N+6
@@ -442,28 +442,27 @@ def run_simulate(
     closed-form fixed point; the summary reports convergence at
     ``SUMMARY_TOLERANCE``.  If the integration diverges, the partial
     trajectory is flushed to ``csv_path`` before :class:`NonfiniteState`
-    propagates; equilibria that are not finite raise :class:`ValidationError`.
+    propagates; equilibria and a closed-loop fixed point that are not
+    finite raise :class:`ValidationError`.
     """
-    # A market past float64's range is an input error, not a divergence.
+    # A market or fixed point past float64's range is an input error, not a divergence;
+    # as in run_solve, numpy's overflow warnings would only repeat an error.
     sce = run_solve(config).sce
     market = config.market
     cap = config.cap.lambda_max
     sim = config.sim
     lay = state_layout(market.n)
-    reference = _equilibrium_state(market, cap, sce)
+    with np.errstate(over="ignore", invalid="ignore"):
+        reference = _equilibrium_state(market, cap, sce)
+    if not np.isfinite(reference).all():
+        _require_finite(dict(zip(trajectory_header(market.n)[1:], reference)),
+                        "closed-loop fixed point: ")
     y0 = np.zeros(lay.dim) if isinstance(sim.init, str) else np.asarray(sim.init, dtype=float)
-    rhs = closed_loop_rhs(market, cap)
     try:
-        trajectory = integrate(
-            rhs,
-            y0,
-            sim.h,
-            sim.t_end,
-            method=sim.method,
-            reference=reference,
-            mu_index=lay.mu,
-            record_stride=sim.record_stride,
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            trajectory = integrate(closed_loop_rhs(market, cap), y0, sim.h, sim.t_end,
+                                   method=sim.method, reference=reference, mu_index=lay.mu,
+                                   record_stride=sim.record_stride)
     except NonfiniteState as exc:
         if exc.trajectory is not None and len(exc.trajectory) > 0:
             write_trajectory_csv(exc.trajectory, market.n, csv_path)

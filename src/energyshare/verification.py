@@ -46,7 +46,6 @@ SIM_RANGES = dict(n_max=5, q_lo=0.5, q_hi=4.0, c0_lo=-30.0, c0_hi=0.0, a_hi=20.0
 
 RESIDUAL_TOL = 1e-9
 ORACLE_TOL = 1e-8
-SIM_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -117,7 +116,7 @@ def _residual_check(tol, detail, count=50):
     return decorate
 
 
-def _settling_horizon(market, cap, tol=SIM_TOL) -> float:
+def _settling_horizon(market, cap, tol=scn.SUMMARY_TOLERANCE) -> float:
     """Eigenvalue-informed horizon for the closed loop to settle to ``tol``."""
     rate = dyn.closed_loop_decay_rate(market, cap)
     start = max(1.0, float(np.abs(dyn.assemble_equilibrium(market, cap)).max()))
@@ -127,7 +126,7 @@ def _settling_horizon(market, cap, tol=SIM_TOL) -> float:
 def _closed_loop_run(market, cap, h=0.02, t_end=None, method="rk4", record_stride=25):
     """Integrate the closed loop from zero (by default over the settling horizon).
 
-    Returns the run's convergence report at ``SIM_TOL``, whether its
+    Returns the run's convergence report at ``SUMMARY_TOLERANCE``, whether its
     Lyapunov value is monotone, and a detail line.
     """
     if t_end is None:
@@ -138,7 +137,7 @@ def _closed_loop_run(market, cap, h=0.02, t_end=None, method="rk4", record_strid
         reference=dyn.assemble_equilibrium(market, cap), mu_index=lay.mu,
         record_stride=record_stride,
     )
-    report = dyn.convergence_report(traj, SIM_TOL)
+    report = dyn.convergence_report(traj, scn.SUMMARY_TOLERANCE)
     rise, monotone = dyn._lyapunov_rise(traj)
     return report, monotone, (
         f"err={report.final_error:.1e}@t={traj.final_time:.0f}, "
@@ -368,7 +367,7 @@ def _open_loop_and_reduced_limits(config, rng, instances):
     err_x = float(np.max([np.abs(full_x - ce.x_bar), np.abs(red_x - ce.x_bar)]))
     err_lam = float(np.max([abs(full_lam - ce.lambda_bar), abs(red_lam - ce.lambda_bar)]))
     agree = float(np.max([*np.abs(full_x - red_x), abs(full_lam - red_lam)]))
-    ok = err_x <= SIM_TOL and err_lam <= SIM_TOL and agree <= SIM_TOL
+    ok = all(err <= scn.SUMMARY_TOLERANCE for err in (err_x, err_lam, agree))
     return ok, (
         f"x err {err_x:.2e}, lam err {err_lam:.2e} (both models), "
         f"the models agree to {agree:.2e}"

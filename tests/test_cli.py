@@ -24,6 +24,7 @@ BIG = int("9" * 400)  # past float64's range, as a JSON integer literal
 
 # Valid inputs whose CE price overflows float64: -(sqc + sum_a) / s1 is inf.
 OVERFLOWING_CONFIG = '{"agents": [{"q": 1e-300, "c0": -1e300, "a": 1e300}], "lambda_max": 1.0}'
+OVERFLOWING_FIXED_POINT = '{"agents": [{"q": 0.5, "c0": -1.0, "a": 1.0}], "lambda_max": 1e308}'
 
 
 @pytest.fixture()
@@ -167,24 +168,29 @@ class TestBadArguments:
     # Overflow is reported by the error line alone: a numpy RuntimeWarning,
     # which the CLI would print before it, fails here.  The one-agent market's
     # CE price overflows, and verify and simulate refuse it before they run.
+    # Table1 at a cap of 1e306 overflows in its run's first step, a
+    # divergence (exit 3); at q = 0.5 a cap of 1e308 leaves the capped
+    # equilibrium finite but not the closed loop's fixed point (exit 2).
     @pytest.mark.parametrize(
-        "argv, config",
-        [(["solve", "--lambda-max=-1e308"], TABLE1_PATH.read_text()),
-         (["sweep", "--caps=-1e308"], TABLE1_PATH.read_text()),
-         (["solve"], OVERFLOWING_CONFIG), (["sweep", "--caps=1,2"], OVERFLOWING_CONFIG),
-         (["verify"], OVERFLOWING_CONFIG), (["simulate"], OVERFLOWING_CONFIG)],
+        "argv, config, expected",
+        [(["solve", "--lambda-max=-1e308"], TABLE1_PATH.read_text(), 2),
+         (["sweep", "--caps=-1e308"], TABLE1_PATH.read_text(), 2),
+         (["solve"], OVERFLOWING_CONFIG, 2), (["sweep", "--caps=1,2"], OVERFLOWING_CONFIG, 2),
+         (["verify"], OVERFLOWING_CONFIG, 2), (["simulate"], OVERFLOWING_CONFIG, 2),
+         (["simulate", "--lambda-max=1e306"], TABLE1_PATH.read_text(), 3),
+         (["simulate"], OVERFLOWING_FIXED_POINT, 2)],
         ids=["solve", "sweep", "solve_ce_overflows", "sweep_ce_overflows", "verify_ce_overflows",
-             "simulate_ce_overflows"],
+             "simulate_ce_overflows", "simulate_run_overflows", "simulate_fixed_point_overflows"],
     )
-    def test_overflow_warns_nothing_before_the_error_line(self, argv, config, tmp_path, capsys,
-                                                           monkeypatch):
+    def test_overflow_warns_nothing_before_the_error_line(self, argv, config, expected, tmp_path,
+                                                           capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)  # where simulate would write its CSV
         path = tmp_path / "config.json"
         path.write_text(config)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = main([argv[0], "--config", str(path), *argv[1:]])
-        assert code == 2
+        assert code == expected
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 

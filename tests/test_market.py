@@ -1,5 +1,7 @@
 """Market data model: validation, projection operator, utility, demand map."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,9 @@ class TestValidateMarket:
     def test_table1_records(self, table1_market):
         assert table1_market.n == 4
         assert table1_market.sum_a == pytest.approx(80.0, abs=1e-12)
-        assert table1_market.warnings == ()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", es.MarketWarning)
+            es.validate_market(table1_market.agents)  # every c0 <= 0: no MarketWarning
 
     def test_derived_aggregates_match_recomputation(self, table1_market):
         m = table1_market
@@ -60,10 +64,9 @@ class TestValidateMarket:
             es.validate_market([(None, -1.0, 1.0)])
 
     def test_positive_c0_warns_but_validates(self):
-        with pytest.warns(es.MarketWarning):
-            m = es.validate_market([(1.0, 2.5, 1.0)])
-        assert len(m.warnings) == 1
-        assert "c0 = 2.5" in m.warnings[0]
+        with pytest.warns(es.MarketWarning, match="c0 = 2.5") as record:
+            es.validate_market([(1.0, 2.5, 1.0)])
+        assert len(record) == 1
 
     def test_instance_arrays_are_read_only(self, table1_market):
         for column in (table1_market.q, table1_market.c0, table1_market.a):
