@@ -40,7 +40,6 @@ class Trajectory:
     lyapunov: np.ndarray
     equilibrium_residuals: np.ndarray
     mu_index: int | None = None
-    reference: np.ndarray | None = None
 
     def __post_init__(self):
         n = self.times.shape[0]
@@ -654,5 +653,4 @@ def _recorded(times: np.ndarray, states: np.ndarray, mu_index: int | None,
         lyapunov=lyapunov,
         equilibrium_residuals=residuals,
         mu_index=mu_index,
-        reference=ref,
     )

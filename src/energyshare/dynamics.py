@@ -438,17 +438,6 @@ def lyapunov_value(state, reference) -> float:
     return float(_half_squared_norm((state - ref).ravel()))
 
 
-def _lyapunov_rise(trajectory: Trajectory) -> tuple[float, bool]:
-    """The worst rise of the recorded Lyapunov value between records (0 if
-    none), and whether every rise stays within ``1e-8 * max(1, V[0])``.
-    """
-    if len(trajectory) < 2:
-        return 0.0, True
-    values = trajectory.lyapunov
-    rise = float(np.diff(values).max())
-    return max(rise, 0.0), rise <= 1e-8 * max(1.0, float(values[0]))
-
-
 def stability_certificate(market: MarketInstance) -> StabilityCertificate:
     """Check the algebraic stability structure of the closed loop.
 
@@ -485,7 +474,7 @@ def convergence_report(trajectory: Trajectory, tolerance: float) -> ConvergenceR
         raise ValueError("trajectory has no recorded errors (no reference)")
     within = np.nonzero(errors <= tolerance)[0]
     first = float(trajectory.times[within[0]]) if within.size else None
-    worst = _lyapunov_rise(trajectory)[0]
+    rises = np.diff(trajectory.lyapunov)
     mu_neg = 0.0
     if trajectory.mu_index is not None:
         mu_neg = max(0.0, -float(trajectory.states[:, trajectory.mu_index].min()))
@@ -493,7 +482,7 @@ def convergence_report(trajectory: Trajectory, tolerance: float) -> ConvergenceR
         converged=bool(errors[-1] <= tolerance),
         first_time_within_tolerance=first,
         final_error=float(errors[-1]),
-        worst_lyapunov_increase=worst,
+        worst_lyapunov_increase=max(float(rises.max()), 0.0) if rises.size else 0.0,
         mu_negativity=mu_neg,
         tolerance=float(tolerance),
     )

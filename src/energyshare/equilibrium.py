@@ -7,7 +7,7 @@ object is the scalar complementarity relation
 
 whose unique solution is the capped market price.  Because the aggregate
 slack is affine and strictly decreasing in the price, the solution is
-``min(ce_price, lambda_max)`` in closed form; an independent bisection
+``min(ce_price, lambda_max)`` in closed form; an independent bracketing
 oracle double-checks that shortcut.
 """
 
@@ -254,51 +254,79 @@ def kkt_residual_sce(
     )
 
 
+def _bracket_root(slack, lo, hi, slack_lo, slack_hi, tolerance):
+    """Shrink ``[lo, hi]``, where ``slack(lo) > 0 >= slack(hi)``, to width <= ``tolerance``.
+
+    Safeguarded false position (Dekker 1969, Brent 1973): each step is the
+    bracket's secant point, kept ``tolerance / 4`` inside it, or the midpoint
+    after a secant step that did not halve the bracket, so the bracket
+    halves at least every two calls.  Returns ``(lo, hi)``, early if they
+    are adjacent floats.
+    """
+    margin = 0.25 * tolerance
+    use_mid = False
+    while hi - lo > tolerance:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break  # adjacent floats: the bracket cannot shrink further
+        x = mid
+        if not use_mid:
+            x = min(max(lo + slack_lo * (hi - lo) / (slack_lo - slack_hi), lo + margin),
+                    hi - margin)
+            if not lo < x < hi:
+                x = mid  # the margin is below one ulp, or the secant point is NaN
+        width = hi - lo
+        value = slack(x)
+        if value > 0.0:
+            lo, slack_lo = x, value
+        else:
+            hi, slack_hi = x, value
+        use_mid = not use_mid and hi - lo > 0.5 * width
+    return lo, hi
+
+
 def lcp_oracle(market: MarketInstance, cap: float, tolerance: float = 1e-10) -> float:
     """Independent solver for the scalar complementarity relation.
 
     Treats the aggregate slack as a black-box decreasing function: either
     the price sits at the cap with nonnegative slack, or the slack has a
-    root below the cap, located by bracketing and bisection.  Deliberately
-    avoids the closed-form ``min`` shortcut so it can serve as an oracle
-    for :func:`solve_scalar_lcp`.
+    root below the cap, bracketed by doubling steps leftward and closed by
+    safeguarded false position (:func:`_bracket_root`): for any decreasing
+    slack at most twice bisection's evaluations plus one, and about three
+    for the affine one.  Deliberately avoids the closed-form ``min``
+    shortcut so it can serve as an oracle for :func:`solve_scalar_lcp`.
 
     Args:
         market: validated market.
         cap: finite price cap.
-        tolerance: absolute accuracy of the returned price.
+        tolerance: width of the final bracket, whose midpoint is returned.
     """
     cap = _check_cap(cap)
     if tolerance <= 0.0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
 
     accuracy = tolerance
-    if aggregate_slack(market, cap) >= 0.0:
+    slack_cap = aggregate_slack(market, cap)
+    if slack_cap >= 0.0:
         # Cap branch: price pinned at the cap, slack already nonnegative.
         lam = cap
     else:
         # Clearing branch: bracket the slack's root leftward of the cap,
-        # then bisect.  The slack grows without bound as the price drops,
-        # so the bracket expansion always terminates.
+        # then close the bracket.  The slack grows without bound as the
+        # price drops, so the bracket expansion always terminates.
         step = 1.0 + 0.5 * abs(cap)
         lo = cap - step
-        while aggregate_slack(market, lo) <= 0.0:
+        while (slack_lo := aggregate_slack(market, lo)) <= 0.0:
             step *= 2.0
             lo = cap - step
             if step > 1e30:
                 raise ArithmeticError("failed to bracket the market-clearing price")
-        hi = cap
-        while hi - lo > tolerance:
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break  # adjacent floats: the bracket cannot shrink further
-            if aggregate_slack(market, mid) > 0.0:
-                lo = mid
-            else:
-                hi = mid
+        lo, hi = _bracket_root(
+            lambda lam: aggregate_slack(market, lam), lo, cap, slack_lo, slack_cap, tolerance
+        )
         lam = 0.5 * (lo + hi)
         # At large prices one ulp may exceed the tolerance; audit at the
-        # accuracy the bisection reached.
+        # accuracy the bracket reached.
         accuracy = max(accuracy, hi - lo)
 
     # Exhaustive audit: both complementarity factors must be (numerically)

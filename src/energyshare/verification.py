@@ -127,10 +127,14 @@ def _closed_loop_run(market, cap, h=0.02, t_end=None, method="rk4", record_strid
     """Integrate the closed loop from zero (by default over the settling horizon).
 
     Returns the run's convergence report at ``SUMMARY_TOLERANCE``, whether its
-    Lyapunov value is monotone, and a detail line.
+    Lyapunov value is monotone, and a detail line.  Raises ``ValidationError``
+    if the settling horizon is not finite (a cap past float64's range).
     """
     if t_end is None:
-        t_end = max(50.0 * h, _settling_horizon(market, cap))
+        horizon = _settling_horizon(market, cap)
+        if not np.isfinite(horizon):
+            raise ValidationError(f"settling horizon {horizon} at cap {cap:g} is not finite")
+        t_end = max(50.0 * h, horizon)
     lay = dyn.state_layout(market.n)
     traj = dyn.integrate(
         dyn.closed_loop_rhs(market, cap), np.zeros(lay.dim), h, t_end, method=method,
@@ -138,7 +142,8 @@ def _closed_loop_run(market, cap, h=0.02, t_end=None, method="rk4", record_strid
         record_stride=record_stride,
     )
     report = dyn.convergence_report(traj, scn.SUMMARY_TOLERANCE)
-    rise, monotone = dyn._lyapunov_rise(traj)
+    rise = report.worst_lyapunov_increase
+    monotone = rise <= 1e-8 * max(1.0, float(traj.lyapunov[0]))
     return report, monotone, (
         f"err={report.final_error:.1e}@t={traj.final_time:.0f}, "
         f"mu dip {report.mu_negativity:.1e}, V increase {rise:.1e} "

@@ -130,6 +130,18 @@ class TestVerify:
         assert out.count("[PASS]") >= 20
         assert "[FAIL]" not in out
 
+    # The settling horizon at this cap is infinite: a failed check, not an exception.
+    def test_cap_past_float_range_fails_checks_without_raising(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["verify", "--config", str(TABLE1_PATH), "--lambda-max=1e306",
+                         "--instances", "3"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert out.count("[FAIL]") == 2
+        assert ("[FAIL] dynamics.closed_loop_config_convergence: raised ValidationError: "
+                "settling horizon inf") in out
+
 
 class TestBadArguments:
     @pytest.mark.parametrize(

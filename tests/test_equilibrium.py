@@ -1,11 +1,13 @@
 """Equilibrium solvers against independent oracles and frozen values."""
 
+import math
 import threading
 
 import numpy as np
 import pytest
 
 import energyshare as es
+from energyshare import equilibrium
 from energyshare.verification import CAP_RANGE, _residual_scale, random_market
 from conftest import ce_oracle, sce_oracle
 
@@ -327,3 +329,41 @@ class TestLcpOracle:
     def test_rejects_bad_tolerance(self, table1_market):
         with pytest.raises(ValueError):
             es.lcp_oracle(table1_market, 4.0, 0.0)
+
+
+class TestBracketRoot:
+    @pytest.mark.parametrize("tolerance", [1e-3, 1e-9, 1e-12])
+    @pytest.mark.parametrize(
+        "f, root, lo, hi",
+        [
+            (lambda x: 3.0 - x**3 - x, 1.2134116627622296, -5.0, 7.0),
+            (lambda x: 2.0 - math.exp(x), math.log(2.0), -10.0, 10.0),
+            (lambda x: -math.atan(1e6 * (x - 0.3)), 0.3, -1.0, 2.0),
+        ],
+        ids=["cubic", "exp", "steep_atan"],
+    )
+    def test_closes_on_a_nonaffine_root_within_twice_bisection(self, f, root, lo, hi, tolerance):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return f(x)
+
+        a, b = equilibrium._bracket_root(counted, lo, hi, f(lo), f(hi), tolerance)
+        assert b - a <= tolerance
+        assert abs(0.5 * (a + b) - root) <= tolerance
+        assert len(calls) <= 2 * math.ceil(math.log2((hi - lo) / tolerance)) + 1
+
+    def test_oracle_closes_table1_slack_cap_in_few_slack_calls(self, table1_market, monkeypatch):
+        # Bisection to 1e-9 takes 36 calls here: the cap, one expansion, 33
+        # halvings of the 6-wide bracket and the audit.
+        calls = []
+        slack = equilibrium.aggregate_slack
+
+        def counted(market, lam):
+            calls.append(lam)
+            return slack(market, lam)
+
+        monkeypatch.setattr(equilibrium, "aggregate_slack", counted)
+        assert es.lcp_oracle(table1_market, 10.0, 1e-9) == pytest.approx(8.257, abs=1e-3)
+        assert len(calls) <= 8
