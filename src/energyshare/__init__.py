@@ -6,6 +6,8 @@ simulates the decentralized primal-dual dynamics together with the dynamic
 feedback controller that steers the market to the capped equilibrium.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     DimensionMismatch,
     EmptyMarket,
@@ -84,70 +86,8 @@ from .verification import run_verify
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AgentParams",
-    "DimensionMismatch",
-    "EmptyMarket",
-    "EnergyShareError",
-    "InconsistentDual",
-    "MarketWarning",
-    "MissingField",
-    "NegativeGeneration",
-    "NegativeMu",
-    "NonfiniteInput",
-    "NonfiniteState",
-    "NonpositiveCurvature",
-    "ParseError",
-    "ScenarioConfig",
-    "SceSolution",
-    "SimSettings",
-    "SocialPriceCap",
-    "Trajectory",
-    "ValidationError",
-    "affine_rhs",
-    "aggregate_slack",
-    "assemble_equilibrium",
-    "change_of_variables_matrix",
-    "closed_loop_decay_rate",
-    "closed_loop_rhs",
-    "closed_loop_spectrum",
-    "conditional_projection",
-    "config_to_json",
-    "convergence_report",
-    "dual_to_primal_sw",
-    "dumps_canonical",
-    "euler_stable_step",
-    "integrate",
-    "kkt_residual_sce",
-    "lcp_oracle",
-    "load_config",
-    "lyapunov_value",
-    "map_sce_to_modified_primal",
-    "open_loop_equilibrium",
-    "open_loop_matrices",
-    "phi",
-    "reduced_equilibrium",
-    "reduced_matrices",
-    "report_to_json",
-    "rhs_closed_loop",
-    "rhs_controlled",
-    "rhs_controller",
-    "rhs_open_loop",
-    "rhs_reduced",
-    "run_simulate",
-    "run_solve",
-    "run_sweep",
-    "run_verify",
-    "solve_ce",
-    "solve_modified_primal",
-    "solve_scalar_lcp",
-    "solve_sce",
-    "solve_sw_dual",
-    "stability_certificate",
-    "state_layout",
-    "sweep_to_csv",
-    "trajectory_header",
-    "utility",
-    "validate_market",
-    "write_trajectory_csv",
-]
+# Every public name imported above, without the submodules those imports bind.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

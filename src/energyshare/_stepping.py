@@ -1,9 +1,9 @@
-"""Fixed-step integration of affine drifts with at most one projected component.
+"""Fixed-step integration, in blocks for a drift that is a :class:`ProjectedAffine`.
 
-That is all this engine knows of a drift (:class:`ProjectedAffine`).  On
-either side of the projection, the free branch (``y[mu] > 0``) and the
-pinned one (``y[mu] <= 0 <= y[nu]``, where ``mu`` stays put), the drift is
-affine, and so is one step of either method: ``y -> R y + r``.
+Such a drift has at most one projected component.  On either side of the
+projection, the free branch (``y[mu] > 0``) and the pinned one (``y[mu] <=
+0 <= y[nu]``, where ``mu`` stays put), it is affine, and so is one step of
+either method: ``y -> R y + r``.
 :func:`integrate` applies many steps at once from precomputed powers of
 that map (a block) while every stage stays on one branch, and once a run is
 trapped near a branch's fixed point it jumps from record to record (the
@@ -66,24 +66,34 @@ class Trajectory:
 
 @dataclass(frozen=True, eq=False)
 class ProjectedAffine:
-    """Affine pieces of a drift with at most one conditionally projected component.
+    """An affine drift with at most one conditionally projected component.
 
-    The drift is ``matrix @ y + offset`` while ``y[mu] > 0``; with
-    ``y[mu] <= 0`` its ``mu`` entry is replaced by ``max(-y[nu], 0)``.
-    Without a projected component (``mu`` and ``nu`` None) the drift is
-    ``matrix @ y + offset`` everywhere.  ``build_matrix`` makes the matrix
-    the first time :attr:`matrix` is read, so a drift evaluated from its
-    structure allocates it only for the block path of :func:`integrate`.
+    Called on ``y`` it returns ``matrix @ y + offset``, or ``evaluate(y)``
+    when given, which must equal it; then, where ``y[mu] <= 0``, the ``mu``
+    entry becomes ``max(-y[nu], 0)``.  Without a projected component
+    (``mu`` and ``nu`` None) it is ``matrix @ y + offset`` everywhere.
+    ``build_matrix`` makes the matrix the first time :attr:`matrix` is
+    read, so a drift with ``evaluate`` allocates it only for the block path
+    of :func:`integrate`.
     """
 
     build_matrix: Callable[[], np.ndarray]
     offset: np.ndarray
     nu: int | None = None
     mu: int | None = None
+    evaluate: Callable[[np.ndarray], np.ndarray] | None = None
 
     @cached_property
     def matrix(self) -> np.ndarray:
         return self.build_matrix()
+
+    def __call__(self, y: np.ndarray) -> np.ndarray:
+        evaluate, mu = self.evaluate, self.mu
+        d = self.matrix @ y + self.offset if evaluate is None else evaluate(y)
+        if mu is not None and y[mu] <= 0.0:
+            neg_nu = -y[self.nu]
+            d[mu] = neg_nu if neg_nu > 0.0 else 0.0
+        return d
 
 
 def _euler_step(rhs, y, h: float):
@@ -481,15 +491,16 @@ def integrate(
         record_stride: record every k-th step (the initial and final states
             are always recorded).
 
-    A drift that carries its :class:`ProjectedAffine` pieces as
-    ``rhs.projected_affine``, run with ``mu_index`` its projected component
-    (None for a plain affine drift), takes blocks, with either method and
-    at any ``record_stride``: the longest power of two of at most 4096
-    steps whose tables repay their cost (see ``_blocks_pay_off``), or the
-    step loop when none of at least 16 steps does.  One matrix product gives the
-    branch condition at every stage of every step in a block and every
-    state recorded inside it; the first step that leaves the branch or may
-    cross ``DIVERGENCE_LIMIT`` is taken with the single-step code.  A run
+    A drift that is a :class:`ProjectedAffine`, run with ``mu_index`` its
+    projected component (None for a plain affine drift), takes blocks, with
+    either method and at any ``record_stride``: the longest power of two of
+    at most 4096 steps whose tables repay their cost (see
+    ``_blocks_pay_off``), or the step loop when none of at least 16 steps
+    does; a drift wrapped in another function takes the step loop.  One
+    matrix product gives the branch condition at every stage of every step
+    in a block and every state recorded inside it; the first step that
+    leaves the branch or may cross ``DIVERGENCE_LIMIT`` is taken with the
+    single-step code.  A run
     that ends a whole block close enough to its branch's fixed point is
     trapped there (see ``_Branch.ball``): on the branch's invariant
     subspace the powers of the step map are bounded (the discrete form of
@@ -544,11 +555,10 @@ def integrate(
     states = np.empty((n_rec, y.size))
 
     blocks = None
-    affine = getattr(rhs, "projected_affine", None)
-    if affine is not None and mu_index == affine.mu:
-        guards = 0 if affine.mu is None else evals
+    if isinstance(rhs, ProjectedAffine) and mu_index == rhs.mu:
+        guards = 0 if rhs.mu is None else evals
         # The longest block that pays; the choice reads only sizes, since
-        # _Blocks is the first reader of affine.matrix, which a large closed
+        # _Blocks is the first reader of rhs.matrix, which a large closed
         # loop builds when read: a run without blocks never allocates it.
         length = 1 << (min(n_steps, _BLOCK_MAX_STEPS).bit_length() - 1)
         while length >= _BLOCK_MIN_STEPS and not _blocks_pay_off(
@@ -556,7 +566,7 @@ def integrate(
         ):
             length //= 2
         if length >= _BLOCK_MIN_STEPS:
-            blocks = _Blocks(affine, step, h, length, record_stride)
+            blocks = _Blocks(rhs, step, h, length, record_stride)
 
     def filled(stop: int) -> int:
         """Clamp mu in rows ``rec`` to ``stop``, which a block or the tail wrote: the

@@ -17,7 +17,9 @@ of dimension ``5N + 3``, and the open-loop state ``(x, rho, eps, lam)`` is
 its prefix.  :func:`state_layout` is the one map of where each block sits;
 everything here that indexes a stacked state goes through it.  All
 right-hand sides are pure functions.  The fixed-step :func:`integrate` lives
-in ``_stepping``, which knows a drift only by its :class:`ProjectedAffine`.
+in ``_stepping``; it advances in blocks a drift that is a
+:class:`ProjectedAffine`, as :func:`closed_loop_rhs` and :func:`affine_rhs`
+return.
 
 Every block of the closed-loop drift is diagonal or rank one: each agent
 updates from its own states and two market-wide sums, ``sum(eps)`` for the
@@ -35,7 +37,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -261,18 +262,9 @@ def reduced_matrices(market: MarketInstance) -> tuple[np.ndarray, np.ndarray]:
     return _linear_part(_reduced_drift, market.q, dim, dim), rhs_reduced(market, np.zeros(dim))
 
 
-def affine_rhs(matrix: np.ndarray, offset: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """Callable ``y -> matrix @ y + offset`` for use with :func:`integrate`.
-
-    The callable carries its pieces as ``rhs.projected_affine``, which lets
-    :func:`integrate` advance it in blocks of steps.
-    """
-
-    def rhs(y: np.ndarray) -> np.ndarray:
-        return matrix @ y + offset
-
-    rhs.projected_affine = ProjectedAffine(lambda: matrix, offset)
-    return rhs
+def affine_rhs(matrix: np.ndarray, offset: np.ndarray) -> ProjectedAffine:
+    """The drift ``y -> matrix @ y + offset``, which :func:`integrate` advances in blocks."""
+    return ProjectedAffine(lambda: matrix, offset)
 
 
 # Up to this state dimension closed_loop_rhs evaluates the drift as one dense
@@ -284,7 +276,7 @@ def affine_rhs(matrix: np.ndarray, offset: np.ndarray) -> Callable[[np.ndarray],
 _DENSE_DRIFT_MAX_DIM = 300
 
 
-def closed_loop_rhs(market: MarketInstance, cap: float) -> Callable[[np.ndarray], np.ndarray]:
+def closed_loop_rhs(market: MarketInstance, cap: float) -> ProjectedAffine:
     """Fast closed-loop drift, tolerant of slightly negative ``mu``.
 
     The drift of :func:`rhs_closed_loop`, which also accepts states with
@@ -294,37 +286,18 @@ def closed_loop_rhs(market: MarketInstance, cap: float) -> Callable[[np.ndarray]
     which agrees with :func:`rhs_closed_loop` to rounding.  Large ones
     (state dimension above ``_DENSE_DRIFT_MAX_DIM``) call the drift kernel
     behind :func:`rhs_closed_loop` itself, a few vector operations and the
-    sums of ``eps`` and ``pi``, so the two agree bit for bit.  Both paths
-    share one projection.
-
-    The returned callable carries its affine pieces as
-    ``rhs.projected_affine``, which lets :func:`integrate` advance it in
-    blocks of steps; for a large market the dense matrix is built the first
-    time something reads it.
+    sums of ``eps`` and ``pi``, so the two agree bit for bit, and build
+    the dense matrix only when something reads it.  The drift is a
+    :class:`ProjectedAffine`, which :func:`integrate` advances in blocks.
     """
     lay = state_layout(market.n)
-    i_nu, i_mu = lay.nu, lay.mu
     constants = _closed_loop_constants(market, cap)
-    affine = ProjectedAffine(lambda: closed_loop_matrix(market),
-                             _closed_loop_drift(np.zeros(lay.dim), *constants), i_nu, i_mu)
-    if lay.dim <= _DENSE_DRIFT_MAX_DIM:
-        mat, offset = affine.matrix, affine.offset
-
-        def drift(state: np.ndarray) -> np.ndarray:
-            return mat @ state + offset
-    else:
-        def drift(state: np.ndarray) -> np.ndarray:
-            return _closed_loop_drift(state, *constants)
-
-    def rhs(state: np.ndarray) -> np.ndarray:
-        d = drift(state)
-        if state[i_mu] <= 0.0:
-            neg_nu = -state[i_nu]
-            d[i_mu] = neg_nu if neg_nu > 0.0 else 0.0
-        return d
-
-    rhs.projected_affine = affine
-    return rhs
+    offset = _closed_loop_drift(np.zeros(lay.dim), *constants)
+    if lay.dim > _DENSE_DRIFT_MAX_DIM:
+        return ProjectedAffine(lambda: closed_loop_matrix(market), offset, lay.nu, lay.mu,
+                               lambda state: _closed_loop_drift(state, *constants))
+    matrix = closed_loop_matrix(market)
+    return ProjectedAffine(lambda: matrix, offset, lay.nu, lay.mu)
 
 
 # ---------------------------------------------------------------------------

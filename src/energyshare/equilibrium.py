@@ -13,6 +13,7 @@ oracle double-checks that shortcut.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -258,10 +259,10 @@ def _bracket_root(slack, lo, hi, slack_lo, slack_hi, tolerance):
     """Shrink ``[lo, hi]``, where ``slack(lo) > 0 >= slack(hi)``, to width <= ``tolerance``.
 
     Safeguarded false position (Dekker 1969, Brent 1973): each step is the
-    bracket's secant point, kept ``tolerance / 4`` inside it, or the midpoint
-    after a secant step that did not halve the bracket, so the bracket
-    halves at least every two calls.  Returns ``(lo, hi)``, early if they
-    are adjacent floats.
+    bracket's secant point, kept ``tolerance / 4`` and at least one ulp
+    inside it, or the midpoint after a secant step that did not halve the
+    bracket, so the bracket halves at least every two calls.  Returns
+    ``(lo, hi)``, early if they are adjacent floats.
     """
     margin = 0.25 * tolerance
     use_mid = False
@@ -271,10 +272,11 @@ def _bracket_root(slack, lo, hi, slack_lo, slack_hi, tolerance):
             break  # adjacent floats: the bracket cannot shrink further
         x = mid
         if not use_mid:
-            x = min(max(lo + slack_lo * (hi - lo) / (slack_lo - slack_hi), lo + margin),
-                    hi - margin)
+            secant = lo + slack_lo * (hi - lo) / (slack_lo - slack_hi)
+            x = min(max(secant, lo + margin, math.nextafter(lo, hi)),
+                    hi - margin, math.nextafter(hi, lo))
             if not lo < x < hi:
-                x = mid  # the margin is below one ulp, or the secant point is NaN
+                x = mid  # the secant point is NaN
         width = hi - lo
         value = slack(x)
         if value > 0.0:

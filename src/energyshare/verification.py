@@ -116,11 +116,11 @@ def _residual_check(tol, detail, count=50):
     return decorate
 
 
-def _settling_horizon(market, cap, tol=scn.SUMMARY_TOLERANCE) -> float:
-    """Eigenvalue-informed horizon for the closed loop to settle to ``tol``."""
+def _settling_horizon(market, cap) -> float:
+    """Eigenvalue-informed horizon for the closed loop to settle to ``SUMMARY_TOLERANCE``."""
     rate = dyn.closed_loop_decay_rate(market, cap)
     start = max(1.0, float(np.abs(dyn.assemble_equilibrium(market, cap)).max()))
-    return 1.2 * np.log(start / (0.3 * tol)) / rate
+    return 1.2 * np.log(start / (0.3 * scn.SUMMARY_TOLERANCE)) / rate
 
 
 def _closed_loop_run(market, cap, h=0.02, t_end=None, method="rk4", record_stride=25):

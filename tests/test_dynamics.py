@@ -83,8 +83,8 @@ def block_steps():
 def block_and_loop(rhs, y0, h, t_end, rel, diverges=False, **kwargs):
     """Run ``rhs`` through integrate and, wrapped, through its step loop; compare the runs.
 
-    Wrapping the drift hides its affine pieces from integrate, so the
-    wrapped run is the step-by-step reference.  Both runs must record the
+    The wrapped drift is no ProjectedAffine, so the wrapped run takes no
+    block step (asserted) and is the step-by-step reference.  Both runs must record the
     same times, and states within ``rel`` of the loop's largest component.
     With ``diverges`` both must raise NonfiniteState with the same message
     (it names the step's time), and their partial trajectories are
@@ -100,7 +100,9 @@ def block_and_loop(rhs, y0, h, t_end, rel, diverges=False, **kwargs):
 
     with counted_block_steps() as count:
         block, block_error = run(rhs)
-    loop, loop_error = run(lambda y: rhs(y))
+    with counted_block_steps() as loop_count:
+        loop, loop_error = run(lambda y: rhs(y))
+    assert loop_count == [0, 0]
     assert block_error == loop_error
     np.testing.assert_array_equal(block.times, loop.times)
     atol = rel * np.abs(loop.states).max()
@@ -250,10 +252,24 @@ class TestRhsClosedLoop:
     def test_lazy_matrix_is_the_closed_loop_matrix(self):
         market = sized_market(np.random.default_rng(28), 70)
         assert es.state_layout(market.n).dim > dynamics._DENSE_DRIFT_MAX_DIM
-        affine = es.closed_loop_rhs(market, 3.0).projected_affine
+        affine = es.closed_loop_rhs(market, 3.0)
         mat, offset = dynamics.closed_loop_matrices(market, 3.0)
         np.testing.assert_array_equal(affine.matrix, mat)
         np.testing.assert_array_equal(affine.offset, offset)
+
+    @pytest.mark.parametrize("n", [4, 70])
+    def test_closed_loop_and_affine_rhs_are_block_drifts(self, n):
+        # integrate takes blocks only on a drift that is a ProjectedAffine.
+        market = sized_market(np.random.default_rng(30), n)
+        lay = es.state_layout(n)
+        rhs = es.closed_loop_rhs(market, 3.0)
+        assert isinstance(rhs, _stepping.ProjectedAffine)
+        assert (rhs.nu, rhs.mu) == (lay.nu, lay.mu)
+        assert (rhs.evaluate is None) == (lay.dim <= dynamics._DENSE_DRIFT_MAX_DIM)
+        mat, off = es.open_loop_matrices(market)
+        affine = es.affine_rhs(mat, off)
+        assert isinstance(affine, _stepping.ProjectedAffine)
+        assert affine.mu is None and affine.matrix is mat
 
     @settings(max_examples=40)
     @given(n=st.integers(1, 400), seed=st.integers(0, 2**32 - 1))
@@ -501,9 +517,8 @@ class TestIntegrate:
         market = es.validate_market([(0.8, -10.0, 2.0), (1.6, -6.0, 5.0), (2.5, -15.0, 1.0)])
         lay = es.state_layout(market.n)
         rhs = es.closed_loop_rhs(market, es.solve_ce(market).lambda_bar)
-        affine = rhs.projected_affine
         h = 0.5 * es.euler_stable_step(market) if method == "euler" else 0.02
-        step, offset = affine_step(method, affine.matrix, affine.offset, h)
+        step, offset = affine_step(method, rhs.matrix, rhs.offset, h)
         rng = np.random.default_rng(1)
         swept = 0
         while swept < 3:
@@ -646,7 +661,7 @@ class TestIntegrate:
         # nu reads mu's column, so the pinned step map has norm 1.010; on
         # mu = 0, where every pinned block starts, it is nonexpansive.
         lay = es.state_layout(4)
-        affine = es.closed_loop_rhs(table1_market, 4.0).projected_affine
+        affine = es.closed_loop_rhs(table1_market, 4.0)
         blocks = _stepping._Blocks(affine, _stepping._rk4_step, 0.02, 4096, 10**4)
         growth = blocks.pinned.growth
         matrix, offset = affine.matrix.copy(), affine.offset.copy()
@@ -668,7 +683,7 @@ class TestIntegrate:
         # K = sup_j ||step**j|_S||, each found here from the closed-form
         # fixed point, rk4's stage maps and the powers themselves.
         lay, h = es.state_layout(4), 0.02
-        affine = es.closed_loop_rhs(table1_market, cap).projected_affine
+        affine = es.closed_loop_rhs(table1_market, cap)
         blocks = _stepping._Blocks(affine, _stepping._rk4_step, h, 512, 100)
         matrix, offset = affine.matrix.copy(), affine.offset.copy()
         keep = np.ones(lay.dim, dtype=bool)

@@ -355,8 +355,11 @@ class TestBracketRoot:
         assert len(calls) <= 2 * math.ceil(math.log2((hi - lo) / tolerance)) + 1
 
     def test_oracle_closes_table1_slack_cap_in_few_slack_calls(self, table1_market, monkeypatch):
-        # Bisection to 1e-9 takes 36 calls here: the cap, one expansion, 33
-        # halvings of the 6-wide bracket and the audit.
+        # Bisection to 1e-9 takes 36 calls on table1: the cap, one expansion,
+        # 33 halvings of the 6-wide bracket and the audit.  Near a price of
+        # 1e9 a quarter of the default tolerance is below one ulp, where a
+        # secant point kept only that far inside rounds onto the bracket's
+        # end and the helper bisects down to adjacent floats (27 calls).
         calls = []
         slack = equilibrium.aggregate_slack
 
@@ -365,5 +368,11 @@ class TestBracketRoot:
             return slack(market, lam)
 
         monkeypatch.setattr(equilibrium, "aggregate_slack", counted)
-        assert es.lcp_oracle(table1_market, 10.0, 1e-9) == pytest.approx(8.257, abs=1e-3)
-        assert len(calls) <= 8
+        large = es.validate_market([(1.0, -1e9, 0.0)])
+        for market, cap, tolerance, price, abs_tol in [
+            (table1_market, 10.0, 1e-9, 8.257, 1e-3),
+            (large, 2e9, 1e-10, 1e9, 2.0 * np.spacing(1e9)),
+        ]:
+            calls.clear()
+            assert es.lcp_oracle(market, cap, tolerance) == pytest.approx(price, abs=abs_tol)
+            assert len(calls) <= 8

@@ -1,11 +1,15 @@
-"""The benchmark's tracer patches package functions by name; each must exist.
+"""Names the package promises: its public API and the benchmark's traced functions.
 
+The benchmark's tracer patches package functions by name; each must exist.
 ``bench/tracing.py`` imports only the standard library, so it loads here by
 path without the rest of the benchmark.
 """
 
 import importlib
 import importlib.util
+import types
+
+import energyshare
 
 from conftest import REPO_ROOT
 
@@ -32,3 +36,13 @@ def test_every_traced_name_is_a_function_of_its_layer():
         if not callable(getattr(importlib.import_module(f"energyshare.{layer}"), name, None))
     ]
     assert not missing, f"traced but not callable: {missing}"
+
+
+def test_public_api_is_every_imported_name_but_the_submodules():
+    assert len(energyshare.__all__) == len(set(energyshare.__all__)) > 60
+    values = [getattr(energyshare, name) for name in energyshare.__all__]
+    assert not [v for v in values if isinstance(v, types.ModuleType)]
+    namespace = {}
+    exec("from energyshare import *", namespace)
+    assert all(namespace[name] is v for name, v in zip(energyshare.__all__, values))
+    assert {"integrate", "closed_loop_rhs", "run_verify", "NonfiniteState"} <= set(namespace)
