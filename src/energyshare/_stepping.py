@@ -513,7 +513,7 @@ def integrate(
     the step-by-step ones to ~1e-12 of their size.  On one core of a 2-vCPU
     Xeon VM the 200 000 Euler steps of ``verify``'s Euler check, recorded
     at every step, take ~0.1 s instead of ~1.9 s, and ``table1.json``'s run
-    ~5 ms instead of ~15 ms (trapped at t = 146 of 1200); at ``t_end =
+    ~3 ms instead of ~6 ms (trapped at t = 146 of 1200); at ``t_end =
     1.2e5`` and stride 10**4 it takes ~0.03 s instead of ~1.6 s, and at
     ``t_end = 1e9`` and stride 10**7 ~0.03 s.
 

@@ -12,14 +12,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .dynamics import METHODS
-from .errors import (
-    DimensionMismatch,
-    NegativeMu,
-    MissingField,
-    NonfiniteState,
-    ParseError,
-    ValidationError,
-)
+from .errors import NonfiniteState, ValidationError
 from .market import SocialPriceCap
 from .scenario import (
     check_sim,
@@ -33,9 +26,7 @@ from .scenario import (
 from .verification import run_verify
 
 # An output path that cannot be written (OSError) is an input error too.
-_INPUT_ERRORS = (
-    ParseError, MissingField, ValidationError, NegativeMu, DimensionMismatch, OSError
-)
+_INPUT_ERRORS = (ValidationError, OSError)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -52,7 +43,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to a scenario JSON file")
         p.add_argument("--lambda-max", type=float, default=None,
                        help="override the config's price cap")
-        p.add_argument("--seed", type=int, default=None, help="override the config's seed")
+        p.add_argument("--seed", type=int, default=None,
+                       help="override the config's seed (only verify reads it)")
 
     p_solve = sub.add_parser("solve", help="compute both equilibria and print a JSON report")
     add_common(p_solve)
@@ -86,13 +78,8 @@ def _load(args):
         config = replace(config, cap=SocialPriceCap(lambda_max=args.lambda_max))
     if args.seed is not None:
         config = replace(config, seed=args.seed)
-    sim = config.sim
-    if getattr(args, "h", None) is not None:
-        sim = replace(sim, h=args.h)
-    if getattr(args, "t_end", None) is not None:
-        sim = replace(sim, t_end=args.t_end)
-    if getattr(args, "method", None) is not None:
-        sim = replace(sim, method=args.method)
+    sim = replace(config.sim, **{key: value for key, value in vars(args).items()
+                                 if key in ("h", "t_end", "method") and value is not None})
     return replace(config, sim=check_sim(sim, config.market.n))
 
 
@@ -129,9 +116,9 @@ def main(argv=None) -> int:
             try:
                 caps = [float(v) for v in args.caps.split(",") if v.strip()]
             except ValueError:
-                raise ParseError(f"--caps must be comma-separated numbers, got {args.caps!r}")
+                raise ValidationError(f"--caps must be comma-separated numbers, got {args.caps!r}")
             if not caps:
-                raise ParseError("--caps must contain at least one value")
+                raise ValidationError("--caps must contain at least one value")
             _write_or_print(sweep_to_csv(run_sweep(config, caps)), args.out)
             return 0
         raise AssertionError(f"unhandled command {args.command!r}")

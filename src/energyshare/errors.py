@@ -6,7 +6,7 @@ class EnergyShareError(Exception):
 
 
 class ValidationError(EnergyShareError):
-    """Market or configuration data failed validation."""
+    """Bad input: every error here but :class:`NonfiniteState`; the command line exits 2."""
 
 
 class EmptyMarket(ValidationError):
@@ -25,23 +25,23 @@ class NonfiniteInput(ValidationError):
     """An input value is NaN or infinite."""
 
 
-class DimensionMismatch(EnergyShareError):
+class DimensionMismatch(ValidationError):
     """A vector or state has the wrong length."""
 
 
-class NegativeMu(EnergyShareError):
+class NegativeMu(ValidationError):
     """The projected dual state mu is negative where it must not be."""
 
 
-class InconsistentDual(EnergyShareError):
+class InconsistentDual(ValidationError):
     """A candidate price fails the feasibility check of the dual round-trip."""
 
 
-class ParseError(EnergyShareError):
+class ParseError(ValidationError):
     """Configuration document is malformed or contains unknown keys."""
 
 
-class MissingField(EnergyShareError):
+class MissingField(ValidationError):
     """Configuration document lacks a required field."""
 
 

@@ -184,8 +184,12 @@ def conditional_projection(x: float, y: float) -> float:
     return x if x > 0.0 else 0.0
 
 
-def utility(agent: AgentParams, x: float, u: float = 0.0) -> float:
-    """Utility of consuming ``x`` under linear-coefficient adjustment ``u``."""
+def utility(agent: AgentParams | MarketInstance, x: float | np.ndarray,
+            u: float | np.ndarray = 0.0) -> float | np.ndarray:
+    """Utility of consuming ``x`` under linear-coefficient adjustment ``u``.
+
+    ``agent`` is an agent or a market (anything with ``q`` and ``c0``).
+    """
     return -0.5 * agent.q * x * x - (agent.c0 + u) * x
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -157,12 +157,20 @@ def dumps_canonical(document) -> str:
 # Config loading
 
 
-def _as_float(value: numbers.Real, what: str) -> float:
+def _as_float(value, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ParseError(f"{what} must be a number, got {value!r}")
     try:
         return float(value)
     except OverflowError:  # a JSON integer literal past float64's range
         digits = len(str(abs(value)))
         raise ParseError(f"{what} must fit in a float64, got a {digits}-digit integer") from None
+
+
+def _as_int(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ParseError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _require_number(doc: dict, key: str, where: str) -> float:
@@ -171,59 +179,44 @@ def _require_number(doc: dict, key: str, where: str) -> float:
     value = doc[key]
     if type(value) is float:  # what json.loads gives for every non-integer number
         return value
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ParseError(f"{where}.{key} must be a number, got {value!r}")
     return _as_float(value, f"{where}.{key}")
 
 
-def _reject_unknown(doc: dict, allowed: set, where: str) -> None:
-    if doc.keys() <= allowed:
-        return
-    unknown = sorted(set(doc) - allowed)
-    raise ParseError(f"{where} has unknown key {unknown[0]!r}")
+def _require_object(doc, allowed: set, where: str) -> None:
+    """Raise :class:`ParseError` unless ``doc`` is an object with keys only from ``allowed``."""
+    if type(doc) is not dict:
+        raise ParseError(f"{where} must be an object, got {type(doc).__name__}")
+    if not doc.keys() <= allowed:
+        raise ParseError(f"{where} has unknown key {min(doc.keys() - allowed)!r}")
+
+
+def _parse_init(init, n: int) -> str | np.ndarray:
+    if init == "zero":
+        return init
+    if type(init) is not list:
+        raise ParseError(f'sim.init must be "zero" or a list of numbers, got {init!r}')
+    values = np.array([_as_float(v, "sim.init entries") for v in init], dtype=float)
+    expected = state_layout(n).dim
+    if len(values) != expected:
+        raise ParseError(
+            f"sim.init must have {expected} entries (5N+3 for N={n}), got {len(values)}"
+        )
+    if not np.isfinite(values).all():
+        raise ParseError("sim.init entries must be finite")
+    return values
 
 
 def _parse_sim(doc, n: int) -> SimSettings:
-    if type(doc) is not dict:
-        raise ParseError(f"sim must be an object, got {type(doc).__name__}")
-    _reject_unknown(doc, _SIM_KEYS, "sim")
-    sim = SimSettings()
-    if "h" in doc:
-        sim = replace(sim, h=_require_number(doc, "h", "sim"))
-    if "t_end" in doc:
-        sim = replace(sim, t_end=_require_number(doc, "t_end", "sim"))
-    if "method" in doc:
-        method = doc["method"]
-        if method not in METHODS:
-            raise ParseError(f"sim.method must be one of {METHODS}, got {method!r}")
-        sim = replace(sim, method=method)
-    if "record_stride" in doc:
-        stride = doc["record_stride"]
-        if isinstance(stride, bool) or not isinstance(stride, numbers.Integral):
-            raise ParseError(f"sim.record_stride must be an integer, got {stride!r}")
-        sim = replace(sim, record_stride=int(stride))
-    if "init" in doc:
-        init = doc["init"]
-        if init == "zero":
-            sim = replace(sim, init="zero")
-        elif type(init) is list:
-            expected = state_layout(n).dim
-            values = []
-            for v in init:
-                if isinstance(v, bool) or not isinstance(v, numbers.Real):
-                    raise ParseError(f"sim.init entries must be numbers, got {v!r}")
-                values.append(_as_float(v, "sim.init entries"))
-            if len(values) != expected:
-                raise ParseError(
-                    f"sim.init must have {expected} entries (5N+3 for N={n}), got {len(values)}"
-                )
-            arr = np.array(values)
-            if not np.isfinite(arr).all():
-                raise ParseError("sim.init entries must be finite")
-            sim = replace(sim, init=arr)
-        else:
-            raise ParseError(f'sim.init must be "zero" or a list of numbers, got {init!r}')
-    return check_sim(sim, n)
+    """Each field's value in ``doc``, or its default; types in field order, then check_sim."""
+    _require_object(doc, _SIM_KEYS, "sim")
+    return check_sim(SimSettings(
+        h=_as_float(doc.get("h", SimSettings.h), "sim.h"),
+        t_end=_as_float(doc.get("t_end", SimSettings.t_end), "sim.t_end"),
+        method=doc.get("method", SimSettings.method),
+        record_stride=_as_int(doc.get("record_stride", SimSettings.record_stride),
+                              "sim.record_stride"),
+        init=_parse_init(doc.get("init", SimSettings.init), n),
+    ), n)
 
 
 def check_sim(sim: SimSettings, n: int) -> SimSettings:
@@ -232,10 +225,13 @@ def check_sim(sim: SimSettings, n: int) -> SimSettings:
     Shared by the config parser and the command-line overrides.
 
     Raises:
-        ParseError: the step is not positive and finite, the horizon is
-            shorter than one step or not finite, the stride is below 1, or
-            the record would exceed ``MAX_RECORDED_VALUES``.
+        ParseError: the method is not one of ``METHODS``, the step is not
+            positive and finite, the horizon is shorter than one step or not
+            finite, the stride is below 1, or the record would exceed
+            ``MAX_RECORDED_VALUES``.
     """
+    if sim.method not in METHODS:
+        raise ParseError(f"sim.method must be one of {METHODS}, got {sim.method!r}")
     if not 0.0 < sim.h < math.inf:
         raise ParseError(f"sim.h must be positive and finite, got {sim.h}")
     if not sim.h <= sim.t_end < math.inf:
@@ -286,9 +282,7 @@ def load_config(source: str | Path) -> ScenarioConfig:
     # An integer literal past Python's digit limit, or nesting past the recursion limit.
     except (ValueError, RecursionError) as exc:
         raise ParseError(f"malformed JSON: {exc}") from None
-    if type(doc) is not dict:
-        raise ParseError(f"config must be a JSON object, got {type(doc).__name__}")
-    _reject_unknown(doc, _TOP_KEYS, "config")
+    _require_object(doc, _TOP_KEYS, "config")
 
     if "agents" not in doc:
         raise MissingField("config lacks required field 'agents'")
@@ -298,9 +292,7 @@ def load_config(source: str | Path) -> ScenarioConfig:
     rows = []
     for i, rec in enumerate(agents_doc):
         where = f"agents[{i}]"
-        if type(rec) is not dict:
-            raise ParseError(f"{where} must be an object, got {type(rec).__name__}")
-        _reject_unknown(rec, _AGENT_KEYS, where)
+        _require_object(rec, _AGENT_KEYS, where)
         rows.append((
             _require_number(rec, "q", where),
             _require_number(rec, "c0", where),
@@ -309,14 +301,8 @@ def load_config(source: str | Path) -> ScenarioConfig:
     market = validate_market(np.array(rows, dtype=float).reshape(-1, 3))
 
     cap = SocialPriceCap(lambda_max=_require_number(doc, "lambda_max", "config"))
-
-    sim = _parse_sim(doc.get("sim", {}), market.n)
-
-    seed = doc.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
-        raise ParseError(f"seed must be an integer, got {seed!r}")
-
-    return ScenarioConfig(market=market, cap=cap, sim=sim, seed=int(seed))
+    return ScenarioConfig(market=market, cap=cap, sim=_parse_sim(doc.get("sim", {}), market.n),
+                          seed=_as_int(doc.get("seed", 0), "seed"))
 
 
 def config_to_json(config: ScenarioConfig) -> str:

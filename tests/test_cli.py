@@ -144,6 +144,15 @@ class TestVerify:
 
 
 class TestBadArguments:
+    # main exits 2 on a ValidationError and 3 on a NonfiniteState, so every
+    # other error of the package must be a ValidationError.
+    def test_every_error_but_divergence_is_a_validation_error(self):
+        errors = [value for value in vars(es.errors).values()
+                  if isinstance(value, type) and issubclass(value, es.EnergyShareError)]
+        outside = [error.__name__ for error in errors
+                   if not issubclass(error, (es.ValidationError, es.NonfiniteState))]
+        assert outside == ["EnergyShareError"]
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -160,10 +169,12 @@ class TestBadArguments:
             ["verify", "--config", "negative_seed.json"],
             ["solve", "--config", "utf16.json"],
             ["solve", "--config", "deeply_nested.json"],
+            ["simulate", "--config", "negative_mu.json"],
         ],
         ids=["zero_instances", "negative_step", "zero_horizon", "missing_out_directory",
              "unbounded_record", "solve_overflows", "sweep_overflows", "negative_seed",
-             "negative_config_seed", "non_utf8_config", "deeply_nested_config"],
+             "negative_config_seed", "non_utf8_config", "deeply_nested_config",
+             "negative_initial_mu"],
     )
     def test_exits_2_with_error_line(self, argv, tmp_path, monkeypatch, capsys, fast_config_path):
         monkeypatch.chdir(tmp_path)
@@ -172,6 +183,10 @@ class TestBadArguments:
         depth = 100_000
         (tmp_path / "deeply_nested.json").write_text(
             '{"agents": ' + "[" * depth + "]" * depth + ', "lambda_max": 2.0}'
+        )
+        # The two-agent state has 13 entries; mu is the last.
+        (tmp_path / "negative_mu.json").write_text(
+            FAST_CONFIG[:-1] + ', "sim": {"init": ' + str([0.0] * 12 + [-1.0]) + "}}"
         )
         code = main([argv[0], "--config", fast_config_path, *argv[1:]])
         assert code == 2
