@@ -43,7 +43,7 @@ import numpy as np
 # The fixed-step engine, whose public names are this module's too.
 from ._stepping import DIVERGENCE_LIMIT, METHODS, Trajectory, integrate  # noqa: F401
 from ._stepping import ProjectedAffine, _half_squared_norm
-from .equilibrium import SceSolution, solve_ce, solve_sce
+from .equilibrium import _capped, solve_ce, solve_sce
 from .errors import DimensionMismatch, NegativeMu
 from .market import MarketInstance, conditional_projection
 
@@ -305,11 +305,11 @@ def closed_loop_rhs(market: MarketInstance, cap: float) -> ProjectedAffine:
 
 
 def open_loop_equilibrium(market: MarketInstance) -> np.ndarray:
-    """Unique fixed point of the uncontrolled dynamics, stacked (x, rho, eps, lam)."""
-    ce = solve_ce(market)
-    return np.concatenate(
-        [ce.x_bar, np.full(market.n, ce.lambda_bar), ce.x_bar - market.a, [ce.lambda_bar]]
-    )
+    """Unique fixed point of the uncontrolled dynamics, stacked (x, rho, eps, lam): the
+    closed loop's at a cap equal to the competitive price, where the controller idles."""
+    lam = solve_ce(market).lambda_bar
+    fixed = _equilibrium_state(market, lam, *_capped(market, lam, lam))
+    return fixed[: state_layout(market.n).lam + 1]
 
 
 def reduced_equilibrium(market: MarketInstance) -> np.ndarray:
@@ -326,21 +326,17 @@ def assemble_equilibrium(market: MarketInstance, cap: float) -> np.ndarray:
     it: ``pi = (lam* - cap) / q**2`` componentwise and
     ``mu = s2 * (cap - lam*)``, which is complementary to ``nu``.
     """
-    return _equilibrium_state(market, cap, solve_sce(market, cap))
+    sce = solve_sce(market, cap)
+    return _equilibrium_state(market, cap, sce.lambda_star, sce.nu_star, sce.x_star, sce.u_star)
 
 
-def _equilibrium_state(market: MarketInstance, cap: float, sce: SceSolution) -> np.ndarray:
-    """:func:`assemble_equilibrium` from ``sce``, the capped equilibrium of ``market`` at ``cap``."""
+def _equilibrium_state(market: MarketInstance, cap: float, lam, nu, x, u) -> np.ndarray:
+    """:func:`assemble_equilibrium` from ``(lam, nu, x, u)``, the capped equilibrium at ``cap``."""
     lay = state_layout(market.n)
     y = np.empty(lay.dim)
-    y[lay.x] = sce.x_star
-    y[lay.rho] = sce.lambda_star
-    y[lay.eps] = sce.x_star - market.a
-    y[lay.lam] = sce.lambda_star
-    y[lay.u] = sce.u_star
-    y[lay.pi] = (sce.lambda_star - cap) / market.q**2
-    y[lay.nu] = sce.nu_star
-    y[lay.mu] = market.s2 * (cap - sce.lambda_star)
+    y[lay.x], y[lay.rho], y[lay.eps], y[lay.lam] = x, lam, x - market.a, lam
+    y[lay.u], y[lay.pi], y[lay.nu] = u, (lam - cap) / market.q**2, nu
+    y[lay.mu] = market.s2 * (cap - lam)
     return y
 
 

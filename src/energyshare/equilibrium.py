@@ -126,31 +126,35 @@ def solve_scalar_lcp(market: MarketInstance, cap: float) -> float:
     return lam_ce if lam_ce <= cap else cap
 
 
+def _capped(market: MarketInstance, caps, lam_ce: float) -> tuple:
+    """The capped equilibrium ``(lam, nu, x, u)`` at each of ``caps``, of any shape.
+
+    Where the competitive price ``lam_ce`` respects the cap, the market
+    clears at it with ``nu = 0``.  Elsewhere, a NaN cap included, the price
+    pins to the cap and the scalar dual ``nu = aggregate_slack(cap) / s2``
+    absorbs the slack: ``x = phi(cap) - nu / q**2`` and ``u = nu / q``.
+    ``x`` and ``u`` have a trailing agent axis.
+    """
+    active = ~(lam_ce <= np.asarray(caps))
+    lam = np.where(active, caps, lam_ce)
+    demand = phi(market, lam[..., None])
+    # Divided only where the cap binds: s2 underflows to 0 when every q is past ~1e154.
+    nu = np.divide(demand.sum(axis=-1) - market.sum_a, market.s2, out=np.zeros(active.shape),
+                   where=active)
+    column = nu[..., None]
+    return lam, nu, demand - column / market.q**2, column / market.q
+
+
 def solve_sce(market: MarketInstance, cap: float) -> SceSolution:
     """Minimum-adjustment equilibrium under a price cap, with all duals.
 
-    When the competitive price already respects the cap the adjustment is
-    identically zero and the allocation coincides with the competitive one.
-    Otherwise the price pins to the cap and the positive slack is absorbed
-    by the scalar dual ``nu_star = aggregate_slack(cap) / s2``.
+    The one-cap case of :func:`_capped`'s closed form, which
+    :func:`scenario.run_sweep` evaluates over many caps.
     """
-    cap = _check_cap(cap)
-    lam_ce = solve_ce(market).lambda_bar
-    if lam_ce <= cap:
-        lam_star, nu_star = lam_ce, 0.0
-    else:
-        lam_star = cap
-        nu_star = aggregate_slack(market, cap) / market.s2
-    x_star = phi(market, lam_star) - nu_star / market.q**2
-    u_star = nu_star / market.q
-    return SceSolution(
-        x_star=x_star,
-        lambda_star=lam_star,
-        u_star=u_star,
-        nu_star=nu_star,
-        pi1_star=market.s1 * nu_star,
-        pi2_star=-u_star,
-    )
+    lam, nu, x_star, u_star = _capped(market, _check_cap(cap), solve_ce(market).lambda_bar)
+    nu_star = float(nu)
+    return SceSolution(x_star=x_star, lambda_star=float(lam), u_star=u_star, nu_star=nu_star,
+                       pi1_star=market.s1 * nu_star, pi2_star=-u_star)
 
 
 def solve_sw_dual(market: MarketInstance) -> float:

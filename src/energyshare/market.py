@@ -167,8 +167,8 @@ def validate_market(records) -> MarketInstance:
     # Inputs near float64's range overflow here; the solvers' callers
     # report the non-finite results, so numpy's warnings would only repeat it.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        s1, s2, sqc = float((1.0 / q).sum()), float((1.0 / q**2).sum()), float((c0 / q).sum())
-    return MarketInstance(q=q, c0=c0, a=a, sum_a=float(a.sum()), s1=s1, s2=s2, sqc=sqc)
+        sum_a, s1, s2, sqc = (float(v.sum()) for v in (a, 1.0 / q, 1.0 / q**2, c0 / q))
+    return MarketInstance(q=q, c0=c0, a=a, sum_a=sum_a, s1=s1, s2=s2, sqc=sqc)
 
 
 def conditional_projection(x: float, y: float) -> float:

@@ -31,6 +31,7 @@ from .equilibrium import (
     CeSolution,
     KktResidualReport,
     SceSolution,
+    _capped,
     _check_cap,
     kkt_residual_sce,
     solve_ce,
@@ -38,7 +39,7 @@ from .equilibrium import (
 )
 from ._shortest import format_table
 from .errors import DimensionMismatch, MissingField, NonfiniteState, ParseError, ValidationError
-from .market import AgentParams, MarketInstance, SocialPriceCap, phi, validate_market
+from .market import AgentParams, MarketInstance, SocialPriceCap, validate_market
 
 # Infinity-norm error of a settled run, in run_simulate's summary and verify's runs.
 SUMMARY_TOLERANCE = 1e-3
@@ -363,9 +364,9 @@ def run_solve(config: ScenarioConfig) -> EquilibriumReport:
     """
     market = config.market
     cap = config.cap.lambda_max
-    # Inputs near float64's range overflow; _require_finite reports that
-    # as the error, so numpy's warnings would only repeat it.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # Inputs near float64's range overflow, or underflow s2 to 0; _require_finite
+    # reports that as the error, so numpy's warnings would only repeat it.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         ce = solve_ce(market)
         sce = solve_sce(market, cap)
         residuals = kkt_residual_sce(market, cap, sce)
@@ -439,7 +440,8 @@ def run_simulate(
     sim = config.sim
     lay = state_layout(market.n)
     with np.errstate(over="ignore", invalid="ignore"):
-        reference = _equilibrium_state(market, cap, sce)
+        reference = _equilibrium_state(market, cap, sce.lambda_star, sce.nu_star, sce.x_star,
+                                       sce.u_star)
     if not np.isfinite(reference).all():
         _require_finite(dict(zip(trajectory_header(market.n)[1:], reference)),
                         "closed-loop fixed point: ")
@@ -468,8 +470,8 @@ def nominal_welfare(market: MarketInstance, x: np.ndarray) -> float | np.ndarray
 def run_sweep(config: ScenarioConfig, cap_values) -> Sweep:
     """Solve the capped equilibrium across a list of price caps, all caps at once.
 
-    The solution is closed-form in the cap, so each column is one numpy
-    expression over the caps, equal to ``solve_sce``'s value cap by cap.
+    The columns are :func:`solve_sce`'s closed form, evaluated once over
+    all the caps.
 
     Raises:
         NonfiniteInput, ValidationError: the first cap, in input order, that
@@ -480,14 +482,9 @@ def run_sweep(config: ScenarioConfig, cap_values) -> Sweep:
         raise ValueError("cap_values must be nonempty")
     market = config.market
     # As in run_solve: overflow is reported by _require_finite.
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         ce = solve_ce(market)
-        active = ~(ce.lambda_bar <= caps)  # a NaN cap fails below
-        lam = np.where(active, caps, ce.lambda_bar)
-        demand = phi(market, lam[:, None])
-        nu = np.where(active, (demand.sum(axis=1) - market.sum_a) / market.s2, 0.0)
-        x = demand - nu[:, None] / market.q**2
-        u = nu[:, None] / market.q
+        lam, nu, x, u = _capped(market, caps, ce.lambda_bar)  # a NaN cap fails below
         sweep = Sweep(
             lambda_max=caps,
             lambda_star=lam,

@@ -77,13 +77,14 @@ class VerificationReport:
         return lines
 
 
-def random_market(rng, **ranges):
-    """Draw a valid random market over ``ranges``, each missing one from ``WIDE_RANGES``."""
+def random_market(rng, n=None, **ranges):
+    """A valid random market of ``n`` agents, or 1 to ``n_max``, over ``WIDE_RANGES | ranges``."""
     unknown = ranges.keys() - WIDE_RANGES.keys()
     if unknown:
         raise TypeError(f"random_market got unknown ranges {sorted(unknown)}")
     r = WIDE_RANGES | ranges
-    n = int(rng.integers(1, r["n_max"] + 1))
+    if n is None:
+        n = int(rng.integers(1, r["n_max"] + 1))
     q = rng.uniform(r["q_lo"], r["q_hi"], n)
     c0 = rng.uniform(r["c0_lo"], r["c0_hi"], n)
     a = rng.uniform(0.0, r["a_hi"], n)
@@ -116,30 +117,29 @@ def _residual_check(tol, detail, count=50):
     return decorate
 
 
-def _settling_horizon(market, cap) -> float:
-    """Eigenvalue-informed horizon for the closed loop to settle to ``SUMMARY_TOLERANCE``."""
-    rate = dyn.closed_loop_decay_rate(market, cap)
-    start = max(1.0, float(np.abs(dyn.assemble_equilibrium(market, cap)).max()))
+def _settling_horizon(rate, fixed) -> float:
+    """Horizon for the closed loop to settle to ``SUMMARY_TOLERANCE`` of ``fixed`` at ``rate``."""
+    start = max(1.0, float(np.abs(fixed).max()))
     return 1.2 * np.log(start / (0.3 * scn.SUMMARY_TOLERANCE)) / rate
 
 
-def _closed_loop_run(market, cap, h=0.02, t_end=None, method="rk4", record_stride=25):
-    """Integrate the closed loop from zero (by default over the settling horizon).
+def _closed_loop_run(market, cap, rate=None, h=0.02, t_end=None, method="rk4", record_stride=25):
+    """Integrate the closed loop from zero to ``t_end``, or the settling horizon at ``rate``.
 
     Returns the run's convergence report at ``SUMMARY_TOLERANCE``, whether its
     Lyapunov value is monotone, and a detail line.  Raises ``ValidationError``
     if the settling horizon is not finite (a cap past float64's range).
     """
+    fixed = dyn.assemble_equilibrium(market, cap)
     if t_end is None:
-        horizon = _settling_horizon(market, cap)
+        horizon = _settling_horizon(rate, fixed)
         if not np.isfinite(horizon):
             raise ValidationError(f"settling horizon {horizon} at cap {cap:g} is not finite")
         t_end = max(50.0 * h, horizon)
     lay = dyn.state_layout(market.n)
     traj = dyn.integrate(
         dyn.closed_loop_rhs(market, cap), np.zeros(lay.dim), h, t_end, method=method,
-        reference=dyn.assemble_equilibrium(market, cap), mu_index=lay.mu,
-        record_stride=record_stride,
+        reference=fixed, mu_index=lay.mu, record_stride=record_stride,
     )
     report = dyn.convergence_report(traj, scn.SUMMARY_TOLERANCE)
     rise = report.worst_lyapunov_increase
@@ -321,16 +321,17 @@ def _settling_instance(rng):
     for _ in range(40):
         m = random_market(rng, **SIM_RANGES)
         cap = eq.solve_ce(m).lambda_bar + rng.uniform(-8.0, 4.0)
-        if dyn.closed_loop_decay_rate(m, cap) >= 0.008:
-            return m, cap
-    return m, cap
+        rate = dyn.closed_loop_decay_rate(m, cap)
+        if rate >= 0.008:
+            break
+    return m, cap, rate
 
 
 def _closed_loop_random_limits(config, rng, instances):
     details = []
     for _ in range(3):
-        m, cap = _settling_instance(rng)
-        report, monotone, detail = _closed_loop_run(m, cap)
+        m, cap, rate = _settling_instance(rng)
+        report, monotone, detail = _closed_loop_run(m, cap, rate)
         if not (report.converged and report.mu_negativity == 0.0 and monotone):
             return False, f"{detail} (nu*={eq.solve_sce(m, cap).nu_star:.3f})"
         details.append(detail)
@@ -338,7 +339,8 @@ def _closed_loop_random_limits(config, rng, instances):
 
 
 def _closed_loop_config_convergence(config, rng, instances):
-    report, monotone, detail = _closed_loop_run(config.market, config.cap.lambda_max)
+    m, cap = config.market, config.cap.lambda_max
+    report, monotone, detail = _closed_loop_run(m, cap, dyn.closed_loop_decay_rate(m, cap))
     return report.converged and report.mu_negativity == 0.0 and monotone, detail
 
 

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Every command on the bundled fixture with warnings as errors, so a numpy
-# RuntimeWarning fails here; a market whose equilibrium or closed-loop
-# fixed point overflows float64 is an input error (exit 2), as is a
-# negative initial mu, a run that overflows a divergence (exit 3), and a
-# verify check that cannot run at such a cap a failed check (exit 1, no
-# traceback).
+# RuntimeWarning fails here; a market whose equilibrium, closed-loop fixed
+# point or total generation overflows float64 is an input error (exit 2),
+# as is a negative initial mu, a run that overflows a divergence (exit 3),
+# and a verify check that cannot run at such a cap a failed check (exit 1,
+# no traceback).
 #
 # Run from the repository root: PYTHONPATH=src bash tests/cli_smoke.sh
 # Outputs go to $RUNNER_TEMP, or to a temporary directory removed on exit.
@@ -33,6 +33,11 @@ test "$code" -eq 3
 echo '{"agents": [{"q": 0.5, "c0": -1.0, "a": 1.0}], "lambda_max": 1e308}' > "$overflow"
 code=0
 $cli simulate --config "$overflow" --out "$tmp/overflow.csv" || code=$?
+test "$code" -eq 2
+# Two finite generations of table1 whose sum overflows.
+sed -e 's/"a": 48.0/"a": 1e308/' -e 's/"a": 30.0/"a": 1e308/' table1.json > "$overflow"
+code=0
+$cli solve --config "$overflow" || code=$?
 test "$code" -eq 2
 # A negative initial mu, the last of the one-agent state's 8 entries.
 echo '{"agents": [{"q": 1.0, "c0": -10.0, "a": 3.0}], "lambda_max": 5.0,

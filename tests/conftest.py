@@ -17,7 +17,7 @@ import pytest
 from hypothesis import settings, strategies as st
 
 import energyshare as es
-from energyshare.verification import SIM_RANGES, WIDE_RANGES
+from energyshare.verification import WIDE_RANGES
 
 settings.register_profile("energyshare", deadline=None, derandomize=True, database=None)
 settings.load_profile("energyshare")
@@ -32,16 +32,6 @@ def markets():
     agent = st.tuples(st.floats(r["q_lo"], r["q_hi"]), st.floats(r["c0_lo"], r["c0_hi"]),
                       st.floats(0.0, r["a_hi"]))
     return st.lists(agent, min_size=1, max_size=r["n_max"]).map(es.validate_market)
-
-
-def sized_market(rng, n):
-    """An ``n``-agent market drawn from the simulation checks' ranges."""
-    r = SIM_RANGES
-    return es.validate_market(list(zip(
-        rng.uniform(r["q_lo"], r["q_hi"], n),
-        rng.uniform(r["c0_lo"], r["c0_hi"], n),
-        rng.uniform(0.0, r["a_hi"], n),
-    )))
 
 
 @pytest.fixture(scope="session")

@@ -25,6 +25,11 @@ BIG = int("9" * 400)  # past float64's range, as a JSON integer literal
 # Valid inputs whose CE price overflows float64: -(sqc + sum_a) / s1 is inf.
 OVERFLOWING_CONFIG = '{"agents": [{"q": 1e-300, "c0": -1e300, "a": 1e300}], "lambda_max": 1.0}'
 OVERFLOWING_FIXED_POINT = '{"agents": [{"q": 0.5, "c0": -1.0, "a": 1.0}], "lambda_max": 1e308}'
+# s2 = sum 1/q**2 underflows to 0, so a binding cap's nu = slack / s2 is inf.
+UNDERFLOWING_S2 = '{"agents": [{"q": 1e200, "c0": -1.0, "a": 1.0}], "lambda_max": -1e300}'
+# Table1 with two finite generations whose sum overflows.
+OVERFLOWING_SUM = TABLE1_PATH.read_text().replace('"a": 48.0', '"a": 1e308').replace(
+    '"a": 30.0', '"a": 1e308')
 
 
 @pytest.fixture()
@@ -194,7 +199,9 @@ class TestBadArguments:
 
     # Overflow is reported by the error line alone: a numpy RuntimeWarning,
     # which the CLI would print before it, fails here.  The one-agent market's
-    # CE price overflows, and verify and simulate refuse it before they run.
+    # CE price overflows, and verify and simulate refuse it before they run;
+    # so does table1's when two of its generations sum past float64's range.
+    # Where s2 underflows, only a binding cap divides by it.
     # Table1 at a cap of 1e306 overflows in its run's first step, a
     # divergence (exit 3); at q = 0.5 a cap of 1e308 leaves the capped
     # equilibrium finite but not the closed loop's fixed point (exit 2).
@@ -205,9 +212,11 @@ class TestBadArguments:
          (["solve"], OVERFLOWING_CONFIG, 2), (["sweep", "--caps=1,2"], OVERFLOWING_CONFIG, 2),
          (["verify"], OVERFLOWING_CONFIG, 2), (["simulate"], OVERFLOWING_CONFIG, 2),
          (["simulate", "--lambda-max=1e306"], TABLE1_PATH.read_text(), 3),
-         (["simulate"], OVERFLOWING_FIXED_POINT, 2)],
+         (["simulate"], OVERFLOWING_FIXED_POINT, 2), (["solve"], OVERFLOWING_SUM, 2),
+         (["solve"], UNDERFLOWING_S2, 2), (["sweep", "--caps=0,-1e300"], UNDERFLOWING_S2, 2)],
         ids=["solve", "sweep", "solve_ce_overflows", "sweep_ce_overflows", "verify_ce_overflows",
-             "simulate_ce_overflows", "simulate_run_overflows", "simulate_fixed_point_overflows"],
+             "simulate_ce_overflows", "simulate_run_overflows", "simulate_fixed_point_overflows",
+             "solve_generation_sum_overflows", "solve_s2_underflows", "sweep_s2_underflows"],
     )
     def test_overflow_warns_nothing_before_the_error_line(self, argv, config, expected, tmp_path,
                                                            capsys, monkeypatch):

@@ -16,10 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 import energyshare as es
 from energyshare import _stepping, dynamics
-from energyshare.verification import CAP_RANGE, CHECKS, check_rng, random_market
-from conftest import (
-    assert_matches_oracle, closed_loop_drift_oracle, reduced_drift_oracle, sized_market,
-)
+from energyshare.verification import CAP_RANGE, CHECKS, SIM_RANGES, check_rng, random_market
+from conftest import assert_matches_oracle, closed_loop_drift_oracle, reduced_drift_oracle
 
 
 def closed_loop_zero(market):
@@ -227,7 +225,7 @@ class TestRhsClosedLoop:
     @pytest.mark.parametrize("n", [70, 1000])
     def test_structured_drift_is_block_form_bit_for_bit(self, n):
         rng = np.random.default_rng(n)
-        market = sized_market(rng, n)
+        market = random_market(rng, n=n, **SIM_RANGES)
         lay = es.state_layout(n)
         assert lay.dim > dynamics._DENSE_DRIFT_MAX_DIM
         cap = es.solve_ce(market).lambda_bar - 2.0
@@ -240,7 +238,7 @@ class TestRhsClosedLoop:
     @pytest.mark.parametrize("n", [4, 70])
     def test_nonpositive_mu_takes_the_projection(self, n):
         rng = np.random.default_rng(27)
-        market = sized_market(rng, n)
+        market = random_market(rng, n=n, **SIM_RANGES)
         lay = es.state_layout(n)
         fast = es.closed_loop_rhs(market, 3.0)
         for mu in (0.0, -0.0, -1e-12, -2.5):
@@ -250,7 +248,7 @@ class TestRhsClosedLoop:
                 assert fast(state)[lay.mu] == max(-nu, 0.0)
 
     def test_lazy_matrix_is_the_closed_loop_matrix(self):
-        market = sized_market(np.random.default_rng(28), 70)
+        market = random_market(np.random.default_rng(28), n=70, **SIM_RANGES)
         assert es.state_layout(market.n).dim > dynamics._DENSE_DRIFT_MAX_DIM
         affine = es.closed_loop_rhs(market, 3.0)
         mat, offset = dynamics.closed_loop_matrices(market, 3.0)
@@ -260,7 +258,7 @@ class TestRhsClosedLoop:
     @pytest.mark.parametrize("n", [4, 70])
     def test_closed_loop_and_affine_rhs_are_block_drifts(self, n):
         # integrate takes blocks only on a drift that is a ProjectedAffine.
-        market = sized_market(np.random.default_rng(30), n)
+        market = random_market(np.random.default_rng(30), n=n, **SIM_RANGES)
         lay = es.state_layout(n)
         rhs = es.closed_loop_rhs(market, 3.0)
         assert isinstance(rhs, _stepping.ProjectedAffine)
@@ -306,7 +304,7 @@ class TestDriftOracle:
     @staticmethod
     def instance(n):
         rng = np.random.default_rng(40 + n)
-        market = sized_market(rng, n)
+        market = random_market(rng, n=n, **SIM_RANGES)
         return market, float(rng.uniform(1.0, 8.0)), rng
 
     @pytest.mark.parametrize("n", [1, 4, 70])
@@ -574,7 +572,7 @@ class TestIntegrate:
     def test_blocks_match_step_loop_above_the_dense_size(self):
         # The block path reads the dense matrix, which a large closed loop
         # builds only then; a long run at a large stride repays the tables.
-        market = sized_market(np.random.default_rng(29), 70)
+        market = random_market(np.random.default_rng(29), n=70, **SIM_RANGES)
         cap = es.solve_ce(market).lambda_bar - 2.0
         lay = es.state_layout(market.n)
         assert lay.dim > dynamics._DENSE_DRIFT_MAX_DIM
@@ -598,7 +596,7 @@ class TestIntegrate:
     )
     def test_blocks_record_inside_as_the_step_loop_does(self, n, seed, method, stride, n_steps):
         rng = np.random.default_rng(seed)
-        market = sized_market(rng, n)
+        market = random_market(rng, n=n, **SIM_RANGES)
         cap = es.solve_ce(market).lambda_bar + rng.uniform(-3.0, 3.0)
         lay = es.state_layout(n)
         h = 0.5 * es.euler_stable_step(market) if method == "euler" else 0.02

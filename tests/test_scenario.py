@@ -9,8 +9,8 @@ from hypothesis import given, strategies as st
 
 import energyshare as es
 from energyshare import _shortest, scenario
-from energyshare.verification import CHECKS, check_rng
-from conftest import markets, sized_market
+from energyshare.verification import CHECKS, SIM_RANGES, check_rng, random_market
+from conftest import markets
 
 MINIMAL = '{"agents": [{"q": 2.0, "c0": -8.0, "a": 1.0}], "lambda_max": 3.0}'
 
@@ -250,11 +250,7 @@ class TestRunSolve:
     def test_cap_active_iff_positive_dual_iff_price_above_cap(self):
         rng = np.random.default_rng(32)
         for _ in range(50):
-            n = int(rng.integers(1, 5))
-            q = rng.uniform(0.5, 10, n)
-            c0 = rng.uniform(-50, 0, n)
-            a = rng.uniform(0, 20, n)
-            market = es.validate_market(list(zip(q, c0, a)))
+            market = random_market(rng, n_max=4, q_lo=0.5, q_hi=10.0, c0_lo=-50.0, a_hi=20.0)
             cap = float(rng.uniform(-10, 30))
             cfg = es.ScenarioConfig(
                 market=market, cap=es.SocialPriceCap(cap), sim=es.SimSettings()
@@ -337,7 +333,7 @@ class TestRunSimulate:
 
         monkeypatch.setattr(es.dynamics, "closed_loop_matrix", refuse)
         n = 2000
-        m = sized_market(np.random.default_rng(30), n)
+        m = random_market(np.random.default_rng(30), n=n, **SIM_RANGES)
         agents = [{"q": q, "c0": c0, "a": a} for q, c0, a in zip(m.q, m.c0, m.a)]
         cfg = es.load_config(json.dumps({
             "agents": agents, "lambda_max": 5.0,
@@ -421,9 +417,7 @@ class TestRunSweep:
     def test_csv_matches_per_cap_reference_at_n_2000(self, table1_config):
         rng = np.random.default_rng(12)
         n = 2000
-        market = es.validate_market(list(zip(
-            rng.uniform(1e-3, 1e3, n), rng.uniform(-1e3, 0.0, n), rng.uniform(0.0, 1e3, n)
-        )))
+        market = random_market(rng, n=n, q_lo=1e-3, q_hi=1e3, c0_lo=-1e3, a_hi=1e3)
         lam = es.solve_ce(market).lambda_bar
         caps = [*rng.uniform(lam - 1e3, lam + 1e2, 40), lam, np.nextafter(lam, -np.inf)]
         config = replace(table1_config, market=market)
