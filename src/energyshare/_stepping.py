@@ -190,15 +190,25 @@ def _doubled(rows: np.ndarray, sums: np.ndarray, powers: list, count: int) -> tu
     ``rows @ y + sums`` reads some components after the first unit of
     steps from ``y``; ``powers[i]`` is the map of ``2**i`` units.  The rows
     of unit ``j + n`` are those of unit ``j`` applied after ``n`` units.
+    The ``count`` units' rows and sums are allocated once, and each
+    doubling writes its products into them in place.
     """
-    size = count * rows.shape[0]
+    unit = rows.shape[0]
+    size = count * unit
+    out_rows = np.empty((size, rows.shape[1]))
+    out_sums = np.empty(size)
+    out_rows[:unit], out_sums[:unit] = rows, sums
+    done = unit
     for power, total in powers:
-        if rows.shape[0] >= size:
+        if done >= size:
             break
-        head = rows[: size - rows.shape[0]]
-        sums = np.concatenate([sums, head @ total + sums[: head.shape[0]]])
-        rows = np.concatenate([rows, head @ power])
-    return rows, sums
+        n = min(done, size - done)
+        np.matmul(out_rows[:n], power, out=out_rows[done : done + n])
+        new_sums = out_sums[done : done + n]
+        np.matmul(out_rows[:n], total, out=new_sums)
+        new_sums += out_sums[:n]
+        done += n
+    return out_rows, out_sums
 
 
 # A branch looks for a power of its step map with norm at most 1 among the

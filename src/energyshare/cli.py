@@ -23,7 +23,7 @@ from .scenario import (
     run_sweep,
     sweep_to_csv,
 )
-from .verification import run_verify
+from .verification import MAX_INSTANCES, run_verify
 
 # An output path that cannot be written (OSError) is an input error too.
 _INPUT_ERRORS = (ValidationError, OSError)
@@ -61,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run the invariant battery on random instances")
     add_common(p_ver)
     p_ver.add_argument("--instances", type=int, default=200,
-                       help="number of random instances (default 200)")
+                       help=f"number of random instances, 1 to {MAX_INSTANCES} (default 200)")
 
     p_sweep = sub.add_parser("sweep", help="tabulate the capped equilibrium across price caps")
     add_common(p_sweep)

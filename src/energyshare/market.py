@@ -118,12 +118,11 @@ def _coerce_agent(record, index: int) -> tuple[float, float, float]:
     raise MissingField(f"agent record {index} has unsupported type {type(record).__name__}")
 
 
-# The least valid q, c0 and a; each must also be finite (NaN fails both tests).
-_LEAST = np.array([[np.nextafter(0.0, 1.0)], [-np.inf], [0.0]])
-
-
 def validate_market(records) -> MarketInstance:
     """Validate raw agent records and build a :class:`MarketInstance`.
+
+    Coerces the records to one float ``(3, N)`` table, a fresh copy, and
+    hands it to :func:`_validated`.
 
     Args:
         records: iterable of :class:`AgentParams`, mappings with keys
@@ -141,15 +140,31 @@ def validate_market(records) -> MarketInstance:
         NegativeGeneration: some a_i < 0.
     """
     if isinstance(records, np.ndarray) and records.dtype.kind == "f" and records.shape[1:] == (3,):
-        rows = records
+        table = np.array(records.T, dtype=float, order="C")
     else:
         rows = [_coerce_agent(rec, i) for i, rec in enumerate(records)]
-    table = np.array(rows, dtype=float).reshape(-1, 3).T.copy()
+        table = np.array(rows, dtype=float).reshape(-1, 3).T.copy()
+    return _validated(table)
+
+
+def _validated(table: np.ndarray) -> MarketInstance:
+    """The market whose columns are the rows ``q``, ``c0``, ``a`` of a float ``(3, N)`` table.
+
+    The market keeps the rows as its columns, so ``table`` must be a fresh
+    array that nothing else writes.  One ``min`` and one ``max`` per row
+    check the whole table: ``0 < q``, ``-inf < c0``, ``0 <= a`` and every
+    max finite, which NaN fails too; only a table that fails is searched
+    for its first fault, in the order q, c0, a.  The four aggregates are
+    one ``(4, N)`` array summed along its rows.  Each agent with a
+    positive ``c0`` gets a :class:`MarketWarning`, attributed to the caller
+    of the function that called this one (:func:`validate_market` or
+    ``verification.random_market``).  Raises as :func:`validate_market`.
+    """
     if not table.shape[1]:
         raise EmptyMarket("market must contain at least one agent")
-
     q, c0, a = table
-    if not ((np.abs(table) < np.inf) & (table >= _LEAST)).all():  # else find the first fault
+    lo, hi = table.min(axis=1), table.max(axis=1)
+    if not (lo[0] > 0.0 and lo[1] > -np.inf and lo[2] >= 0.0 and (hi < np.inf).all()):
         for name, arr in (("q", q), ("c0", c0), ("a", a)):
             bad = np.nonzero(~np.isfinite(arr))[0]
             if bad.size:
@@ -160,14 +175,21 @@ def validate_market(records) -> MarketInstance:
         bad = np.nonzero(a < 0.0)[0]
         raise NegativeGeneration(f"agent {bad[0]}: a = {a[bad[0]]} must be nonnegative")
 
-    for i in np.nonzero(c0 > 0.0)[0]:
-        warnings.warn(f"agent {i}: c0 = {c0[i]} is positive; the usual sign convention is c0 <= 0",
-                      MarketWarning, stacklevel=2)
+    if hi[1] > 0.0:
+        for i in np.nonzero(c0 > 0.0)[0]:
+            warnings.warn(f"agent {i}: c0 = {c0[i]} is positive; the usual sign convention is c0 <= 0",
+                          MarketWarning, stacklevel=3)
 
-    # Inputs near float64's range overflow here; the solvers' callers
-    # report the non-finite results, so numpy's warnings would only repeat it.
+    # Rows a, 1/q, 1/q**2 and c0/q.  Inputs near float64's range overflow
+    # here; the solvers' callers report the non-finite results, so numpy's
+    # warnings would only repeat it.
+    terms = np.empty((4, table.shape[1]))
+    terms[0] = a
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        sum_a, s1, s2, sqc = (float(v.sum()) for v in (a, 1.0 / q, 1.0 / q**2, c0 / q))
+        np.divide(1.0, q, out=terms[1])
+        np.divide(1.0, np.square(q, out=terms[2]), out=terms[2])
+        np.divide(c0, q, out=terms[3])
+        sum_a, s1, s2, sqc = terms.sum(axis=1).tolist()
     return MarketInstance(q=q, c0=c0, a=a, sum_a=sum_a, s1=s1, s2=s2, sqc=sqc)
 
 

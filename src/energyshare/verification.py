@@ -23,6 +23,7 @@ and whether the Lyapunov value is monotone.
 
 from __future__ import annotations
 
+import math
 import tempfile
 import zlib
 from dataclasses import dataclass, replace
@@ -46,6 +47,11 @@ SIM_RANGES = dict(n_max=5, q_lo=0.5, q_hi=4.0, c0_lo=-30.0, c0_hi=0.0, a_hi=20.0
 
 RESIDUAL_TOL = 1e-9
 ORACLE_TOL = 1e-8
+
+# run_verify's largest instance count.  The oracle-agreement check draws
+# every instance, at ~0.1 ms each on one core of a 2-vCPU Xeon VM, so
+# this many take about 10 s.
+MAX_INSTANCES = 10**5
 
 
 @dataclass(frozen=True)
@@ -78,17 +84,23 @@ class VerificationReport:
 
 
 def random_market(rng, n=None, **ranges):
-    """A valid random market of ``n`` agents, or 1 to ``n_max``, over ``WIDE_RANGES | ranges``."""
+    """A valid random market of ``n`` agents, or 1 to ``n_max``, over ``WIDE_RANGES | ranges``.
+
+    Draws ``n`` first when it is not given, then the rows ``q``, ``c0``
+    and ``a`` of one ``(3, n)`` table as ``low + rng.random((3, n)) *
+    span``: numpy's ``uniform`` computes each draw the same way, so these
+    are the bytes, and the generator state, of one ``uniform`` call per
+    row.  The table goes to ``market._validated`` without a copy.
+    """
     unknown = ranges.keys() - WIDE_RANGES.keys()
     if unknown:
         raise TypeError(f"random_market got unknown ranges {sorted(unknown)}")
     r = WIDE_RANGES | ranges
     if n is None:
         n = int(rng.integers(1, r["n_max"] + 1))
-    q = rng.uniform(r["q_lo"], r["q_hi"], n)
-    c0 = rng.uniform(r["c0_lo"], r["c0_hi"], n)
-    a = rng.uniform(0.0, r["a_hi"], n)
-    return mkt.validate_market(np.column_stack((q, c0, a)))
+    low = np.array([[r["q_lo"]], [r["c0_lo"]], [0.0]])
+    span = np.array([[r["q_hi"] - r["q_lo"]], [r["c0_hi"] - r["c0_lo"]], [r["a_hi"]]])
+    return mkt._validated(low + rng.random((3, n)) * span)
 
 
 def check_rng(seed: int, name: str) -> np.random.Generator:
@@ -201,9 +213,13 @@ def _ce_kkt(m, rng):
     return float(np.max([stat, gap])) / _residual_scale(m)
 
 
-@_residual_check(1e-12, "worst |dual - ce| = {:.2e}")
+@_residual_check(1e-12, "worst scaled |dual - exactly summed CE price| {:.2e}")
 def _dual_equals_ce(m, rng):
-    return abs(eq.solve_sw_dual(m) - eq.solve_ce(m).lambda_bar)
+    # The CE price -(sum c0/q + sum a) / sum 1/q from the columns, each sum
+    # exact, so that a fault in the market's aggregates shows here.
+    c0_q, inv_q = (m.c0 / m.q).tolist(), (1.0 / m.q).tolist()
+    price = -(math.fsum(c0_q) + math.fsum(m.a.tolist())) / math.fsum(inv_q)
+    return abs(eq.solve_sw_dual(m) - price) / _residual_scale(m)
 
 
 @_residual_check(RESIDUAL_TOL, "worst residual field {:.2e}")
@@ -485,15 +501,19 @@ def run_verify(config, num_random_instances: int = 200, seed: int | None = None)
         config: scenario whose market anchors the instance-specific checks.
         num_random_instances: sample size for the random-instance suites
             (the oracle-agreement check uses all of them; the purely
-            algebraic ones use min(50, n) draws each).
+            algebraic ones use min(50, n) draws each); at most
+            ``MAX_INSTANCES``.
         seed: RNG seed; defaults to the config's seed.
 
     Raises:
-        ValidationError: ``num_random_instances`` is below 1, the seed is
-            below 0, or a value of the config's equilibria is not finite.
+        ValidationError: ``num_random_instances`` is below 1 or above
+            ``MAX_INSTANCES``, the seed is below 0, or a value of the
+            config's equilibria is not finite.
     """
-    if num_random_instances < 1:
-        raise ValidationError(f"num_random_instances must be >= 1, got {num_random_instances}")
+    if not 1 <= num_random_instances <= MAX_INSTANCES:
+        raise ValidationError(
+            f"num_random_instances must be in [1, {MAX_INSTANCES}], got {num_random_instances}"
+        )
     if seed is None:
         seed = config.seed
     if seed < 0:

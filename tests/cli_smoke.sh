@@ -4,7 +4,7 @@
 # point or total generation overflows float64 is an input error (exit 2),
 # as is a negative initial mu, a run that overflows a divergence (exit 3),
 # and a verify check that cannot run at such a cap a failed check (exit 1,
-# no traceback).
+# no traceback).  The 200-instance verify battery passes all 26 checks.
 #
 # Run from the repository root: PYTHONPATH=src bash tests/cli_smoke.sh
 # Outputs go to $RUNNER_TEMP, or to a temporary directory removed on exit.
@@ -22,6 +22,9 @@ $cli sweep --config table1.json --caps 2,4,6
 for s in 0 1 2 3 4; do
   $cli verify --config table1.json --instances 20 --seed "$s"
 done
+# The benchmarked battery: exit 0 and all 26 checks passed.
+$cli verify --config table1.json --instances 200 > "$tmp/verify.out"
+test "$(grep -c '^\[PASS\]' "$tmp/verify.out")" -eq 26
 overflow="$tmp/overflow.json"
 echo '{"agents": [{"q": 1e-300, "c0": -1e300, "a": 1e300}], "lambda_max": 1.0}' > "$overflow"
 code=0

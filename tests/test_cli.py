@@ -162,6 +162,8 @@ class TestBadArguments:
         "argv",
         [
             ["verify", "--instances", "0"],
+            # Past MAX_INSTANCES: the oracle check would loop over every one.
+            ["verify", "--instances", "1000000000000000000000"],
             ["simulate", "--h", "-1"],
             ["simulate", "--t-end", "0"],
             ["simulate", "--t-end", "1", "--out", "missing_dir/x.csv"],
@@ -176,7 +178,7 @@ class TestBadArguments:
             ["solve", "--config", "deeply_nested.json"],
             ["simulate", "--config", "negative_mu.json"],
         ],
-        ids=["zero_instances", "negative_step", "zero_horizon", "missing_out_directory",
+        ids=["zero_instances", "too_many_instances", "negative_step", "zero_horizon", "missing_out_directory",
              "unbounded_record", "solve_overflows", "sweep_overflows", "negative_seed",
              "negative_config_seed", "non_utf8_config", "deeply_nested_config",
              "negative_initial_mu"],

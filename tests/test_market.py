@@ -1,11 +1,14 @@
 """Market data model: validation, projection operator, utility, demand map."""
 
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import energyshare as es
+from energyshare.market import _validated
+from energyshare.verification import SIM_RANGES, WIDE_RANGES, random_market
 
 
 class TestValidateMarket:
@@ -79,6 +82,55 @@ class TestValidateMarket:
             es.validate_market([{"q": 1.0, "c0": -1.0}])
         with pytest.raises(es.MissingField, match="exactly"):
             es.validate_market([(1.0, -1.0)])
+
+
+    def test_table_names_the_first_fault_in_the_order_q_c0_a(self):
+        table = np.array([[1.0, 1.0, -1.0, 1.0],  # q: agent 2
+                          [-1.0, -1.0, -1.0, np.nan],  # c0: agent 3
+                          [1.0, -1.0, 1.0, 1.0]])  # a: agent 1
+        with pytest.raises(es.NonfiniteInput, match="^agent 3: c0 = nan"):
+            _validated(table.copy())
+        table[1, 3] = -1.0
+        with pytest.raises(es.NonpositiveCurvature, match="^agent 2: q = -1.0"):
+            _validated(table.copy())
+        table[0, 2] = 1.0
+        with pytest.raises(es.NegativeGeneration, match="^agent 1: a = -1.0"):
+            _validated(table.copy())
+
+    def test_positive_c0_warning_points_at_the_caller(self):
+        with pytest.warns(es.MarketWarning) as record:
+            es.validate_market([(1.0, 2.5, 1.0)])
+            random_market(np.random.default_rng(0), n=2, c0_lo=1.0, c0_hi=2.0)
+        assert len(record) == 3
+        assert {Path(w.filename) for w in record} == {Path(__file__)}
+
+
+def reference_market(rng, n=None, **ranges):
+    """``random_market``'s draws, one ``uniform`` call per column, through ``validate_market``."""
+    r = WIDE_RANGES | ranges
+    if n is None:
+        n = int(rng.integers(1, r["n_max"] + 1))
+    q = rng.uniform(r["q_lo"], r["q_hi"], n)
+    c0 = rng.uniform(r["c0_lo"], r["c0_hi"], n)
+    a = rng.uniform(0.0, r["a_hi"], n)
+    return es.validate_market(np.column_stack((q, c0, a)))
+
+
+class TestRandomMarket:
+    @pytest.mark.parametrize("ranges", [WIDE_RANGES, SIM_RANGES], ids=["wide", "sim"])
+    @pytest.mark.parametrize("n", [None, 7])
+    def test_equals_the_validated_uniform_draws_byte_for_byte(self, ranges, n):
+        for seed in range(200):
+            rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+            m, ref = random_market(rng, n=n, **ranges), reference_market(twin, n=n, **ranges)
+            for name in ("q", "c0", "a", "sum_a", "s1", "s2", "sqc"):
+                assert np.asarray(getattr(m, name)).tobytes() == \
+                    np.asarray(getattr(ref, name)).tobytes(), (seed, name)
+            assert rng.random() == twin.random()
+
+    def test_no_agents_is_an_empty_market(self):
+        with pytest.raises(es.EmptyMarket):
+            random_market(np.random.default_rng(0), n=0)
 
 
 class TestConditionalProjection:

@@ -594,6 +594,7 @@ class TestRunVerify:
             return es.equilibrium.CeSolution(x_bar=np.full(market.n, np.nan), lambda_bar=np.nan)
 
         monkeypatch.setattr("energyshare.equilibrium.solve_ce", nan_ce)
+        monkeypatch.setattr("energyshare.equilibrium.solve_sw_dual", lambda market: np.nan)
         for name in ("equilibrium.ce_kkt", "equilibrium.dual_equals_ce"):
             passed, detail = dict(CHECKS)[name](table1_config, check_rng(0, name), 20)
             assert not passed, detail
