@@ -356,32 +356,34 @@ class _Branch:
                 unit = _compose(power, unit)
         return _doubled(*unit, _squarings([unit], count), count)
 
-    def tail(self, y: np.ndarray, first: int, last: int, records: np.ndarray) -> None:
-        """Fill ``records`` from ``y``, which lies ``first`` steps before row 0.
+    def tail(self, y: np.ndarray, first: int, last: int, rows: int):
+        """Yield ``rows`` records from ``y``, which lies ``first`` steps before the first.
 
-        The rows follow one ``stride`` apart, except the final row, ``last``
-        steps after the one before it.  The rows one stride apart come
-        ``batch`` at a time, each batch one product with :meth:`strides`.
-        A product costs the interpreter about ``_PRODUCT_COST``
-        multiply-adds and each map in the stack ``dim**3`` to build, so
-        ``batch = sqrt(rows * _PRODUCT_COST / dim**3)`` balances the two,
-        within the record cap.
+        The records follow one ``stride`` apart, except the final one,
+        ``last`` steps after the one before it; they come as arrays of
+        consecutive rows.  The rows one stride apart come ``batch`` at a
+        time, each batch one product with :meth:`strides` from the last row
+        of the one before.  A product costs the interpreter about
+        ``_PRODUCT_COST`` multiply-adds and each map in the stack
+        ``dim**3`` to build, so ``batch = sqrt(rows * _PRODUCT_COST /
+        dim**3)`` balances the two, within the record cap.
         """
         _squarings(self.powers, self.stride)  # first and last are at most a stride
-        records[0] = self.apply(y, first)
-        full = records.shape[0] - (1 if last == self.stride else 2)
+        y = self.apply(y, first)
+        yield y[None]
+        full = rows - (1 if last == self.stride else 2)
         if full > 0:
             dim = self.dim
             batch = min(full, max(1, _RECORD_BLOCK_MAX_BYTES // (8 * dim * (dim + 1))),
                         max(1, math.isqrt(full * _PRODUCT_COST // dim**3)))
-            rows, sums = self.strides(batch)
+            stack, sums = self.strides(batch)
             for i in range(0, full, batch):
                 count = min(batch, full - i)
-                records[i + 1 : i + 1 + count] = (
-                    rows[: count * dim] @ records[i] + sums[: count * dim]
-                ).reshape(count, dim)
-        if full < records.shape[0] - 1:
-            records[-1] = self.apply(records[-2], last)
+                records = (stack[: count * dim] @ y + sums[: count * dim]).reshape(count, dim)
+                yield records
+                y = records[-1]
+        if full < rows - 1:
+            yield self.apply(y, last)[None]
 
 
 class _Blocks:
@@ -448,28 +450,27 @@ class _Blocks:
             taken = int(np.argmin(bounded))  # the leading steps that stay within the limit
         return branch.apply(y, taken), taken
 
-    def finish(self, y: np.ndarray, k: int, n_steps: int, records: np.ndarray) -> bool:
-        """Record the rest of the run from ``y``, the state after ``k`` steps, if it is trapped.
+    def finish(self, y: np.ndarray, k: int, n_steps: int, rows: int):
+        """The run's last ``rows`` records from ``y``, the state after ``k`` steps, if it is trapped.
 
         A run with blocks clamps ``mu``, so ``y`` lies in its branch's ``S``
         and is trapped within the radius of the branch's
         :attr:`_Branch.ball`: then no later stage state leaves the branch or
         the divergence limit, and every later state is the branch's affine
-        map of ``y``.  Row ``m`` of ``records`` receives the state after
-        step ``min((k // stride + 1 + m) * stride, n_steps)``.  Returns
-        whether it did.
+        map of ``y``.  Record ``m`` is the state after step ``min((k //
+        stride + 1 + m) * stride, n_steps)``; :meth:`_Branch.tail` yields
+        them in batches.  Returns None for a run that is not trapped.
         """
         branch = self._branch_of(y)
         if branch is None:
-            return False
+            return None
         center, radius = branch.ball
         e = y - center
         if not e @ e < radius * radius:
-            return False
-        stride, rows = branch.stride, records.shape[0]
+            return None
+        stride = branch.stride
         first = min((k // stride + 1) * stride, n_steps) - k
-        branch.tail(y, first, n_steps - k - first - (rows - 2) * stride, records)
-        return True
+        return branch.tail(y, first, n_steps - k - first - (rows - 2) * stride, rows)
 
 
 def integrate(
@@ -522,10 +523,13 @@ def integrate(
     recurrence, rounded through the matrix powers: the states agree with
     the step-by-step ones to ~1e-12 of their size.  On one core of a 2-vCPU
     Xeon VM the 200 000 Euler steps of ``verify``'s Euler check, recorded
-    at every step, take ~0.1 s instead of ~1.9 s, and ``table1.json``'s run
+    at every step, take ~0.02-0.04 s at N = 1 and ~0.14 s at N = 5 instead
+    of ~1.9 s, and ``table1.json``'s run
     ~3 ms instead of ~6 ms (trapped at t = 146 of 1200); at ``t_end =
     1.2e5`` and stride 10**4 it takes ~0.03 s instead of ~1.6 s, and at
     ``t_end = 1e9`` and stride 10**7 ~0.03 s.
+
+    The march is ``_march``'s with one window that holds every row.
 
     Returns:
         The recorded :class:`Trajectory`.
@@ -534,6 +538,26 @@ def integrate(
         NonfiniteState: the state's infinity norm exceeded
             ``DIVERGENCE_LIMIT`` or turned non-finite; the partial trajectory
             recorded so far, columns and all, rides on the exception.
+    """
+    (trajectory,) = _march(rhs, y0, h, t_end, method, reference, mu_index, record_stride)
+    return trajectory
+
+
+def _march(rhs, y0, h: float, t_end: float, method: str = "euler", reference=None,
+           mu_index: int | None = None, record_stride: int = 1, bounded: bool = False):
+    """Yield the records of :func:`integrate`'s run as trajectories of consecutive rows.
+
+    Takes :func:`integrate`'s arguments.  Unless ``bounded``, one window
+    holds every row, and the one trajectory yielded is :func:`integrate`'s.
+    A ``bounded`` march reuses one window of about ``_DEVIATION_CHUNK_BYTES``
+    and yields it, columns filled, whenever the next rows do not fit and at
+    the end, so its memory does not grow with the horizon; the steps, and
+    so every row, ``V`` and error, are the same.  A window's states are
+    valid until the next one is drawn, and a ``NonfiniteState`` carries the
+    last window's rows.  A block records at most ``_RECORD_BLOCK_MAX_BYTES
+    // (8 * dim * (dim + 1))`` rows, and the tail yields at most as many at
+    once: they fit ``_DEVIATION_CHUNK_BYTES // (8 * dim)`` rows with a row
+    to spare for the state at the block's end.
     """
     y = np.array(y0, dtype=float)
     if y.ndim != 1:
@@ -561,8 +585,10 @@ def integrate(
     # Row i records step min(i * grid, n_steps): every record_stride-th and the last.
     n_rec = -(-n_steps // record_stride) + 1
     grid = min(record_stride, n_steps)
-    times = np.minimum(np.arange(n_rec) * grid, n_steps) * h
-    states = np.empty((n_rec, y.size))
+    size = n_rec
+    if bounded:
+        size = min(n_rec, max(1, _DEVIATION_CHUNK_BYTES // (8 * y.size)))
+    states = np.empty((size, y.size))
 
     blocks = None
     if isinstance(rhs, ProjectedAffine) and mu_index == rhs.mu:
@@ -578,6 +604,11 @@ def integrate(
         if length >= _BLOCK_MIN_STEPS:
             blocks = _Blocks(rhs, step, h, length, record_stride)
 
+    def window(stop: int) -> Trajectory:
+        """The window's first ``stop`` rows, which follow the ``base`` rows yielded before."""
+        times = np.minimum(np.arange(base, base + stop) * grid, n_steps) * h
+        return _recorded(times, states[:stop], mu_index, ref)
+
     def filled(stop: int) -> int:
         """Clamp mu in rows ``rec`` to ``stop``, which a block or the tail wrote: the
         guard, the recorded rows and the matrix powers round differently, so mu may
@@ -588,7 +619,7 @@ def integrate(
         return stop
 
     states[0] = y
-    k, rec = 0, 1  # steps taken, rows recorded
+    base, k, rec = 0, 0, 1  # rows yielded, steps taken, rows in the window
     while k < n_steps:
         steps, taken = 1, 0  # one single step, unless a block takes them
         if blocks is not None:
@@ -601,7 +632,11 @@ def integrate(
             elif reach < n_steps and reach - k >= record_stride:
                 reach -= reach % record_stride
             steps = reach - k
-            inside = (steps - 1) // record_stride
+        inside = (steps - 1) // record_stride
+        if rec + inside >= size:  # no room for the rows inside and the row after
+            yield window(rec)
+            base, rec = base + rec, 0
+        if blocks is not None:
             y, taken = blocks.advance(y, steps, states[rec : rec + inside])
             done = min(taken, steps - 1) // record_stride
             if done:
@@ -618,16 +653,22 @@ def integrate(
                 raise NonfiniteState(
                     f"state diverged at t = {k * h:.6g} "
                     f"(non-finite or |state| > {DIVERGENCE_LIMIT:g})",
-                    trajectory=_recorded(times[:rec].copy(), states[:rec].copy(),
-                                         mu_index, ref),
+                    trajectory=window(rec),
                 )
         if k % record_stride == 0 or k == n_steps:
             states[rec] = y
             rec += 1
-        if taken == steps and k < n_steps and blocks.finish(y, k, n_steps, states[rec:]):
-            rec, k = filled(n_rec), n_steps
-
-    return _recorded(times, states, mu_index, ref)
+        if taken == steps and k < n_steps:
+            tail = blocks.finish(y, k, n_steps, n_rec - base - rec)
+            if tail is not None:
+                for records in tail:
+                    if rec + len(records) > size:
+                        yield window(rec)
+                        base, rec = base + rec, 0
+                    states[rec : rec + len(records)] = records
+                    rec = filled(rec + len(records))
+                k = n_steps
+    yield window(rec)
 
 
 # Rows of ``states - reference`` that _recorded forms at once: a temporary of

@@ -42,7 +42,7 @@ import numpy as np
 
 # The fixed-step engine, whose public names are this module's too.
 from ._stepping import DIVERGENCE_LIMIT, METHODS, Trajectory, integrate  # noqa: F401
-from ._stepping import ProjectedAffine, _half_squared_norm
+from ._stepping import ProjectedAffine, _half_squared_norm, _march  # noqa: F401
 from .equilibrium import _capped, solve_ce, solve_sce
 from .errors import DimensionMismatch, NegativeMu
 from .market import MarketInstance, conditional_projection
@@ -436,22 +436,48 @@ def convergence_report(trajectory: Trajectory, tolerance: float) -> ConvergenceR
     projected component ever dipped below zero.  Raises ``ValueError`` if
     the trajectory is empty or was recorded without a reference.
     """
-    if len(trajectory) == 0:
+    return _folded_report([trajectory], tolerance)[0]
+
+
+def _folded_report(windows, tolerance: float) -> tuple[ConvergenceReport, float, float]:
+    """:func:`convergence_report` of a run whose records come as consecutive ``windows``.
+
+    Each window is a :class:`Trajectory` of the rows after those of the one
+    before, as ``_march`` yields them; the fold reads it once and keeps
+    only its summaries, so a run of any horizon is summarized in the memory
+    of one window.  A rise of ``V`` across two windows counts as one
+    between rows.  The report equals that of the windows' rows as one
+    trajectory, float for float.  Also returns ``V`` at the first row and
+    the last row's time.
+    """
+    rows, first, v_first, v_last, final_error, final_time = 0, None, None, None, None, None
+    worst_rise, mu_min = 0.0, np.inf
+    for window in windows:
+        if not len(window):
+            continue
+        errors, lyapunov = window.equilibrium_residuals, window.lyapunov
+        if np.isnan(errors).any():
+            raise ValueError("trajectory has no recorded errors (no reference)")
+        if first is None:
+            within = np.nonzero(errors <= tolerance)[0]
+            if within.size:
+                first = float(window.times[within[0]])
+        if not rows:
+            v_first = v_last = float(lyapunov[0])
+        # Each row's rise from the row before, the window before's last included.
+        worst_rise = np.maximum(worst_rise, np.diff(lyapunov, prepend=v_last).max())
+        if window.mu_index is not None:
+            mu_min = np.minimum(mu_min, window.states[:, window.mu_index].min())
+        rows += len(window)
+        v_last, final_error, final_time = lyapunov[-1], float(errors[-1]), float(window.times[-1])
+    if not rows:
         raise ValueError("trajectory is empty")
-    errors = trajectory.equilibrium_residuals
-    if np.isnan(errors).any():
-        raise ValueError("trajectory has no recorded errors (no reference)")
-    within = np.nonzero(errors <= tolerance)[0]
-    first = float(trajectory.times[within[0]]) if within.size else None
-    rises = np.diff(trajectory.lyapunov)
-    mu_neg = 0.0
-    if trajectory.mu_index is not None:
-        mu_neg = max(0.0, -float(trajectory.states[:, trajectory.mu_index].min()))
-    return ConvergenceReport(
-        converged=bool(errors[-1] <= tolerance),
+    report = ConvergenceReport(
+        converged=bool(final_error <= tolerance),
         first_time_within_tolerance=first,
-        final_error=float(errors[-1]),
-        worst_lyapunov_increase=max(float(rises.max()), 0.0) if rises.size else 0.0,
-        mu_negativity=mu_neg,
+        final_error=final_error,
+        worst_lyapunov_increase=float(worst_rise),
+        mu_negativity=max(0.0, -float(mu_min)),
         tolerance=float(tolerance),
     )
+    return report, v_first, final_time

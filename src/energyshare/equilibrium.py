@@ -132,17 +132,20 @@ def _capped(market: MarketInstance, caps, lam_ce: float) -> tuple:
     Where the competitive price ``lam_ce`` respects the cap, the market
     clears at it with ``nu = 0``.  Elsewhere, a NaN cap included, the price
     pins to the cap and the scalar dual ``nu = aggregate_slack(cap) / s2``
-    absorbs the slack: ``x = phi(cap) - nu / q**2`` and ``u = nu / q``.
+    absorbs the slack: ``x = phi(cap) - nu / q**2`` and ``u = nu / q``; at
+    an idle cap ``x`` is the competitive allocation, bit for bit.
     ``x`` and ``u`` have a trailing agent axis.
     """
     active = ~(lam_ce <= np.asarray(caps))
     lam = np.where(active, caps, lam_ce)
     demand = phi(market, lam[..., None])
-    # Divided only where the cap binds: s2 underflows to 0 when every q is past ~1e154.
+    # Divided only where the cap binds: s2 underflows to 0 when every q is
+    # past ~1e154, and q**2 when some q is below ~1e-162.
     nu = np.divide(demand.sum(axis=-1) - market.sum_a, market.s2, out=np.zeros(active.shape),
                    where=active)
     column = nu[..., None]
-    return lam, nu, demand - column / market.q**2, column / market.q
+    shift = np.divide(column, market.q**2, out=np.zeros(demand.shape), where=active[..., None])
+    return lam, nu, demand - shift, column / market.q
 
 
 def solve_sce(market: MarketInstance, cap: float) -> SceSolution:

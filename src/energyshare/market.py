@@ -147,50 +147,61 @@ def validate_market(records) -> MarketInstance:
     return _validated(table)
 
 
-def _validated(table: np.ndarray) -> MarketInstance:
+def _validated(table: np.ndarray) -> MarketInstance | list[MarketInstance]:
     """The market whose columns are the rows ``q``, ``c0``, ``a`` of a float ``(3, N)`` table.
 
-    The market keeps the rows as its columns, so ``table`` must be a fresh
-    array that nothing else writes.  One ``min`` and one ``max`` per row
-    check the whole table: ``0 < q``, ``-inf < c0``, ``0 <= a`` and every
-    max finite, which NaN fails too; only a table that fails is searched
-    for its first fault, in the order q, c0, a.  The four aggregates are
-    one ``(4, N)`` array summed along its rows.  Each agent with a
-    positive ``c0`` gets a :class:`MarketWarning`, attributed to the caller
-    of the function that called this one (:func:`validate_market` or
-    ``verification.random_market``).  Raises as :func:`validate_market`.
+    A ``(3, K, N)`` table holds ``K`` markets of ``N`` agents each, and
+    gives their list, market ``k`` from the columns ``table[:, k]``: one
+    pass checks and sums them all, so a batch costs one market's numpy
+    calls.  The markets keep views of the table as their columns, so
+    ``table`` must be a fresh C-ordered array that nothing else writes.
+    One ``min`` and one ``max`` per row check the whole table: ``0 < q``,
+    ``-inf < c0``, ``0 <= a`` and every max finite, which NaN fails too;
+    only a table that fails is searched for its first fault, in the order
+    q, c0, a, and the fault names the agent's index within its market.
+    The four aggregates are one ``(4, ..., N)`` array summed along its
+    last axis, each market's sums the bytes of its own ``(3, N)`` table.
+    Each agent with a positive ``c0`` gets a :class:`MarketWarning`,
+    attributed to the caller of the function that called this one
+    (:func:`validate_market`, ``verification.random_market`` or
+    ``verification.random_markets``).  Raises as :func:`validate_market`.
     """
-    if not table.shape[1]:
+    n = table.shape[-1]
+    if not n:
         raise EmptyMarket("market must contain at least one agent")
     q, c0, a = table
-    lo, hi = table.min(axis=1), table.max(axis=1)
+    rows = table.reshape(3, -1)
+    lo, hi = rows.min(axis=1), rows.max(axis=1)
     if not (lo[0] > 0.0 and lo[1] > -np.inf and lo[2] >= 0.0 and (hi < np.inf).all()):
         for name, arr in (("q", q), ("c0", c0), ("a", a)):
-            bad = np.nonzero(~np.isfinite(arr))[0]
+            bad = np.flatnonzero(~np.isfinite(arr))
             if bad.size:
-                raise NonfiniteInput(f"agent {bad[0]}: {name} = {float(arr[bad[0]])!r} is not finite")
-        bad = np.nonzero(q <= 0.0)[0]
+                value = float(arr.flat[bad[0]])
+                raise NonfiniteInput(f"agent {bad[0] % n}: {name} = {value!r} is not finite")
+        bad = np.flatnonzero(q <= 0.0)
         if bad.size:
-            raise NonpositiveCurvature(f"agent {bad[0]}: q = {q[bad[0]]} must be strictly positive")
-        bad = np.nonzero(a < 0.0)[0]
-        raise NegativeGeneration(f"agent {bad[0]}: a = {a[bad[0]]} must be nonnegative")
+            raise NonpositiveCurvature(f"agent {bad[0] % n}: q = {q.flat[bad[0]]} must be strictly positive")
+        bad = np.flatnonzero(a < 0.0)
+        raise NegativeGeneration(f"agent {bad[0] % n}: a = {a.flat[bad[0]]} must be nonnegative")
 
     if hi[1] > 0.0:
-        for i in np.nonzero(c0 > 0.0)[0]:
-            warnings.warn(f"agent {i}: c0 = {c0[i]} is positive; the usual sign convention is c0 <= 0",
-                          MarketWarning, stacklevel=3)
+        for i in np.flatnonzero(c0 > 0.0):
+            warnings.warn(f"agent {i % n}: c0 = {c0.flat[i]} is positive; the usual sign "
+                          "convention is c0 <= 0", MarketWarning, stacklevel=3)
 
     # Rows a, 1/q, 1/q**2 and c0/q.  Inputs near float64's range overflow
     # here; the solvers' callers report the non-finite results, so numpy's
     # warnings would only repeat it.
-    terms = np.empty((4, table.shape[1]))
+    terms = np.empty((4, *table.shape[1:]))
     terms[0] = a
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         np.divide(1.0, q, out=terms[1])
         np.divide(1.0, np.square(q, out=terms[2]), out=terms[2])
         np.divide(c0, q, out=terms[3])
-        sum_a, s1, s2, sqc = terms.sum(axis=1).tolist()
-    return MarketInstance(q=q, c0=c0, a=a, sum_a=sum_a, s1=s1, s2=s2, sqc=sqc)
+        sums = terms.sum(axis=-1).tolist()
+    if table.ndim == 2:
+        return MarketInstance(q, c0, a, *sums)
+    return list(map(MarketInstance, q, c0, a, *sums))
 
 
 def conditional_projection(x: float, y: float) -> float:

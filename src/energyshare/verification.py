@@ -10,21 +10,27 @@ held to a tolerance (:func:`_residual_check`); an exact property (``phi``
 strictly decreasing, utility strictly concave, complementarity by structure,
 the slack-cap identity) is a violation measure held to 0.  Such a check keeps
 ``residual`` and ``tol`` as attributes, and the test suite also evaluates each
-residual on markets drawn by hypothesis.  A non-finite residual fails.  The
+residual on markets drawn by hypothesis.  A non-finite residual fails.  Each
+such check draws all of its markets first, as one batch
+(:func:`random_markets`), then evaluates its residual market by market.  The
 references that stay independent of these checks live in the test suite: the
 dense-solve oracles of the CE and the capped equilibrium, the per-agent drift
 oracles, and table1's published values.
 
-The closed-loop simulation checks are each one :func:`dynamics.integrate`
-call from the zero state, judged by what the run recorded: the final error
-and the dip of ``mu`` below zero from :func:`dynamics.convergence_report`,
-and whether the Lyapunov value is monotone.
+The closed-loop simulation checks are each one run of
+:func:`dynamics.integrate`'s march from the zero state, judged by what the
+run recorded: the final error and the dip of ``mu`` below zero, as
+:func:`dynamics.convergence_report` reads them, and whether the Lyapunov
+value is monotone.  The records pass through a window of about 1 MiB and are
+folded into the report window by window, so a run's memory does not grow
+with its horizon.
 """
 
 from __future__ import annotations
 
 import math
 import tempfile
+import time
 import zlib
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -56,9 +62,12 @@ MAX_INSTANCES = 10**5
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One check's outcome, its detail line and its wall time in seconds."""
+
     name: str
     passed: bool
     detail: str
+    wall_s: float
 
 
 @dataclass(frozen=True)
@@ -83,6 +92,17 @@ class VerificationReport:
         return lines
 
 
+def _table_ranges(ranges) -> tuple[dict, np.ndarray, np.ndarray]:
+    """``WIDE_RANGES | ranges``, with the low ends and spans of the rows ``q``, ``c0``, ``a``."""
+    unknown = ranges.keys() - WIDE_RANGES.keys()
+    if unknown:
+        raise TypeError(f"random_market got unknown ranges {sorted(unknown)}")
+    r = WIDE_RANGES | ranges
+    low = np.array([[r["q_lo"]], [r["c0_lo"]], [0.0]])
+    span = np.array([[r["q_hi"] - r["q_lo"]], [r["c0_hi"] - r["c0_lo"]], [r["a_hi"]]])
+    return r, low, span
+
+
 def random_market(rng, n=None, **ranges):
     """A valid random market of ``n`` agents, or 1 to ``n_max``, over ``WIDE_RANGES | ranges``.
 
@@ -92,15 +112,32 @@ def random_market(rng, n=None, **ranges):
     are the bytes, and the generator state, of one ``uniform`` call per
     row.  The table goes to ``market._validated`` without a copy.
     """
-    unknown = ranges.keys() - WIDE_RANGES.keys()
-    if unknown:
-        raise TypeError(f"random_market got unknown ranges {sorted(unknown)}")
-    r = WIDE_RANGES | ranges
+    r, low, span = _table_ranges(ranges)
     if n is None:
         n = int(rng.integers(1, r["n_max"] + 1))
-    low = np.array([[r["q_lo"]], [r["c0_lo"]], [0.0]])
-    span = np.array([[r["q_hi"] - r["q_lo"]], [r["c0_hi"] - r["c0_lo"]], [r["a_hi"]]])
     return mkt._validated(low + rng.random((3, n)) * span)
+
+
+def random_markets(rng, count: int, **ranges) -> list:
+    """``count`` valid random markets over ``WIDE_RANGES | ranges``, drawn as one batch.
+
+    Draws the ``count`` agent counts first, then, for each distinct count
+    ``n`` in increasing order, the ``(3, k, n)`` table of the ``k`` markets
+    of that size, as :func:`random_market` draws one.  Each table goes to
+    ``market._validated`` in one pass, which builds every market from its
+    row without validating it again.  Markets of different sizes are not
+    padded into one table: padding would reorder numpy's pairwise sums,
+    and the aggregates would differ from the market's own by an ulp.
+    """
+    r, low, span = _table_ranges(ranges)
+    sizes = rng.integers(1, r["n_max"] + 1, count)
+    markets = [None] * count
+    for n in np.unique(sizes).tolist():
+        slots = np.flatnonzero(sizes == n)
+        table = low[..., None] + rng.random((3, slots.size, n)) * span[..., None]
+        for i, market in zip(slots.tolist(), mkt._validated(table)):
+            markets[i] = market
+    return markets
 
 
 def check_rng(seed: int, name: str) -> np.random.Generator:
@@ -115,14 +152,16 @@ def _residual_scale(market) -> float:
 def _residual_check(tol, detail, count=50):
     """Make ``residual(market, rng)`` a check: its worst value over min(count,
     instances) random markets, or all of them for ``count=None``, must stay
-    within ``tol``; a non-finite value fails.  ``detail`` is formatted with
-    that value and the instance count.  The check keeps ``residual`` and
-    ``tol`` as attributes, so that the tests can draw their own markets.
+    within ``tol``; a non-finite value fails.  The markets are drawn first,
+    as one :func:`random_markets` batch, and the residuals then draw from
+    ``rng`` market by market.  ``detail`` is formatted with the worst value
+    and the instance count.  The check keeps ``residual`` and ``tol`` as
+    attributes, so that the tests can draw their own markets.
     """
     def decorate(residual):
         def check(config, rng, instances):
-            draws = instances if count is None else min(count, instances)
-            worst = float(np.max([residual(random_market(rng), rng) for _ in range(draws)]))
+            markets = random_markets(rng, instances if count is None else min(count, instances))
+            worst = float(np.max([residual(m, rng) for m in markets]))
             return worst <= tol, detail.format(worst, instances)
         check.residual, check.tol = residual, tol
         return check
@@ -139,8 +178,10 @@ def _closed_loop_run(market, cap, rate=None, h=0.02, t_end=None, method="rk4", r
     """Integrate the closed loop from zero to ``t_end``, or the settling horizon at ``rate``.
 
     Returns the run's convergence report at ``SUMMARY_TOLERANCE``, whether its
-    Lyapunov value is monotone, and a detail line.  Raises ``ValidationError``
-    if the settling horizon is not finite (a cap past float64's range).
+    Lyapunov value is monotone, and a detail line.  The run's records pass
+    through a window of about 1 MiB (``dynamics._march``).  Raises
+    ``ValidationError`` if the settling horizon is not finite (a cap past
+    float64's range).
     """
     fixed = dyn.assemble_equilibrium(market, cap)
     if t_end is None:
@@ -149,15 +190,15 @@ def _closed_loop_run(market, cap, rate=None, h=0.02, t_end=None, method="rk4", r
             raise ValidationError(f"settling horizon {horizon} at cap {cap:g} is not finite")
         t_end = max(50.0 * h, horizon)
     lay = dyn.state_layout(market.n)
-    traj = dyn.integrate(
+    windows = dyn._march(
         dyn.closed_loop_rhs(market, cap), np.zeros(lay.dim), h, t_end, method=method,
-        reference=fixed, mu_index=lay.mu, record_stride=record_stride,
+        reference=fixed, mu_index=lay.mu, record_stride=record_stride, bounded=True,
     )
-    report = dyn.convergence_report(traj, scn.SUMMARY_TOLERANCE)
+    report, v_first, final_time = dyn._folded_report(windows, scn.SUMMARY_TOLERANCE)
     rise = report.worst_lyapunov_increase
-    monotone = rise <= 1e-8 * max(1.0, float(traj.lyapunov[0]))
+    monotone = rise <= 1e-8 * max(1.0, v_first)
     return report, monotone, (
-        f"err={report.final_error:.1e}@t={traj.final_time:.0f}, "
+        f"err={report.final_error:.1e}@t={final_time:.0f}, "
         f"mu dip {report.mu_negativity:.1e}, V increase {rise:.1e} "
         f"({'' if monotone else 'not '}monotone)"
     )
@@ -314,7 +355,7 @@ def _xsym_residual(m, rng):
 
 
 def _xsym_factorization(config, rng, instances):
-    markets = [config.market] + [random_market(rng) for _ in range(10)]
+    markets = [config.market, *random_markets(rng, 10)]
     worst = float(np.max([_xsym_residual(m, rng) for m in markets]))
     return worst <= _xsym_factorization.tol, (
         f"worst max(factorization residual, 1e-2 * max eigenvalue) {worst:.2e} "
@@ -360,14 +401,20 @@ def _closed_loop_config_convergence(config, rng, instances):
     return report.converged and report.mu_negativity == 0.0 and monotone, detail
 
 
-def _euler_lyapunov_monotone(config, rng, instances):
-    # Euler resolves the per-step Lyapunov slack only when h**2 * |drift|**2
-    # stays below it, hence the small step on the early transient.
+# The Euler check's run: Euler resolves the per-step Lyapunov slack only
+# when h**2 * |drift|**2 stays below it, hence the small step on the early
+# transient, and every step is recorded.
+EULER_RUN = dict(h=1e-4, t_end=20.0, method="euler", record_stride=1)
+
+
+def _euler_instance(rng):
+    """The Euler check's market and a cap that binds on it."""
     m = random_market(rng, **SIM_RANGES)
-    cap = eq.solve_ce(m).lambda_bar - rng.uniform(1.0, 5.0)
-    report, monotone, detail = _closed_loop_run(
-        m, cap, h=1e-4, t_end=20.0, method="euler", record_stride=1
-    )
+    return m, eq.solve_ce(m).lambda_bar - rng.uniform(1.0, 5.0)
+
+
+def _euler_lyapunov_monotone(config, rng, instances):
+    report, monotone, detail = _closed_loop_run(*_euler_instance(rng), **EULER_RUN)
     return monotone and report.mu_negativity == 0.0, detail
 
 
@@ -495,7 +542,9 @@ def run_verify(config, num_random_instances: int = 200, seed: int | None = None)
 
     Each check draws from its own generator, ``check_rng(seed, name)``, so it
     draws the same instances alone as in the battery.  A check that raises an
-    :class:`EnergyShareError` fails.
+    :class:`EnergyShareError` fails.  Each :class:`CheckResult` carries the
+    check's wall time, ``wall_s``, which the summary lines leave out, so
+    that ``verify``'s output stays the same from run to run.
 
     Args:
         config: scenario whose market anchors the instance-specific checks.
@@ -521,11 +570,13 @@ def run_verify(config, num_random_instances: int = 200, seed: int | None = None)
     scn.run_solve(config)  # a market past float64's range is an input error, not a failed check
     results = []
     for name, check in CHECKS:
+        start = time.perf_counter()
         try:
             passed, detail = check(config, check_rng(seed, name), num_random_instances)
         except EnergyShareError as exc:
             passed, detail = False, f"raised {type(exc).__name__}: {exc}"
-        results.append(CheckResult(name=name, passed=bool(passed), detail=detail))
+        results.append(CheckResult(name=name, passed=bool(passed), detail=detail,
+                                   wall_s=time.perf_counter() - start))
     return VerificationReport(
         checks=tuple(results), seed=seed, num_random_instances=num_random_instances
     )

@@ -8,6 +8,7 @@ exercised separately in the acceptance suite.
 """
 
 import contextlib
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -16,7 +17,10 @@ from hypothesis import given, settings, strategies as st
 
 import energyshare as es
 from energyshare import _stepping, dynamics
-from energyshare.verification import CAP_RANGE, CHECKS, SIM_RANGES, check_rng, random_market
+from energyshare.scenario import SUMMARY_TOLERANCE
+from energyshare.verification import (
+    CAP_RANGE, CHECKS, EULER_RUN, SIM_RANGES, _euler_instance, check_rng, random_market,
+)
 from conftest import assert_matches_oracle, closed_loop_drift_oracle, reduced_drift_oracle
 
 
@@ -59,9 +63,9 @@ def counted_block_steps():
         count[0] += taken
         return y, taken
 
-    def counted_finish(self, y, k, n_steps, records):
-        done = finish(self, y, k, n_steps, records)
-        if done:
+    def counted_finish(self, y, k, n_steps, rows):
+        done = finish(self, y, k, n_steps, rows)
+        if done is not None:
             count[0] += n_steps - k
             count[1] += n_steps - k
         return done
@@ -829,6 +833,73 @@ class TestConvergenceReport:
         )
         with pytest.raises(ValueError, match="no reference"):
             es.convergence_report(traj, 1e-3)
+
+
+EULER_CHECK = "dynamics.euler_lyapunov_monotone"
+
+
+def bounded_windows_match(rhs, y0, **run) -> list[int]:
+    """The sizes of the bounded march's windows, each checked against ``integrate``'s rows."""
+    traj = es.integrate(rhs, y0, **run)
+    sizes = []
+    for window in dynamics._march(rhs, y0, bounded=True, **run):
+        start = sum(sizes)
+        for column in ("times", "states", "lyapunov", "equilibrium_residuals"):
+            np.testing.assert_array_equal(getattr(window, column),
+                                          getattr(traj, column)[start : start + len(window)])
+        sizes.append(len(window))
+    assert sum(sizes) == len(traj)
+    return sizes
+
+
+class TestBoundedMarch:
+    # The window (1 MiB), its deviations from the reference (1 MiB), the
+    # tables of blocks that record every step (1 MiB) and of the tail
+    # (1 MiB): the check's 200 001 records take 12.8 MB at N = 1 and 44.8
+    # MB at N = 5.  Seed 0 is the fixture's and draws N = 1; seed 5 draws 5.
+    @pytest.mark.parametrize("seed, n", [(0, 1), (5, 5)])
+    def test_euler_check_memory_does_not_grow_with_its_horizon(self, table1_config, seed, n):
+        assert _euler_instance(check_rng(seed, EULER_CHECK))[0].n == n
+        tracemalloc.start()
+        try:
+            passed, detail = dict(CHECKS)[EULER_CHECK](
+                table1_config, check_rng(seed, EULER_CHECK), 200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert passed, detail
+        assert peak < 6 * 2**20
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_euler_check_report_is_that_of_the_whole_trajectory(self, seed):
+        market, cap = _euler_instance(check_rng(seed, EULER_CHECK))
+        lay = es.state_layout(market.n)
+        rhs, y0 = es.closed_loop_rhs(market, cap), np.zeros(lay.dim)
+        run = dict(reference=es.assemble_equilibrium(market, cap), mu_index=lay.mu, **EULER_RUN)
+        folded = dynamics._folded_report(dynamics._march(rhs, y0, bounded=True, **run),
+                                         SUMMARY_TOLERANCE)
+        traj = es.integrate(rhs, y0, **run)
+        assert folded == (es.convergence_report(traj, SUMMARY_TOLERANCE),
+                          float(traj.lyapunov[0]), traj.final_time)
+
+    def test_tail_batches_cross_windows(self, table1_market, block_steps):
+        lay = es.state_layout(table1_market.n)
+        sizes = bounded_windows_match(
+            es.closed_loop_rhs(table1_market, 4.0), np.zeros(lay.dim), h=0.02, t_end=1200.0,
+            method="rk4", reference=es.assemble_equilibrium(table1_market, 4.0),
+            mu_index=lay.mu, record_stride=1,
+        )
+        assert len(sizes) > 5 and block_steps[1] > 0  # trapped, with windows to spare
+
+    def test_step_loop_crosses_windows(self):
+        market = es.validate_market([(1.0, -10.0, 3.0)])
+        rhs = es.closed_loop_rhs(market, 5.0)
+        lay = es.state_layout(1)
+        sizes = bounded_windows_match(
+            lambda y: rhs(y), np.zeros(lay.dim), h=1e-3, t_end=20.0,
+            reference=es.assemble_equilibrium(market, 5.0), mu_index=lay.mu,
+        )
+        assert sizes == [2**20 // (8 * lay.dim), 20001 - 2**20 // (8 * lay.dim)]
 
 
 class TestConvergence:

@@ -157,6 +157,16 @@ class TestSolveSce:
         np.testing.assert_array_equal(sce.x_star, ce.x_bar)
         assert sce.lambda_star == ce.lambda_bar
 
+    # q**2 of the first agent underflows to 0, where x = phi - nu / q**2
+    # read 0/0 = NaN at an idle cap; the division now happens only where
+    # the cap binds, so numpy has nothing to warn about.
+    @pytest.mark.filterwarnings("error")
+    def test_idle_cap_keeps_the_ce_allocation_where_q_squared_underflows(self):
+        m = es.validate_market([(1e-200, -1.0, 1.0), (1.0, -10.0, 1.0)])
+        sce = es.solve_sce(m, 1e300)
+        assert sce.x_star.tobytes() == es.solve_ce(m).x_bar.tobytes()
+        assert sce.nu_star == 0.0 and not sce.u_star.any()
+
 
 class TestDualityChain:
     def test_sw_dual_equals_ce_price(self, table1_market):

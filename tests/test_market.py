@@ -8,7 +8,7 @@ import pytest
 
 import energyshare as es
 from energyshare.market import _validated
-from energyshare.verification import SIM_RANGES, WIDE_RANGES, random_market
+from energyshare.verification import SIM_RANGES, WIDE_RANGES, random_market, random_markets
 
 
 class TestValidateMarket:
@@ -97,6 +97,16 @@ class TestValidateMarket:
         with pytest.raises(es.NegativeGeneration, match="^agent 1: a = -1.0"):
             _validated(table.copy())
 
+    def test_batch_names_the_first_fault_by_its_agent_in_its_market(self):
+        table = np.array([np.ones((2, 3)), -np.ones((2, 3)), np.ones((2, 3))])
+        table[0, 1, 2] = 0.0  # market 1, agent 2
+        with pytest.raises(es.NonpositiveCurvature, match="^agent 2: q = 0.0"):
+            _validated(table.copy())
+        table[0, 1, 2], table[1, 1, 0] = 1.0, 3.0
+        with pytest.warns(es.MarketWarning, match="^agent 0: c0 = 3.0") as record:
+            markets = _validated(table.copy())
+        assert len(record) == 1 and [m.n for m in markets] == [3, 3]
+
     def test_positive_c0_warning_points_at_the_caller(self):
         with pytest.warns(es.MarketWarning) as record:
             es.validate_market([(1.0, 2.5, 1.0)])
@@ -131,6 +141,35 @@ class TestRandomMarket:
     def test_no_agents_is_an_empty_market(self):
         with pytest.raises(es.EmptyMarket):
             random_market(np.random.default_rng(0), n=0)
+
+
+class TestRandomMarkets:
+    @pytest.mark.parametrize("ranges", [WIDE_RANGES, SIM_RANGES], ids=["wide", "sim"])
+    def test_each_market_equals_its_own_columns_validated_byte_for_byte(self, ranges):
+        for seed in range(200):
+            markets = random_markets(np.random.default_rng(seed), 50, **ranges)
+            assert len(markets) == 50
+            for m in markets:
+                ref = _validated(np.array([m.q, m.c0, m.a]))
+                for name in ("q", "c0", "a", "sum_a", "s1", "s2", "sqc"):
+                    assert np.asarray(getattr(m, name)).tobytes() == \
+                        np.asarray(getattr(ref, name)).tobytes(), (seed, name)
+                assert not m.q.flags.writeable
+
+    def test_sizes_come_first_then_one_table_per_size(self):
+        r = SIM_RANGES
+        rng, twin = np.random.default_rng(7), np.random.default_rng(7)
+        markets = random_markets(rng, 40, **r)
+        sizes = twin.integers(1, r["n_max"] + 1, 40)
+        assert [m.n for m in markets] == sizes.tolist()
+        for n in np.unique(sizes):
+            same = [m for m in markets if m.n == n]
+            q, c0, a = twin.random((3, len(same), n))
+            np.testing.assert_array_equal([m.q for m in same], r["q_lo"] + q * (r["q_hi"] - r["q_lo"]))
+            np.testing.assert_array_equal([m.c0 for m in same],
+                                          r["c0_lo"] + c0 * (r["c0_hi"] - r["c0_lo"]))
+            np.testing.assert_array_equal([m.a for m in same], a * r["a_hi"])
+        assert rng.random() == twin.random()
 
 
 class TestConditionalProjection:

@@ -599,6 +599,29 @@ class TestRunVerify:
             passed, detail = dict(CHECKS)[name](table1_config, check_rng(0, name), 20)
             assert not passed, detail
 
+    # A relative 1e-9 fault on the total generation of every market that
+    # market._validated builds, as the batched draws build theirs.
+    def test_a_sum_a_fault_in_validation_fails_its_checks(self, table1_config, monkeypatch):
+        validated = es.market._validated
+
+        def faulty(table):
+            markets = validated(table)
+            if table.ndim == 2:
+                return replace(markets, sum_a=markets.sum_a * (1 + 1e-9))
+            return [replace(m, sum_a=m.sum_a * (1 + 1e-9)) for m in markets]
+
+        monkeypatch.setattr("energyshare.market._validated", faulty)
+        for name in ("equilibrium.dual_equals_ce", "dynamics.fixed_point_residual"):
+            passed, detail = dict(CHECKS)[name](table1_config, check_rng(0, name), 200)
+            assert not passed, detail
+
+    def test_reports_each_check_wall_time_off_the_summary(self):
+        report = es.run_verify(es.load_config(MINIMAL), num_random_instances=5, seed=1)
+        assert all(c.wall_s > 0.0 for c in report.checks)
+        assert report.summary_lines()[:-1] == [
+            f"[{'PASS' if c.passed else 'FAIL'}] {c.name}: {c.detail}" for c in report.checks
+        ]
+
     def test_seed_reproducibility(self):
         cfg = es.load_config(MINIMAL)
         r1 = es.run_verify(cfg, num_random_instances=25, seed=11)
