@@ -1,9 +1,9 @@
 """Fixed-step integration, in blocks for a drift that is a :class:`ProjectedAffine`.
 
-Such a drift has at most one projected component.  On either side of the
-projection, the free branch (``y[mu] > 0``) and the pinned one (``y[mu] <=
-0 <= y[nu]``, where ``mu`` stays put), it is affine, and so is one step of
-either method: ``y -> R y + r``.
+Such a drift has at most one projected component ``mu``.  On either side of
+the projection, the free branch (``y[mu] > 0``) and the pinned one (``y[mu]
+<= 0`` and the free drift's ``mu`` entry at most 0, where ``mu`` stays put),
+it is affine, and so is one step of either method: ``y -> R y + r``.
 :func:`integrate` applies many steps at once from precomputed powers of
 that map (a block) while every stage stays on one branch, and once a run is
 trapped near a branch's fixed point it jumps from record to record (the
@@ -68,18 +68,17 @@ class Trajectory:
 class ProjectedAffine:
     """An affine drift with at most one conditionally projected component.
 
-    Called on ``y`` it returns ``matrix @ y + offset``, or ``evaluate(y)``
-    when given, which must equal it; then, where ``y[mu] <= 0``, the ``mu``
-    entry becomes ``max(-y[nu], 0)``.  Without a projected component
-    (``mu`` and ``nu`` None) it is ``matrix @ y + offset`` everywhere.
-    ``build_matrix`` makes the matrix the first time :attr:`matrix` is
-    read, so a drift with ``evaluate`` allocates it only for the block path
-    of :func:`integrate`.
+    Called on ``y`` it returns the free drift ``d = matrix @ y + offset``,
+    or ``evaluate(y)`` when given, which must equal it; where ``y[mu] <=
+    0``, ``d[mu]`` is kept if positive and zeroed otherwise, the rule of
+    ``market.conditional_projection``, inlined for the step loop.  Without
+    ``mu`` it is the free drift everywhere.  ``build_matrix`` makes the
+    matrix the first time :attr:`matrix` is read, so a drift with
+    ``evaluate`` allocates it only for the block path of :func:`integrate`.
     """
 
     build_matrix: Callable[[], np.ndarray]
     offset: np.ndarray
-    nu: int | None = None
     mu: int | None = None
     evaluate: Callable[[np.ndarray], np.ndarray] | None = None
 
@@ -90,9 +89,8 @@ class ProjectedAffine:
     def __call__(self, y: np.ndarray) -> np.ndarray:
         evaluate, mu = self.evaluate, self.mu
         d = self.matrix @ y + self.offset if evaluate is None else evaluate(y)
-        if mu is not None and y[mu] <= 0.0:
-            neg_nu = -y[self.nu]
-            d[mu] = neg_nu if neg_nu > 0.0 else 0.0
+        if mu is not None and y[mu] <= 0.0 and not d[mu] > 0.0:
+            d[mu] = 0.0
         return d
 
 
@@ -218,49 +216,55 @@ _CONTRACTION_MAX_SQUARINGS = 64
 
 
 class _Branch:
-    """Block tables of one method on one affine drift ``y -> matrix @ y + offset``.
+    """Block tables of one method on one branch of a :class:`ProjectedAffine` drift.
 
-    One step of the method is run on affine maps ``y -> M @ y + c``, stored
-    as ``[M | c]``, so the step map ``y -> step @ y + shift`` and the
-    ``guard`` component of every stage state are composed by the same code
-    as a single step.  Holds one table, ``powers[i] = (step**(2**i),
-    S_(2**i))`` with ``S_j`` the sum of ``step**i @ shift`` over ``i <
-    j``, so that ``j`` steps apply as ``step**j @ y + S_j``; it covers a
-    block, and :func:`_squarings` extends it as far as a stride or the
-    search for a contracting power needs.
+    The free drift is ``y -> matrix @ y + offset``.  A stage's guard is its
+    state's ``mu`` entry on the free branch (> 0) and, on the pinned one,
+    the negated ``mu`` entry of its free drift (>= 0), which the stage then
+    zeroes.  One step of the method is run on affine maps ``y -> M @ y +
+    c``, stored as ``[M | c]``, so the step map ``y -> step @ y + shift``
+    and the guard of every stage are composed by the same code as a single
+    step.  Holds one table, ``powers[i] = (step**(2**i), S_(2**i))`` with
+    ``S_j`` the sum of ``step**i @ shift`` over ``i < j``, so that ``j``
+    steps apply as ``step**j @ y + S_j``; it covers a block, and
+    :func:`_squarings` extends it as far as a stride or the search for a
+    contracting power needs.
 
-    From a start ``y``, ``guard_rows @ y + guard_sums`` gives the guard
-    component at every stage of each of a block's ``length`` steps, step
-    after step (``stages`` values each), and ``record_rows @ y +
-    record_sums`` the state after each ``stride`` steps, for the ``records
-    = (length - 1) // stride`` states strictly inside a block.
+    From a start ``y``, ``guard_rows @ y + guard_sums`` gives the guard at
+    every stage of each of a block's ``length`` steps, step after step
+    (``stages`` values each), and ``record_rows @ y + record_sums`` the
+    state after each ``stride`` steps, for the ``records = (length - 1) //
+    stride`` states strictly inside a block.
 
-    The branch's maps keep the subspace ``S``: ``{y[pin] = 0}`` on the
-    pinned branch, whose step map keeps ``mu = y[pin]`` exactly, and all of
-    R^d without a ``pin``.  Its norms are taken on ``S``, where the pinned
-    map is nonexpansive although ``nu`` reads ``mu``'s column.  ``norms[i]
-    = ||step**(2**i)|_S||_2`` up to the first at most 1, past which every
-    power has norm at most 1.  ``growth[j]``, the largest product of
-    ``max(1, norms[b])`` over the binary digits ``b`` of any ``i <= j``,
-    bounds ``||step**i|_S||_2`` for ``i <= j``, so that a start ``y`` in
-    ``S`` gives ``||y_j||_2 <= growth[j] * (||y||_2 + j * ||shift||_2)``.
+    The branch's maps keep the subspace ``S``: ``{y[mu] = 0}`` on the
+    pinned branch, whose step map keeps ``mu`` exactly, and all of R^d on
+    the free one.  Its norms are taken on ``S``, where the closed loop's
+    pinned map is nonexpansive although another row reads ``mu``'s column.
+    ``norms[i] = ||step**(2**i)|_S||_2`` up to the first at most 1, past
+    which every power has norm at most 1.  ``growth[j]``, the largest
+    product of ``max(1, norms[b])`` over the binary digits ``b`` of any ``i
+    <= j``, bounds ``||step**i|_S||_2`` for ``i <= j``, so that a start
+    ``y`` in ``S`` gives ``||y_j||_2 <= growth[j] * (||y||_2 + j *
+    ||shift||_2)``.
     """
 
     def __init__(self, method_step, matrix: np.ndarray, offset: np.ndarray, h: float,
-                 guard: int | None, pin: int | None, length: int, stride: int):
+                 mu: int | None, pinned: bool, length: int, stride: int):
         dim = offset.size
         guards = []
 
         def drift(maps: np.ndarray) -> np.ndarray:
-            if guard is not None:
-                guards.append(maps[guard])
             d = matrix @ maps
             d[:, -1] += offset
+            if mu is not None:
+                guards.append(-d[mu] if pinned else maps[mu])
+            if pinned:
+                d[mu] = 0.0
             return d
 
         mapped = method_step(drift, np.eye(dim, dim + 1), h)
         step, shift = mapped[:, :-1], mapped[:, -1]
-        self.stages, self.stride, self.dim, self.pin = len(guards), stride, dim, pin
+        self.stages, self.stride, self.dim, self.pinned = len(guards), stride, dim, pinned
         self.powers = _squarings([(step, shift)], length)
         self.guards = np.array(guards).reshape(-1, dim + 1)  # [G_s | g_s] of one step
         self.guard_rows, self.guard_sums = _doubled(
@@ -270,8 +274,8 @@ class _Branch:
         if records:
             self.record_rows, self.record_sums = self.strides(records)
         self.keep = np.ones(dim, dtype=bool)  # the components of S
-        if pin is not None:
-            self.keep[pin] = False
+        if pinned:
+            self.keep[mu] = False
         self.norms = []
         for power, _ in self.powers:
             self.norms.append(self._norm(power))
@@ -390,32 +394,28 @@ class _Blocks:
     """Steps of one method on a :class:`ProjectedAffine` drift, many at a time.
 
     :meth:`advance` takes a block and :meth:`finish` the tail.  Each branch
-    builds its tables the first time a block starts on it.
+    builds its tables the first time a block starts on it.  A pinned start
+    that the free drift lifts fails its first guard, as a step's first stage
+    state is ``y`` itself: its block takes no step, and no tail traps it.
     """
 
     def __init__(self, affine: ProjectedAffine, method_step, h: float, length: int,
                  stride: int):
-        self.affine = affine
-        self.branch = lambda matrix, offset, guard, pin: _Branch(
-            method_step, matrix, offset, h, guard, pin, length, stride
-        )
+        self.mu = affine.mu
+        self.branch = lambda pinned: _Branch(method_step, affine.matrix, affine.offset, h,
+                                             affine.mu, pinned, length, stride)
 
     @cached_property
     def free(self) -> _Branch:
-        return self.branch(self.affine.matrix, self.affine.offset, self.affine.mu, None)
+        return self.branch(False)
 
     @cached_property
     def pinned(self) -> _Branch:
-        matrix, offset = self.affine.matrix.copy(), self.affine.offset.copy()
-        matrix[self.affine.mu], offset[self.affine.mu] = 0.0, 0.0
-        return self.branch(matrix, offset, self.affine.nu, self.affine.mu)
+        return self.branch(True)
 
-    def _branch_of(self, y: np.ndarray) -> _Branch | None:
-        """The branch on which ``y`` evaluates the drift, None past the pinned one."""
-        mu, nu = self.affine.mu, self.affine.nu
-        if mu is None or y[mu] > 0.0:
-            return self.free
-        return self.pinned if y[nu] >= 0.0 else None
+    def _branch_of(self, y: np.ndarray) -> _Branch:
+        """The branch of ``y``: free where ``y[mu] > 0``, else pinned."""
+        return self.free if self.mu is None or y[self.mu] > 0.0 else self.pinned
 
     def advance(self, y: np.ndarray, steps: int, records: np.ndarray) -> tuple[np.ndarray, int]:
         """Take up to ``steps <= length`` steps from ``y``; return the new state and the count.
@@ -428,8 +428,6 @@ class _Blocks:
         stride`` steps, valid for the rows within the steps taken.
         """
         branch = self._branch_of(y)
-        if branch is None:
-            return y, 0
         checked = steps * branch.stages
         guard = branch.guard_rows[:checked] @ y + branch.guard_sums[:checked]
         if records.size:
@@ -438,8 +436,8 @@ class _Blocks:
             flat += branch.record_sums[: flat.size]
         taken = steps
         if checked:
-            # The free branch's guard (mu) is strict, the pinned one's (nu) is not.
-            ok = guard > 0.0 if branch.pin is None else guard >= 0.0
+            # The free branch's guard (mu > 0) is strict, the pinned one's is not.
+            ok = guard >= 0.0 if branch.pinned else guard > 0.0
             first = int(ok.argmin())
             if not ok[first]:
                 taken = first // branch.stages
@@ -462,8 +460,6 @@ class _Blocks:
         them in batches.  Returns None for a run that is not trapped.
         """
         branch = self._branch_of(y)
-        if branch is None:
-            return None
         center, radius = branch.ball
         e = y - center
         if not e @ e < radius * radius:
@@ -493,8 +489,7 @@ def integrate(
         t_end: horizon, >= h; the number of steps is ``round(t_end / h)``.
         method: ``"euler"`` (explicit, first order) or ``"rk4"`` (classical
             fourth order).  For rk4 the drift is evaluated at the raw stage
-            states, so a projection-aware rhs sees each stage's own
-            (nu, mu) values.
+            states, so a projection-aware rhs sees each stage's own values.
         reference: optional equilibrium; the recorded states' Lyapunov
             values and infinity-norm residuals are computed after the march.
         mu_index: index of the projected nonnegative component; after every

@@ -43,7 +43,7 @@ import numpy as np
 # The fixed-step engine, whose public names are this module's too.
 from ._stepping import DIVERGENCE_LIMIT, METHODS, Trajectory, integrate  # noqa: F401
 from ._stepping import ProjectedAffine, _half_squared_norm, _march  # noqa: F401
-from .equilibrium import _capped, solve_ce, solve_sce
+from .equilibrium import solve_ce, solve_sce
 from .errors import DimensionMismatch, NegativeMu
 from .market import MarketInstance, conditional_projection
 
@@ -294,10 +294,10 @@ def closed_loop_rhs(market: MarketInstance, cap: float) -> ProjectedAffine:
     constants = _closed_loop_constants(market, cap)
     offset = _closed_loop_drift(np.zeros(lay.dim), *constants)
     if lay.dim > _DENSE_DRIFT_MAX_DIM:
-        return ProjectedAffine(lambda: closed_loop_matrix(market), offset, lay.nu, lay.mu,
+        return ProjectedAffine(lambda: closed_loop_matrix(market), offset, lay.mu,
                                lambda state: _closed_loop_drift(state, *constants))
     matrix = closed_loop_matrix(market)
-    return ProjectedAffine(lambda: matrix, offset, lay.nu, lay.mu)
+    return ProjectedAffine(lambda: matrix, offset, lay.mu)
 
 
 # ---------------------------------------------------------------------------
@@ -306,9 +306,8 @@ def closed_loop_rhs(market: MarketInstance, cap: float) -> ProjectedAffine:
 
 def open_loop_equilibrium(market: MarketInstance) -> np.ndarray:
     """Unique fixed point of the uncontrolled dynamics, stacked (x, rho, eps, lam): the
-    closed loop's at a cap equal to the competitive price, where the controller idles."""
-    lam = solve_ce(market).lambda_bar
-    fixed = _equilibrium_state(market, lam, *_capped(market, lam, lam))
+    prefix of :func:`assemble_equilibrium` at the competitive price, where the controller idles."""
+    fixed = assemble_equilibrium(market, solve_ce(market).lambda_bar)
     return fixed[: state_layout(market.n).lam + 1]
 
 
@@ -323,20 +322,19 @@ def assemble_equilibrium(market: MarketInstance, cap: float) -> np.ndarray:
 
     Returns the stacked state of :func:`state_layout`.  The market block
     sits at the capped equilibrium; the controller block is recovered from
-    it: ``pi = (lam* - cap) / q**2`` componentwise and
-    ``mu = s2 * (cap - lam*)``, which is complementary to ``nu``.
+    it: ``pi = (lam* - cap) / q**2`` componentwise and ``mu = s2 * (cap -
+    lam*)``, which is complementary to ``nu``.  Where the cap binds, both
+    are 0, written without dividing, since ``q**2`` and ``s2`` may lie
+    outside float64's range; where it does not, such a value makes them not
+    finite, and numpy warns.
     """
     sce = solve_sce(market, cap)
-    return _equilibrium_state(market, cap, sce.lambda_star, sce.nu_star, sce.x_star, sce.u_star)
-
-
-def _equilibrium_state(market: MarketInstance, cap: float, lam, nu, x, u) -> np.ndarray:
-    """:func:`assemble_equilibrium` from ``(lam, nu, x, u)``, the capped equilibrium at ``cap``."""
-    lay = state_layout(market.n)
-    y = np.empty(lay.dim)
+    lam, x, lay = sce.lambda_star, sce.x_star, state_layout(market.n)
+    y = np.zeros(lay.dim)
     y[lay.x], y[lay.rho], y[lay.eps], y[lay.lam] = x, lam, x - market.a, lam
-    y[lay.u], y[lay.pi], y[lay.nu] = u, (lam - cap) / market.q**2, nu
-    y[lay.mu] = market.s2 * (cap - lam)
+    y[lay.u], y[lay.nu] = sce.u_star, sce.nu_star
+    if lam != cap:
+        y[lay.pi], y[lay.mu] = (lam - cap) / market.q**2, market.s2 * (cap - lam)
     return y
 
 

@@ -21,7 +21,7 @@ from .dynamics import (
     METHODS,
     ConvergenceReport,
     Trajectory,
-    _equilibrium_state,
+    assemble_equilibrium,
     closed_loop_rhs,
     convergence_report,
     integrate,
@@ -418,6 +418,17 @@ def summary_to_json(report: ConvergenceReport) -> str:
     return dumps_canonical(report)
 
 
+def _fixed_point(market: MarketInstance, cap: float) -> np.ndarray:
+    """The closed loop's fixed point, which past float64's range is an input error
+    (:class:`ValidationError`), not a divergence; numpy's warnings would only repeat it."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        fixed = assemble_equilibrium(market, cap)
+    if not np.isfinite(fixed).all():
+        _require_finite(dict(zip(trajectory_header(market.n)[1:], fixed)),
+                        "closed-loop fixed point: ")
+    return fixed
+
+
 def run_simulate(
     config: ScenarioConfig,
     csv_path: str | Path,
@@ -432,19 +443,12 @@ def run_simulate(
     propagates; equilibria and a closed-loop fixed point that are not
     finite raise :class:`ValidationError`.
     """
-    # A market or fixed point past float64's range is an input error, not a divergence;
-    # as in run_solve, numpy's overflow warnings would only repeat an error.
-    sce = run_solve(config).sce
+    run_solve(config)  # a market past float64's range is an input error, not a divergence
     market = config.market
     cap = config.cap.lambda_max
     sim = config.sim
     lay = state_layout(market.n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        reference = _equilibrium_state(market, cap, sce.lambda_star, sce.nu_star, sce.x_star,
-                                       sce.u_star)
-    if not np.isfinite(reference).all():
-        _require_finite(dict(zip(trajectory_header(market.n)[1:], reference)),
-                        "closed-loop fixed point: ")
+    reference = _fixed_point(market, cap)
     y0 = np.zeros(lay.dim) if isinstance(sim.init, str) else np.asarray(sim.init, dtype=float)
     try:
         with np.errstate(over="ignore", invalid="ignore"):

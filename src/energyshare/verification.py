@@ -175,16 +175,19 @@ def _settling_horizon(rate, fixed) -> float:
 
 
 def _closed_loop_run(market, cap, rate=None, h=0.02, t_end=None, method="rk4", record_stride=25):
-    """Integrate the closed loop from zero to ``t_end``, or the settling horizon at ``rate``.
+    """Integrate the closed loop from zero to ``t_end``, or the settling horizon at ``rate``
+    (by default the closed loop's decay rate at ``cap``).
 
     Returns the run's convergence report at ``SUMMARY_TOLERANCE``, whether its
     Lyapunov value is monotone, and a detail line.  The run's records pass
     through a window of about 1 MiB (``dynamics._march``).  Raises
-    ``ValidationError`` if the settling horizon is not finite (a cap past
-    float64's range).
+    ``ValidationError`` if the fixed point or the settling horizon is not
+    finite (an input or a cap past float64's range).
     """
-    fixed = dyn.assemble_equilibrium(market, cap)
+    fixed = scn._fixed_point(market, cap)
     if t_end is None:
+        if rate is None:
+            rate = dyn.closed_loop_decay_rate(market, cap)
         horizon = _settling_horizon(rate, fixed)
         if not np.isfinite(horizon):
             raise ValidationError(f"settling horizon {horizon} at cap {cap:g} is not finite")
@@ -396,8 +399,7 @@ def _closed_loop_random_limits(config, rng, instances):
 
 
 def _closed_loop_config_convergence(config, rng, instances):
-    m, cap = config.market, config.cap.lambda_max
-    report, monotone, detail = _closed_loop_run(m, cap, dyn.closed_loop_decay_rate(m, cap))
+    report, monotone, detail = _closed_loop_run(config.market, config.cap.lambda_max)
     return report.converged and report.mu_negativity == 0.0 and monotone, detail
 
 
@@ -479,7 +481,7 @@ def _solve_deterministic(config, rng, instances):
 
 def _csv_schema(config, rng, instances):
     m = config.market
-    eq_state = dyn.assemble_equilibrium(m, config.cap.lambda_max)
+    eq_state = scn._fixed_point(m, config.cap.lambda_max)
     small = replace(config, sim=scn.SimSettings(
         h=0.01, t_end=0.5, method="rk4", record_stride=5, init=eq_state))
     with tempfile.TemporaryDirectory() as tmp:

@@ -3,8 +3,8 @@
 # RuntimeWarning fails here; a market whose equilibrium, closed-loop fixed
 # point or total generation overflows float64 is an input error (exit 2),
 # as is a negative initial mu, a run that overflows a divergence (exit 3),
-# and a verify check that cannot run at such a cap a failed check (exit 1,
-# no traceback).  The 200-instance verify battery passes all 26 checks on
+# and a verify check that cannot run at such a cap, or on such a fixed
+# point, a failed check (exit 1, no traceback).  The 200-instance verify battery passes all 26 checks on
 # seeds 0 to 4.
 #
 # Run from the repository root: PYTHONPATH=src bash tests/cli_smoke.sh
@@ -51,5 +51,15 @@ $cli simulate --config "$tmp/negative_mu.json" --out "$tmp/negative_mu.csv" || c
 test "$code" -eq 2
 code=0
 $cli verify --config table1.json --lambda-max=1e306 --instances 3 2> "$tmp/verify.err" || code=$?
+test "$code" -eq 1
+if grep -q Traceback "$tmp/verify.err"; then cat "$tmp/verify.err"; exit 1; fi
+# q**2 of the first agent underflows to 0, so the fixed point's pi is not finite.
+echo '{"agents": [{"q": 1e-200, "c0": -1.0, "a": 1.0}, {"q": 1.0, "c0": -10.0, "a": 1.0}],
+ "lambda_max": 1e300}' > "$tmp/tiny_q.json"
+code=0
+$cli simulate --config "$tmp/tiny_q.json" --out "$tmp/tiny_q.csv" || code=$?
+test "$code" -eq 2
+code=0
+$cli verify --config "$tmp/tiny_q.json" --instances 3 2> "$tmp/verify.err" || code=$?
 test "$code" -eq 1
 if grep -q Traceback "$tmp/verify.err"; then cat "$tmp/verify.err"; exit 1; fi

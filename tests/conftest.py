@@ -4,12 +4,14 @@ The oracles recompute equilibria by solving the dense optimality systems
 with a generic linear solver, deliberately avoiding the closed-form
 expressions used by the library.  The drift oracles evaluate the model's
 equations one agent at a time, with their own indexing, since every drift
-form the library offers comes from one kernel.
+form the library offers comes from one kernel.  The closed loop's fixed
+point also has an exact reference, in rational arithmetic.
 
 Hypothesis runs under one profile: no deadline, a fixed sequence of
 examples and no example database, so that every run draws the same cases.
 """
 
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -82,6 +84,60 @@ def sce_oracle(market, cap):
         x, lam = ce_oracle(market)
         nu = 0.0
     return x, lam, nu / market.q, nu
+
+
+def _rationals(market):
+    """The columns ``q``, ``c0``, ``a`` as lists of exact rationals."""
+    return ([Fraction(v) for v in col.tolist()] for col in (market.q, market.c0, market.a))
+
+
+def exact_fixed_point(market, cap):
+    """The closed loop's fixed point in exact rational arithmetic, by block.
+
+    Returns ``lam``, ``nu``, ``x``, ``u``, ``pi`` and ``mu`` as
+    :class:`Fraction` values (lists for the per-agent blocks); ``rho = lam``
+    and ``eps = x - a``.  The price is ``min(lam_ce, cap)`` with ``lam_ce =
+    -(sum c0/q + sum a) / sum 1/q``; ``nu`` is the aggregate slack at that
+    price over ``s2 = sum 1/q**2``, which is 0 where the cap is slack.
+    """
+    q, c0, a = _rationals(market)
+    cap = Fraction(cap)
+    s1, s2 = sum(1 / qi for qi in q), sum(1 / qi**2 for qi in q)
+    lam = min(-(sum(ci / qi for ci, qi in zip(c0, q)) + sum(a)) / s1, cap)
+    nu = (sum(-(lam + ci) / qi for ci, qi in zip(c0, q)) - sum(a)) / s2
+    return dict(
+        lam=lam,
+        nu=nu,
+        x=[-(lam + ci) / qi - nu / qi**2 for ci, qi in zip(c0, q)],
+        u=[nu / qi for qi in q],
+        pi=[(lam - cap) / qi**2 for qi in q],
+        mu=s2 * (cap - lam),
+    )
+
+
+def fixed_point_scales(market, cap):
+    """Per block of :func:`exact_fixed_point`, the magnitudes of the terms it sums.
+
+    The price's terms are ``|c0|/q`` and ``a`` over ``s1``; ``nu``'s are
+    ``|cap|/q``, ``|c0|/q`` and ``a`` over ``s2``.  ``x`` sums ``|cap|``,
+    ``|c0|`` and the price's terms over ``q``, and ``nu``'s over ``q**2``;
+    ``u`` is ``nu``'s over ``q``; ``pi`` and ``mu`` take ``|cap|`` and the
+    price's terms over ``q**2`` and times ``s2``.  A float evaluation in
+    the library's order errs by a few ulps of these.
+    """
+    q, c0, a = _rationals(market)
+    cap = abs(Fraction(cap))
+    s1, s2 = sum(1 / qi for qi in q), sum(1 / qi**2 for qi in q)
+    lam = (sum(abs(ci) / qi for ci, qi in zip(c0, q)) + sum(a)) / s1
+    nu = (sum((cap + abs(ci)) / qi for ci, qi in zip(c0, q)) + sum(a)) / s2
+    return dict(
+        lam=lam,
+        nu=nu,
+        x=[(lam + cap + abs(ci)) / qi + nu / qi**2 for ci, qi in zip(c0, q)],
+        u=[nu / qi for qi in q],
+        pi=[(lam + cap) / qi**2 for qi in q],
+        mu=s2 * (lam + cap),
+    )
 
 
 def _entry(*terms):

@@ -27,6 +27,10 @@ OVERFLOWING_CONFIG = '{"agents": [{"q": 1e-300, "c0": -1e300, "a": 1e300}], "lam
 OVERFLOWING_FIXED_POINT = '{"agents": [{"q": 0.5, "c0": -1.0, "a": 1.0}], "lambda_max": 1e308}'
 # s2 = sum 1/q**2 underflows to 0, so a binding cap's nu = slack / s2 is inf.
 UNDERFLOWING_S2 = '{"agents": [{"q": 1e200, "c0": -1.0, "a": 1.0}], "lambda_max": -1e300}'
+# q**2 of the first agent underflows to 0; the cap is slack, so the fixed
+# point's pi = (lam - cap) / q**2 is not finite.
+UNDERFLOWING_Q_SQUARED = ('{"agents": [{"q": 1e-200, "c0": -1.0, "a": 1.0}, '
+                          '{"q": 1.0, "c0": -10.0, "a": 1.0}], "lambda_max": 1e300}')
 # Table1 with two finite generations whose sum overflows.
 OVERFLOWING_SUM = TABLE1_PATH.read_text().replace('"a": 48.0', '"a": 1e308').replace(
     '"a": 30.0', '"a": 1e308')
@@ -147,6 +151,20 @@ class TestVerify:
         assert ("[FAIL] dynamics.closed_loop_config_convergence: raised ValidationError: "
                 "settling horizon inf") in out
 
+    # The fixed point is not finite: the checks that need it fail with a
+    # detail line, and numpy warns of nothing on the way.
+    def test_fixed_point_past_float_range_fails_checks_without_raising(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(UNDERFLOWING_Q_SQUARED)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["verify", "--config", str(path), "--instances", "3"])
+        out = capsys.readouterr().out
+        assert code == 1
+        for name in ("dynamics.closed_loop_config_convergence", "scenario.csv_schema"):
+            assert (f"[FAIL] {name}: raised ValidationError: closed-loop fixed point: "
+                    "mu = inf is not finite") in out
+
 
 class TestBadArguments:
     # main exits 2 on a ValidationError and 3 on a NonfiniteState, so every
@@ -215,10 +233,12 @@ class TestBadArguments:
          (["verify"], OVERFLOWING_CONFIG, 2), (["simulate"], OVERFLOWING_CONFIG, 2),
          (["simulate", "--lambda-max=1e306"], TABLE1_PATH.read_text(), 3),
          (["simulate"], OVERFLOWING_FIXED_POINT, 2), (["solve"], OVERFLOWING_SUM, 2),
-         (["solve"], UNDERFLOWING_S2, 2), (["sweep", "--caps=0,-1e300"], UNDERFLOWING_S2, 2)],
+         (["solve"], UNDERFLOWING_S2, 2), (["sweep", "--caps=0,-1e300"], UNDERFLOWING_S2, 2),
+         (["simulate"], UNDERFLOWING_Q_SQUARED, 2)],
         ids=["solve", "sweep", "solve_ce_overflows", "sweep_ce_overflows", "verify_ce_overflows",
              "simulate_ce_overflows", "simulate_run_overflows", "simulate_fixed_point_overflows",
-             "solve_generation_sum_overflows", "solve_s2_underflows", "sweep_s2_underflows"],
+             "solve_generation_sum_overflows", "solve_s2_underflows", "sweep_s2_underflows",
+             "simulate_q_squared_underflows"],
     )
     def test_overflow_warns_nothing_before_the_error_line(self, argv, config, expected, tmp_path,
                                                            capsys, monkeypatch):

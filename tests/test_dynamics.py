@@ -9,19 +9,24 @@ exercised separately in the acceptance suite.
 
 import contextlib
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import energyshare as es
 from energyshare import _stepping, dynamics
+from energyshare.market import conditional_projection
 from energyshare.scenario import SUMMARY_TOLERANCE
 from energyshare.verification import (
     CAP_RANGE, CHECKS, EULER_RUN, SIM_RANGES, _euler_instance, check_rng, random_market,
 )
-from conftest import assert_matches_oracle, closed_loop_drift_oracle, reduced_drift_oracle
+from conftest import (
+    assert_matches_oracle, closed_loop_drift_oracle, exact_fixed_point, fixed_point_scales, markets,
+    reduced_drift_oracle,
+)
 
 
 def closed_loop_zero(market):
@@ -110,6 +115,65 @@ def block_and_loop(rhs, y0, h, t_end, rel, diverges=False, **kwargs):
     atol = rel * np.abs(loop.states).max()
     np.testing.assert_allclose(block.states, loop.states, rtol=0.0, atol=atol)
     return block, loop, count
+
+
+def generic_projected():
+    """A three-component ProjectedAffine whose free ``mu`` row is not ``-e_nu``.
+
+    ``(a, b)`` turn in a damped rotation that ``mu`` pushes on, and the free
+    ``mu`` row reads ``a``, ``b`` and ``mu`` itself, so from ``(2, 0, 0)``
+    ``mu`` leaves its boundary and returns to it many times.
+    """
+    matrix = np.array([[-0.05, 1.0, -0.4], [-1.0, -0.05, 0.2], [0.8, -0.3, -0.1]])
+    return _stepping.ProjectedAffine(lambda: matrix, np.array([0.3, -0.2, 0.05]), 2)
+
+
+def fixed_point_ulps(n):
+    """Ulps of its terms (conftest.fixed_point_scales) that a component of
+    ``assemble_equilibrium`` may err by on ``n`` agents.
+
+    The first-order rounding bound of the library's order of evaluation:
+    the price sums ``n`` terms and ``n`` generations over ``s1``, itself a
+    sum of ``n``, about ``1.5 * n`` ulps, and the other components add
+    ``nu``'s sums and a few roundings of their own.  Over some 39 000
+    hypothesis draws, half over WIDE_RANGES and half at magnitudes from
+    1e-9 to 1e9, the worst error seen was 4.1 ulps, at ``n = 5``.
+    """
+    return 2 * n + 2
+
+
+# Magnitudes from 1e-9 to 1e9, log-uniform.
+MAGNITUDES = st.floats(-9.0, 9.0).map(lambda e: 10.0**e)
+
+
+def assert_near_exact_fixed_point(market, cap, near_ce):
+    """``assemble_equilibrium`` within :func:`fixed_point_ulps` of the exact fixed point.
+
+    With ``near_ce`` not None the cap is that many ulps from the CE price,
+    where the float and the exact price may fall on opposite sides of it.
+    """
+    if near_ce is not None:
+        lam = es.solve_ce(market).lambda_bar
+        cap = lam + near_ce * np.spacing(lam)
+    # Quotients of values near the subnormal range round by more than an ulp
+    # of their size.
+    values = np.concatenate([market.c0, market.a, [cap]])
+    assume(((values == 0.0) | (np.abs(values) >= 1e-290)).all())
+    lay = es.state_layout(market.n)
+    fixed = es.assemble_equilibrium(market, cap)
+    exact, terms = exact_fixed_point(market, cap), fixed_point_scales(market, cap)
+    a = [Fraction(v) for v in market.a.tolist()]
+    # rho is the price, and eps the allocation less the generation.
+    exact.update(rho=[exact["lam"]] * market.n, eps=[x - ai for x, ai in zip(exact["x"], a)])
+    terms.update(rho=[terms["lam"]] * market.n, eps=[x + ai for x, ai in zip(terms["x"], a)])
+    # An ulp of t is 2**-52 * t, and at least the smallest subnormal.
+    ulp, tiny, ulps = Fraction(2) ** -52, Fraction(2) ** -1074, fixed_point_ulps(market.n)
+    for name, want in exact.items():
+        got = np.atleast_1d(fixed[getattr(lay, name)]).tolist()
+        scale = terms[name] if isinstance(want, list) else [terms[name]]
+        for g, w, t in zip(got, want if isinstance(want, list) else [want], scale, strict=True):
+            bound = ulps * max(ulp * t, tiny)
+            assert abs(Fraction(g) - w) <= bound, (name, g, float(w))
 
 
 def rk4_stage_maps(matrix, h):
@@ -251,6 +315,18 @@ class TestRhsClosedLoop:
                 state[lay.mu], state[lay.nu] = mu, nu
                 assert fast(state)[lay.mu] == max(-nu, 0.0)
 
+    def test_generic_projected_row_takes_the_conditional_projection(self):
+        rhs = generic_projected()
+        rng = np.random.default_rng(31)
+        for mu in (1.0, 1e-9, 0.0, -0.0, -1e-12, -2.5):
+            for _ in range(20):
+                y = rng.normal(scale=3.0, size=3)
+                y[rhs.mu] = mu
+                free = rhs.matrix @ y + rhs.offset
+                d = rhs(y)
+                assert d[rhs.mu] == conditional_projection(free[rhs.mu], mu)
+                np.testing.assert_array_equal(d[:rhs.mu], free[:rhs.mu])
+
     def test_lazy_matrix_is_the_closed_loop_matrix(self):
         market = random_market(np.random.default_rng(28), n=70, **SIM_RANGES)
         assert es.state_layout(market.n).dim > dynamics._DENSE_DRIFT_MAX_DIM
@@ -266,7 +342,7 @@ class TestRhsClosedLoop:
         lay = es.state_layout(n)
         rhs = es.closed_loop_rhs(market, 3.0)
         assert isinstance(rhs, _stepping.ProjectedAffine)
-        assert (rhs.nu, rhs.mu) == (lay.nu, lay.mu)
+        assert rhs.mu == lay.mu
         assert (rhs.evaluate is None) == (lay.dim <= dynamics._DENSE_DRIFT_MAX_DIM)
         mat, off = es.open_loop_matrices(market)
         affine = es.affine_rhs(mat, off)
@@ -420,6 +496,37 @@ class TestAssembleEquilibrium:
             assert eq[lay.nu] * eq[lay.mu] == 0.0
             assert eq[lay.nu] >= 0.0 and eq[lay.mu] >= 0.0
 
+    @settings(max_examples=150)
+    @given(market=markets(), cap=st.floats(*CAP_RANGE), near_ce=st.none() | st.integers(-3, 3))
+    def test_within_ulps_of_the_exact_fixed_point(self, market, cap, near_ce):
+        assert_near_exact_fixed_point(market, cap, near_ce)
+
+    @settings(max_examples=150)
+    @given(
+        agents=st.lists(st.tuples(MAGNITUDES, st.just(0.0) | MAGNITUDES,
+                                  st.just(0.0) | MAGNITUDES), min_size=1, max_size=8),
+        cap=MAGNITUDES, sign=st.sampled_from([-1.0, 1.0]), near_ce=st.none() | st.integers(-3, 3),
+    )
+    def test_within_ulps_of_the_exact_fixed_point_at_magnitudes_up_to_1e9(
+        self, agents, cap, sign, near_ce
+    ):
+        market = es.validate_market([(q, -c, a) for q, c, a in agents])
+        assert_near_exact_fixed_point(market, sign * cap, near_ce)
+
+    # The first agent's q**2 underflows to 0.  At the CE price the idle
+    # controller's pi and mu are 0, written without dividing, so no 0/0
+    # shows up in the blocks that open_loop_equilibrium drops.
+    def test_open_loop_keeps_the_ce_blocks_where_q_squared_underflows(self):
+        m = es.validate_market([(1e-200, -1.0, 1.0), (1.0, -10.0, 1.0)])
+        ce = es.solve_ce(m)
+        lay = es.state_layout(m.n)
+        state = es.open_loop_equilibrium(m)
+        assert state.size == lay.lam + 1
+        assert state[lay.x].tobytes() == ce.x_bar.tobytes()
+        assert state[lay.rho].tobytes() == np.full(m.n, ce.lambda_bar).tobytes()
+        assert state[lay.eps].tobytes() == (ce.x_bar - m.a).tobytes()
+        assert state[lay.lam] == ce.lambda_bar
+
 
 class TestIntegrate:
     def test_constant_at_equilibrium(self, table1_market):
@@ -571,6 +678,14 @@ class TestIntegrate:
             es.affine_rhs(mat, off), np.zeros(mat.shape[0]), h, 100.0, 1e-9, method=method,
             reference=es.open_loop_equilibrium(table1_market), record_stride=100,
         )
+        assert count[0] > 0
+
+    @pytest.mark.parametrize("method, h", [("euler", 0.002), ("rk4", 0.02)], ids=["euler", "rk4"])
+    def test_blocks_match_step_loop_on_a_generic_projected_row(self, method, h):
+        rhs = generic_projected()
+        _, loop, count = block_and_loop(rhs, np.array([2.0, 0.0, 0.0]), h, 80.0, 1e-12,
+                                        method=method, mu_index=rhs.mu, record_stride=5)
+        assert np.count_nonzero(np.diff(loop.states[:, rhs.mu] > 0.0)) >= 10
         assert count[0] > 0
 
     def test_blocks_match_step_loop_above_the_dense_size(self):
