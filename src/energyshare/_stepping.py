@@ -7,8 +7,10 @@ it is affine, and so is one step of either method: ``y -> R y + r``.
 :func:`integrate` applies many steps at once from precomputed powers of
 that map (a block) while every stage stays on one branch, and once a run is
 trapped near a branch's fixed point it jumps from record to record (the
-tail).  Any other drift, and any step a block cannot take, goes through the
-step loop.
+tail).  One :class:`_Branch` holds a branch's tables and takes its blocks
+and its tail; a run builds it the first time a block starts on that branch.
+Any other drift, and any step a block cannot take, goes through the step
+loop.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, NegativeMu, NonfiniteState
+from .errors import DimensionMismatch, NegativeMu, NonfiniteInput, NonfiniteState
 
 # Integration aborts once any state component exceeds this magnitude.
 DIVERGENCE_LIMIT = 1e12
@@ -120,7 +122,7 @@ METHODS = tuple(_STEPPERS)
 # _BLOCK_MIN_STEPS are not worth building.  The tables of all branches may
 # take at most _BLOCK_MAX_BYTES, and at most _RECORD_BLOCK_MAX_BYTES when the
 # blocks record states inside themselves.  These bound the memory the block
-# path adds to a run and say nothing of its speed, which _blocks_pay_off
+# path adds to a run and say nothing of its speed, which _block_length
 # weighs.  Blocks that record nothing inside reach full length up to about
 # 430 state components for Euler.  Blocks that record every step are 512
 # Euler steps long at N = 1 (dim 8) and 64 at N = 5 (dim 28), and exist up
@@ -135,16 +137,17 @@ _RECORD_BLOCK_MAX_BYTES = 1 << 20
 _PRODUCT_COST = 1 << 13
 
 
-def _blocks_pay_off(dim: int, length: int, stride: int, n_steps: int, evals: int,
-                    guards: int) -> bool:
-    """Whether blocks of ``length`` steps cost well under the step loop they replace.
+def _block_length(dim: int, stride: int, n_steps: int, evals: int, guards: int) -> int:
+    """The longest block whose tables cost well under the step loop they replace, or 0.
 
-    ``evals`` is the number of drift evaluations per step and ``guards``
-    the number of guard rows checked per step on one branch: one per stage
-    for a drift with a projected component, which has two branches, and
-    none for a plain affine drift, which has one.  A block also yields the
-    ``records = (length - 1) // stride`` states recorded inside it, ``dim``
-    rows each.  Counted in multiply-adds, the step loop spends
+    Tried from the longest power of two of at most ``min(n_steps,
+    _BLOCK_MAX_STEPS)`` steps down to ``_BLOCK_MIN_STEPS``.  ``evals`` is
+    the number of drift evaluations per step and ``guards`` the number of
+    guard rows checked per step on one branch: one per stage for a drift
+    with a projected component, which has two branches, and none for a plain
+    affine drift, which has one.  A block of ``length`` steps also yields
+    the ``records = (length - 1) // stride`` states recorded inside it,
+    ``dim`` rows each.  Counted in multiply-adds, the step loop spends
     ``evals * dim**2`` per step.  The tables of one branch compose the step
     from its stage maps (``evals * dim**3``), take ``bits =
     length.bit_length()`` squarings of the step matrix (``dim**3`` each), as
@@ -156,18 +159,25 @@ def _blocks_pay_off(dim: int, length: int, stride: int, n_steps: int, evals: int
     block, ``rows * dim`` per block, and the interpreter's per-step cost,
     which the block path saves.  The first is small against the loop except
     for Euler recording every step, where it matches the loop's
-    multiply-adds and the saving is the interpreter's cost alone; the
-    record cap keeps such blocks to small states, where that cost dominates.
+    multiply-adds and the saving is the interpreter's cost alone; the record
+    cap keeps such blocks to small states, where that cost dominates.  The
+    choice reads only sizes, never the drift's matrix, which a large closed
+    loop builds when first read.
     """
-    bits = length.bit_length()
-    records = (length - 1) // stride
-    squarings = 2 * bits if records else bits
-    rows = guards * length + dim * records
     branches = 2 if guards else 1
-    table_bytes = branches * 8 * (squarings * (dim + 1) * dim + rows * (dim + 1))
-    cost = 2 * branches * ((evals + squarings) * dim + 2 * rows)
-    max_bytes = _RECORD_BLOCK_MAX_BYTES if records else _BLOCK_MAX_BYTES
-    return cost <= evals * n_steps and table_bytes <= max_bytes
+    length = 1 << (min(n_steps, _BLOCK_MAX_STEPS).bit_length() - 1)
+    while length >= _BLOCK_MIN_STEPS:
+        bits = length.bit_length()
+        records = (length - 1) // stride
+        squarings = 2 * bits if records else bits
+        rows = guards * length + dim * records
+        table_bytes = branches * 8 * (squarings * (dim + 1) * dim + rows * (dim + 1))
+        cost = 2 * branches * ((evals + squarings) * dim + 2 * rows)
+        max_bytes = _RECORD_BLOCK_MAX_BYTES if records else _BLOCK_MAX_BYTES
+        if cost <= evals * n_steps and table_bytes <= max_bytes:
+            return length
+        length //= 2
+    return 0
 
 
 def _compose(outer: tuple, inner: tuple) -> tuple:
@@ -216,9 +226,11 @@ _CONTRACTION_MAX_SQUARINGS = 64
 
 
 class _Branch:
-    """Block tables of one method on one branch of a :class:`ProjectedAffine` drift.
+    """One method's steps on one branch of a :class:`ProjectedAffine` drift, many at a time.
 
-    The free drift is ``y -> matrix @ y + offset``.  A stage's guard is its
+    :meth:`advance` takes a block and :meth:`finish` the tail.  The free
+    drift is ``affine``'s ``y -> matrix @ y + offset``, and the branch is the
+    pinned one if ``pinned``, else the free one.  A stage's guard is its
     state's ``mu`` entry on the free branch (> 0) and, on the pinned one,
     the negated ``mu`` entry of its free drift (>= 0), which the stage then
     zeroes.  One step of the method is run on affine maps ``y -> M @ y +
@@ -248,8 +260,9 @@ class _Branch:
     ||shift||_2)``.
     """
 
-    def __init__(self, method_step, matrix: np.ndarray, offset: np.ndarray, h: float,
-                 mu: int | None, pinned: bool, length: int, stride: int):
+    def __init__(self, affine: ProjectedAffine, method_step, h: float, pinned: bool,
+                 length: int, stride: int):
+        matrix, offset, mu = affine.matrix, affine.offset, affine.mu
         dim = offset.size
         guards = []
 
@@ -286,6 +299,55 @@ class _Branch:
             bound = np.where(bits, np.maximum(1.0, self.norms), 1.0).prod(axis=1)
         self.growth = np.maximum.accumulate(bound)
         self.shift_norm = float(np.linalg.norm(shift))
+
+    def advance(self, y: np.ndarray, steps: int, records: np.ndarray) -> tuple[np.ndarray, int]:
+        """Take up to ``steps <= length`` steps from ``y``; return the new state and the count.
+
+        The steps stop before the first whose stage states leave the branch
+        of ``y`` or whose state may cross the divergence limit; that step is
+        the caller's to take with the single-step code, which also applies
+        the clamp.  The block starts on the record grid unless ``records`` is
+        empty: row ``m`` of ``records`` receives the state after ``(m + 1) *
+        stride`` steps, valid for the rows within the steps taken.
+        """
+        checked = steps * self.stages
+        guard = self.guard_rows[:checked] @ y + self.guard_sums[:checked]
+        if records.size:
+            flat = records.reshape(-1)  # a view: the rows are consecutive rows of the record
+            np.matmul(self.record_rows[: flat.size], y, out=flat)
+            flat += self.record_sums[: flat.size]
+        taken = steps
+        if checked:
+            # The free branch's guard (mu > 0) is strict, the pinned one's is not.
+            ok = guard >= 0.0 if self.pinned else guard > 0.0
+            first = int(ok.argmin())
+            if not ok[first]:
+                taken = first // self.stages
+        size, shift = math.sqrt(y @ y), self.shift_norm
+        if taken and not self.growth[taken] * (size + taken * shift) <= DIVERGENCE_LIMIT:
+            j = np.arange(1, taken + 1)
+            bounded = self.growth[1 : taken + 1] * (size + j * shift) <= DIVERGENCE_LIMIT
+            taken = int(np.argmin(bounded))  # the leading steps that stay within the limit
+        return self.apply(y, taken), taken
+
+    def finish(self, y: np.ndarray, k: int, n_steps: int, rows: int):
+        """The run's last ``rows`` records from ``y``, the state after ``k`` steps, if it is trapped.
+
+        A run with blocks clamps ``mu``, so ``y``, on this branch, lies in
+        its ``S`` and is trapped within the radius of :attr:`ball`: then no
+        later stage state leaves the branch or the divergence limit, and
+        every later state is the branch's affine map of ``y``.  Record ``m``
+        is the state after step ``min((k // stride + 1 + m) * stride,
+        n_steps)``; :meth:`tail` yields them in batches.  Returns None for a
+        run that is not trapped.
+        """
+        center, radius = self.ball
+        e = y - center
+        if not e @ e < radius * radius:
+            return None
+        stride = self.stride
+        first = min((k // stride + 1) * stride, n_steps) - k
+        return self.tail(y, first, n_steps - k - first - (rows - 2) * stride, rows)
 
     def _norm(self, power: np.ndarray) -> float:
         """``||power|_S||_2``; inf for a power that is not finite."""
@@ -390,85 +452,6 @@ class _Branch:
             yield self.apply(y, last)[None]
 
 
-class _Blocks:
-    """Steps of one method on a :class:`ProjectedAffine` drift, many at a time.
-
-    :meth:`advance` takes a block and :meth:`finish` the tail.  Each branch
-    builds its tables the first time a block starts on it.  A pinned start
-    that the free drift lifts fails its first guard, as a step's first stage
-    state is ``y`` itself: its block takes no step, and no tail traps it.
-    """
-
-    def __init__(self, affine: ProjectedAffine, method_step, h: float, length: int,
-                 stride: int):
-        self.mu = affine.mu
-        self.branch = lambda pinned: _Branch(method_step, affine.matrix, affine.offset, h,
-                                             affine.mu, pinned, length, stride)
-
-    @cached_property
-    def free(self) -> _Branch:
-        return self.branch(False)
-
-    @cached_property
-    def pinned(self) -> _Branch:
-        return self.branch(True)
-
-    def _branch_of(self, y: np.ndarray) -> _Branch:
-        """The branch of ``y``: free where ``y[mu] > 0``, else pinned."""
-        return self.free if self.mu is None or y[self.mu] > 0.0 else self.pinned
-
-    def advance(self, y: np.ndarray, steps: int, records: np.ndarray) -> tuple[np.ndarray, int]:
-        """Take up to ``steps <= length`` steps from ``y``; return the new state and the count.
-
-        The steps stop before the first whose stage states leave the branch
-        of ``y`` or whose state may cross the divergence limit; that step is
-        the caller's to take with the single-step code, which also applies
-        the clamp.  The block starts on the record grid unless ``records`` is
-        empty: row ``m`` of ``records`` receives the state after ``(m + 1) *
-        stride`` steps, valid for the rows within the steps taken.
-        """
-        branch = self._branch_of(y)
-        checked = steps * branch.stages
-        guard = branch.guard_rows[:checked] @ y + branch.guard_sums[:checked]
-        if records.size:
-            flat = records.reshape(-1)  # a view: the rows are consecutive rows of the record
-            np.matmul(branch.record_rows[: flat.size], y, out=flat)
-            flat += branch.record_sums[: flat.size]
-        taken = steps
-        if checked:
-            # The free branch's guard (mu > 0) is strict, the pinned one's is not.
-            ok = guard >= 0.0 if branch.pinned else guard > 0.0
-            first = int(ok.argmin())
-            if not ok[first]:
-                taken = first // branch.stages
-        size, shift = math.sqrt(y @ y), branch.shift_norm
-        if taken and not branch.growth[taken] * (size + taken * shift) <= DIVERGENCE_LIMIT:
-            j = np.arange(1, taken + 1)
-            bounded = branch.growth[1 : taken + 1] * (size + j * shift) <= DIVERGENCE_LIMIT
-            taken = int(np.argmin(bounded))  # the leading steps that stay within the limit
-        return branch.apply(y, taken), taken
-
-    def finish(self, y: np.ndarray, k: int, n_steps: int, rows: int):
-        """The run's last ``rows`` records from ``y``, the state after ``k`` steps, if it is trapped.
-
-        A run with blocks clamps ``mu``, so ``y`` lies in its branch's ``S``
-        and is trapped within the radius of the branch's
-        :attr:`_Branch.ball`: then no later stage state leaves the branch or
-        the divergence limit, and every later state is the branch's affine
-        map of ``y``.  Record ``m`` is the state after step ``min((k //
-        stride + 1 + m) * stride, n_steps)``; :meth:`_Branch.tail` yields
-        them in batches.  Returns None for a run that is not trapped.
-        """
-        branch = self._branch_of(y)
-        center, radius = branch.ball
-        e = y - center
-        if not e @ e < radius * radius:
-            return None
-        stride = branch.stride
-        first = min((k // stride + 1) * stride, n_steps) - k
-        return branch.tail(y, first, n_steps - k - first - (rows - 2) * stride, rows)
-
-
 def integrate(
     rhs: Callable[[np.ndarray], np.ndarray],
     y0,
@@ -485,8 +468,8 @@ def integrate(
         rhs: drift callable on flat state vectors.
         y0: initial state; if ``mu_index`` is given, ``y0[mu_index]`` must
             be nonnegative.
-        h: step size, > 0.
-        t_end: horizon, >= h; the number of steps is ``round(t_end / h)``.
+        h: step size, positive and finite.
+        t_end: horizon, finite and >= h; the number of steps is ``round(t_end / h)``.
         method: ``"euler"`` (explicit, first order) or ``"rk4"`` (classical
             fourth order).  For rk4 the drift is evaluated at the raw stage
             states, so a projection-aware rhs sees each stage's own values.
@@ -501,13 +484,12 @@ def integrate(
     projected component (None for a plain affine drift), takes blocks, with
     either method and at any ``record_stride``: the longest power of two of
     at most 4096 steps whose tables repay their cost (see
-    ``_blocks_pay_off``), or the step loop when none of at least 16 steps
+    ``_block_length``), or the step loop when none of at least 16 steps
     does; a drift wrapped in another function takes the step loop.  One
     matrix product gives the branch condition at every stage of every step
     in a block and every state recorded inside it; the first step that
     leaves the branch or may cross ``DIVERGENCE_LIMIT`` is taken with the
-    single-step code.  A run
-    that ends a whole block close enough to its branch's fixed point is
+    single-step code.  A run that ends a whole block close enough to its branch's fixed point is
     trapped there (see ``_Branch.ball``): on the branch's invariant
     subspace the powers of the step map are bounded (the discrete form of
     the closed loop's ``-B.T @ B`` certificate), so its remaining records
@@ -530,6 +512,10 @@ def integrate(
         The recorded :class:`Trajectory`.
 
     Raises:
+        ValueError: ``h`` or ``t_end`` is NaN or infinite, or ``t_end / h``
+            overflows; also a nonpositive ``h``, a horizon under one step, an
+            unknown method or a stride below 1.
+        NonfiniteInput: ``y0`` or ``reference`` has a NaN or infinite entry.
         NonfiniteState: the state's infinity norm exceeded
             ``DIVERGENCE_LIMIT`` or turned non-finite; the partial trajectory
             recorded so far, columns and all, rides on the exception.
@@ -557,14 +543,18 @@ def _march(rhs, y0, h: float, t_end: float, method: str = "euler", reference=Non
     y = np.array(y0, dtype=float)
     if y.ndim != 1:
         raise DimensionMismatch(f"initial state must be a vector, got shape {y.shape}")
-    if h <= 0.0:
-        raise ValueError(f"step size must be positive, got {h}")
-    if t_end < h:
-        raise ValueError(f"horizon {t_end} must be at least one step {h}")
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"step size h must be positive and finite, got {h}")
+    if not h <= t_end < math.inf:
+        raise ValueError(f"horizon t_end = {t_end} must be finite and at least one step {h}")
+    if not float(t_end) / float(h) < math.inf:
+        raise ValueError(f"t_end / h = {t_end} / {h} is not finite")
     if method not in _STEPPERS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     if record_stride < 1:
         raise ValueError(f"record_stride must be >= 1, got {record_stride}")
+    if not np.isfinite(y).all():
+        raise NonfiniteInput("initial state y0 has a NaN or infinite entry")
     ref = None
     if reference is not None:
         ref = np.asarray(reference, dtype=float)
@@ -572,6 +562,8 @@ def _march(rhs, y0, h: float, t_end: float, method: str = "euler", reference=Non
             raise DimensionMismatch(
                 f"reference has shape {ref.shape}, state has shape {y.shape}"
             )
+        if not np.isfinite(ref).all():
+            raise NonfiniteInput("reference has a NaN or infinite entry")
     if mu_index is not None and y[mu_index] < 0.0:
         raise NegativeMu(f"initial mu = {y[mu_index]} must be nonnegative")
 
@@ -585,19 +577,23 @@ def _march(rhs, y0, h: float, t_end: float, method: str = "euler", reference=Non
         size = min(n_rec, max(1, _DEVIATION_CHUNK_BYTES // (8 * y.size)))
     states = np.empty((size, y.size))
 
-    blocks = None
+    length, branches = 0, {}
     if isinstance(rhs, ProjectedAffine) and mu_index == rhs.mu:
-        guards = 0 if rhs.mu is None else evals
-        # The longest block that pays; the choice reads only sizes, since
-        # _Blocks is the first reader of rhs.matrix, which a large closed
-        # loop builds when read: a run without blocks never allocates it.
-        length = 1 << (min(n_steps, _BLOCK_MAX_STEPS).bit_length() - 1)
-        while length >= _BLOCK_MIN_STEPS and not _blocks_pay_off(
-            y.size, length, record_stride, n_steps, evals, guards
-        ):
-            length //= 2
-        if length >= _BLOCK_MIN_STEPS:
-            blocks = _Blocks(rhs, step, h, length, record_stride)
+        length = _block_length(y.size, record_stride, n_steps, evals,
+                               0 if rhs.mu is None else evals)
+
+    def branch_of(y: np.ndarray) -> _Branch:
+        """The branch of ``y``, free where ``y[mu] > 0`` and else pinned, built on first use.
+
+        Only a branch reads ``rhs.matrix``, so a run without blocks never
+        allocates it.  A pinned start that the free drift lifts fails its
+        first guard, as a step's first stage state is ``y`` itself: its
+        block takes no step, and no tail traps it.
+        """
+        pinned = mu_index is not None and not y[mu_index] > 0.0
+        if pinned not in branches:
+            branches[pinned] = _Branch(rhs, step, h, pinned, length, record_stride)
+        return branches[pinned]
 
     def window(stop: int) -> Trajectory:
         """The window's first ``stop`` rows, which follow the ``base`` rows yielded before."""
@@ -617,7 +613,7 @@ def _march(rhs, y0, h: float, t_end: float, method: str = "euler", reference=Non
     base, k, rec = 0, 0, 1  # rows yielded, steps taken, rows in the window
     while k < n_steps:
         steps, taken = 1, 0  # one single step, unless a block takes them
-        if blocks is not None:
+        if length:
             # A block ends on a record when one is within reach.  Started off
             # the record grid it ends at the next record, so the records
             # inside a block sit at multiples of the stride from its start.
@@ -631,8 +627,8 @@ def _march(rhs, y0, h: float, t_end: float, method: str = "euler", reference=Non
         if rec + inside >= size:  # no room for the rows inside and the row after
             yield window(rec)
             base, rec = base + rec, 0
-        if blocks is not None:
-            y, taken = blocks.advance(y, steps, states[rec : rec + inside])
+        if length:
+            y, taken = branch_of(y).advance(y, steps, states[rec : rec + inside])
             done = min(taken, steps - 1) // record_stride
             if done:
                 rec = filled(rec + done)
@@ -654,7 +650,7 @@ def _march(rhs, y0, h: float, t_end: float, method: str = "euler", reference=Non
             states[rec] = y
             rec += 1
         if taken == steps and k < n_steps:
-            tail = blocks.finish(y, k, n_steps, n_rec - base - rec)
+            tail = branch_of(y).finish(y, k, n_steps, n_rec - base - rec)
             if tail is not None:
                 for records in tail:
                     if rec + len(records) > size:

@@ -311,8 +311,8 @@ def lcp_oracle(market: MarketInstance, cap: float, tolerance: float = 1e-10) -> 
         tolerance: width of the final bracket, whose midpoint is returned.
     """
     cap = _check_cap(cap)
-    if tolerance <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
+    if not 0.0 < tolerance < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
 
     accuracy = tolerance
     slack_cap = aggregate_slack(market, cap)

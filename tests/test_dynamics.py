@@ -8,6 +8,7 @@ exercised separately in the acceptance suite.
 """
 
 import contextlib
+import math
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -61,7 +62,7 @@ def counted_block_steps():
     and of the tail, ``tail`` those of the tail alone.
     """
     count = [0, 0]
-    advance, finish = _stepping._Blocks.advance, _stepping._Blocks.finish
+    advance, finish = _stepping._Branch.advance, _stepping._Branch.finish
 
     def counted(self, y, steps, records):
         y, taken = advance(self, y, steps, records)
@@ -75,8 +76,8 @@ def counted_block_steps():
             count[1] += n_steps - k
         return done
 
-    with mock.patch.object(_stepping._Blocks, "advance", counted), \
-            mock.patch.object(_stepping._Blocks, "finish", counted_finish):
+    with mock.patch.object(_stepping._Branch, "advance", counted), \
+            mock.patch.object(_stepping._Branch, "finish", counted_finish):
         yield count
 
 
@@ -774,13 +775,48 @@ class TestIntegrate:
         assert count[0] > 0
         assert count[1] == 0
 
+    # From mu = 0 with nu = -1 the free drift lifts mu: the first block, on
+    # the pinned branch, fails its first guard and takes no step, and the
+    # single step that follows puts the run on the free branch.
+    def test_lifted_pinned_start_takes_an_empty_block(self, table1_config):
+        sim, lay = table1_config.sim, es.state_layout(4)
+        y0 = np.zeros(lay.dim)
+        y0[lay.nu] = -1.0
+        advances, advance = [], _stepping._Branch.advance
+
+        def logged(self, y, steps, records):
+            y, taken = advance(self, y, steps, records)
+            advances.append((self.pinned, taken))
+            return y, taken
+
+        with mock.patch.object(_stepping._Branch, "advance", logged):
+            block_and_loop(es.closed_loop_rhs(table1_config.market, 4.0), y0, sim.h, sim.t_end,
+                           1e-12, method=sim.method, mu_index=lay.mu,
+                           record_stride=sim.record_stride)
+        assert advances[0] == (True, 0)
+        assert advances[1][0] is False and advances[1][1] > 0
+
+    def test_each_branch_is_built_at_most_once_per_run(self, table1_config, tmp_path):
+        built, init = [], _stepping._Branch.__init__
+
+        def counted(self, affine, method_step, h, pinned, length, stride):
+            built.append(pinned)
+            init(self, affine, method_step, h, pinned, length, stride)
+
+        name = "dynamics.euler_lyapunov_monotone"
+        with mock.patch.object(_stepping._Branch, "__init__", counted):
+            for run in (lambda: es.run_simulate(table1_config, tmp_path / "table1.csv"),
+                        lambda: dict(CHECKS)[name](table1_config, check_rng(0, name), 200)):
+                built.clear()
+                run()
+                assert built and len(built) == len(set(built))
+
     def test_pinned_growth_is_bounded_on_its_subspace(self, table1_market):
         # nu reads mu's column, so the pinned step map has norm 1.010; on
         # mu = 0, where every pinned block starts, it is nonexpansive.
         lay = es.state_layout(4)
         affine = es.closed_loop_rhs(table1_market, 4.0)
-        blocks = _stepping._Blocks(affine, _stepping._rk4_step, 0.02, 4096, 10**4)
-        growth = blocks.pinned.growth
+        growth = _stepping._Branch(affine, _stepping._rk4_step, 0.02, True, 4096, 10**4).growth
         matrix, offset = affine.matrix.copy(), affine.offset.copy()
         matrix[lay.mu], offset[lay.mu] = 0.0, 0.0
         step, _ = affine_step("rk4", matrix, offset, 0.02)
@@ -801,7 +837,7 @@ class TestIntegrate:
         # fixed point, rk4's stage maps and the powers themselves.
         lay, h = es.state_layout(4), 0.02
         affine = es.closed_loop_rhs(table1_market, cap)
-        blocks = _stepping._Blocks(affine, _stepping._rk4_step, h, 512, 100)
+        branch = _stepping._Branch(affine, _stepping._rk4_step, h, guard == "nu", 512, 100)
         matrix, offset = affine.matrix.copy(), affine.offset.copy()
         keep = np.ones(lay.dim, dtype=bool)
         if guard == "nu":
@@ -814,7 +850,7 @@ class TestIntegrate:
         for _ in range(64):  # the powers contract from the second on
             power = sub @ power
             bound = max(bound, np.linalg.norm(power, 2))
-        center, radius = (blocks.pinned if guard == "nu" else blocks.free).ball
+        center, radius = branch.ball
         np.testing.assert_allclose(center, eq, rtol=0.0, atol=1e-10 * np.abs(eq).max())
         assert eq[g] > 1.0
         assert radius == pytest.approx(eq[g] / (2.0 * row_norm * bound), rel=1e-8)
@@ -863,6 +899,28 @@ class TestIntegrate:
             es.integrate(rhs, y0, 0.1, 1.0, method="heun")
         with pytest.raises(ValueError):
             es.integrate(rhs, y0, 0.1, 1.0, record_stride=0)
+
+    # Each was an OverflowError or numpy's "cannot convert float NaN to
+    # integer", and a NaN in y0 a divergence at the first step.
+    @pytest.mark.parametrize("h, t_end, bad, error, match", [
+        (math.nan, 1.0, None, ValueError, "step size h"),
+        (math.inf, 1.0, None, ValueError, "step size h"),
+        (0.1, math.nan, None, ValueError, "t_end"),
+        (0.1, math.inf, None, ValueError, "t_end"),
+        (1e-300, 1e300, None, ValueError, "t_end / h"),
+        (0.1, 1.0, "y0", es.NonfiniteInput, "y0"),
+        (0.1, 1.0, "reference", es.NonfiniteInput, "reference"),
+    ], ids=["h_nan", "h_inf", "t_end_nan", "t_end_inf", "ratio_inf", "y0_nan", "reference_inf"])
+    def test_refuses_nonfinite_inputs(self, table1_market, h, t_end, bad, error, match):
+        lay = es.state_layout(4)
+        y0, reference = np.zeros(lay.dim), np.zeros(lay.dim)
+        if bad == "y0":
+            y0[lay.nu] = math.nan
+        elif bad == "reference":
+            reference[0] = math.inf
+        with pytest.raises(error, match=match):
+            es.integrate(es.closed_loop_rhs(table1_market, 4.0), y0, h, t_end, method="rk4",
+                         reference=reference, mu_index=lay.mu)
 
 
 class TestTrajectory:

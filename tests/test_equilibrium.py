@@ -2,14 +2,16 @@
 
 import math
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import energyshare as es
 from energyshare import equilibrium
 from energyshare.verification import CAP_RANGE, _residual_scale, random_market
-from conftest import ce_oracle, sce_oracle
+from conftest import _rationals, ce_oracle, sce_oracle
 
 # Published two-decimal case-study values for the four-agent fixture.
 CE_X = np.array([41.74, 34.5, 3.17, 0.59])
@@ -18,7 +20,34 @@ SCE_X = np.array([40.69, 34.98, 3.55, 0.79])
 SCE_U = np.array([5.31, 3.54, 0.53, 0.26])
 
 
+# Magnitudes from 1e-150 to 1e150, log-uniform: s2 = sum 1/q**2 and every
+# allocation stay within float64's range.
+WIDE_MAGNITUDES = st.floats(-150.0, 150.0).map(lambda e: 10.0**e)
+
+
 class TestSolveCe:
+    # The exact price is -(sum c0/q + sum a) / s1 and x_i = -(price + c0_i) / q_i;
+    # each float is held within 2n + 2 ulps of the terms it sums, the
+    # first-order rounding bound of its order of evaluation.
+    @settings(max_examples=150)
+    @given(agents=st.lists(st.tuples(WIDE_MAGNITUDES, st.just(0.0) | WIDE_MAGNITUDES,
+                                     st.just(0.0) | WIDE_MAGNITUDES), min_size=1, max_size=8))
+    def test_within_ulps_of_the_exact_ce(self, agents):
+        market = es.validate_market([(q, -c, a) for q, c, a in agents])
+        ce = es.solve_ce(market)
+        q, c0, a = _rationals(market)
+        s1 = sum(1 / qi for qi in q)
+        lam = -(sum(ci / qi for ci, qi in zip(c0, q)) + sum(a)) / s1
+        lam_terms = (sum(abs(ci) / qi for ci, qi in zip(c0, q)) + sum(a)) / s1
+        ulp, tiny, ulps = Fraction(2) ** -52, Fraction(2) ** -1074, 2 * market.n + 2
+
+        def near(got, want, terms):
+            return abs(Fraction(got) - want) <= ulps * max(ulp * terms, tiny)
+
+        assert near(ce.lambda_bar, lam, lam_terms)
+        for got, ci, qi in zip(ce.x_bar.tolist(), c0, q, strict=True):
+            assert near(got, -(lam + ci) / qi, (lam_terms + abs(ci)) / qi), (got, ci, qi)
+
     def test_table1_matches_published_values(self, table1_market):
         ce = es.solve_ce(table1_market)
         np.testing.assert_allclose(ce.x_bar, CE_X, atol=0.01)
@@ -337,8 +366,11 @@ class TestLcpOracle:
         assert abs(result[0] - expected) <= 2.0 * np.spacing(expected)
 
     def test_rejects_bad_tolerance(self, table1_market):
-        with pytest.raises(ValueError):
-            es.lcp_oracle(table1_market, 4.0, 0.0)
+        # A NaN width passed a `<= 0` test and an infinite one ended the
+        # bracket at once: at cap 10 both returned 7.0, not the price 8.26.
+        for tolerance in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                es.lcp_oracle(table1_market, 4.0, tolerance)
 
 
 class TestBracketRoot:
