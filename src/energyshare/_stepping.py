@@ -514,7 +514,7 @@ def integrate(
     Raises:
         ValueError: ``h`` or ``t_end`` is NaN or infinite, or ``t_end / h``
             overflows; also a nonpositive ``h``, a horizon under one step, an
-            unknown method or a stride below 1.
+            unknown method, a stride below 1, or more records than numpy can index.
         NonfiniteInput: ``y0`` or ``reference`` has a NaN or infinite entry.
         NonfiniteState: the state's infinity norm exceeded
             ``DIVERGENCE_LIMIT`` or turned non-finite; the partial trajectory
@@ -571,6 +571,9 @@ def _march(rhs, y0, h: float, t_end: float, method: str = "euler", reference=Non
     n_steps = max(1, int(round(t_end / h)))
     # Row i records step min(i * grid, n_steps): every record_stride-th and the last.
     n_rec = -(-n_steps // record_stride) + 1
+    if n_rec * y.size * 8 > np.iinfo(np.intp).max:  # numpy's largest array, in bytes
+        raise ValueError(f"t_end = {t_end} and h = {h} at record_stride = {record_stride} record "
+                         f"{n_rec} rows of {y.size} values, more than numpy can index")
     grid = min(record_stride, n_steps)
     size = n_rec
     if bounded:

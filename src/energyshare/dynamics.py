@@ -243,10 +243,9 @@ def closed_loop_matrix(market: MarketInstance) -> np.ndarray:
 
 
 def closed_loop_matrices(market: MarketInstance, cap: float) -> tuple[np.ndarray, np.ndarray]:
-    """Drift matrix and constant offset (the drift at the zero state) of the closed loop."""
-    zero = np.zeros(state_layout(market.n).dim)
-    offset = _closed_loop_drift(zero, *_closed_loop_constants(market, cap))
-    return closed_loop_matrix(market), offset
+    """Drift matrix and constant offset (the drift at the zero state) of :func:`closed_loop_rhs`."""
+    rhs = closed_loop_rhs(market, cap)
+    return rhs.matrix, rhs.offset
 
 
 def open_loop_matrices(market: MarketInstance) -> tuple[np.ndarray, np.ndarray]:
@@ -268,11 +267,11 @@ def affine_rhs(matrix: np.ndarray, offset: np.ndarray) -> ProjectedAffine:
 
 
 # Up to this state dimension closed_loop_rhs evaluates the drift as one dense
-# matrix-vector product; above it, from the drift's block structure.  On a
-# 2-vCPU Xeon VM with one BLAS thread the structured form costs 12-20 us up
-# to N = 200, mostly numpy's per-call overhead, and 33 us at N = 1000; the
-# dense product costs 2 us at N = 4, as much near dim 280-330, and 20 ms at
-# N = 1000.
+# matrix-vector product; above it, from the drift's block structure.  In
+# process on a 2-vCPU Xeon VM with one BLAS thread, the structured form costs
+# 14 us up to N = 100, mostly numpy's per-call overhead, 16 us at N = 200
+# and 23 us at N = 1000; the dense product costs 2-3 us up to N = 20, as
+# much as the structured form at dim 303-333, and 13 ms at N = 1000.
 _DENSE_DRIFT_MAX_DIM = 300
 
 
@@ -338,28 +337,26 @@ def assemble_equilibrium(market: MarketInstance, cap: float) -> np.ndarray:
     return y
 
 
-def _without_mu(drift: np.ndarray, mu: int) -> np.ndarray:
-    """Drift on the branch where ``mu`` is pinned at 0: its row and column drop out."""
-    keep = np.arange(drift.shape[0]) != mu
-    return drift[np.ix_(keep, keep)]
+def _branch_spectrum(market: MarketInstance, free: bool, pinned: bool) -> np.ndarray:
+    """Eigenvalues of the closed-loop drift on the branches asked for, the free one first:
+    the whole matrix, and the pinned one's, without ``mu``'s row and column, the last."""
+    drift = closed_loop_matrix(market)
+    mu = state_layout(market.n).mu
+    branches = ([drift] if free else []) + ([drift[:mu, :mu]] if pinned else [])
+    return np.concatenate([np.linalg.eigvals(branch) for branch in branches])
 
 
 def closed_loop_spectrum(market: MarketInstance, cap: float) -> np.ndarray:
     """Eigenvalues of the closed loop linearized at its fixed point.
 
-    When the projected state ``mu`` sits on its boundary at the fixed
-    point, its row and column drop out of the linearization; when the
-    fixed point lies on both branches, both spectra are returned.
+    The branch is read from the capped equilibrium (:func:`solve_sce`):
+    ``mu`` moves freely where the scalar dual ``nu*`` is 0, and sits on its
+    boundary, its row and column dropping out, where the price is at the
+    cap.  At the CE price the fixed point lies on both branches, and both
+    spectra are returned, the free one first.
     """
-    lay = state_layout(market.n)
-    drift = closed_loop_matrix(market)
-    fixed = assemble_equilibrium(market, cap)
-    spectra = []
-    if fixed[lay.mu] > 0.0 or fixed[lay.nu] == 0.0:
-        spectra.append(np.linalg.eigvals(drift))
-    if fixed[lay.mu] == 0.0:
-        spectra.append(np.linalg.eigvals(_without_mu(drift, lay.mu)))
-    return np.concatenate(spectra)
+    sce = solve_sce(market, cap)
+    return _branch_spectrum(market, sce.nu_star == 0.0, sce.lambda_star == cap)
 
 
 def closed_loop_decay_rate(market: MarketInstance, cap: float) -> float:
@@ -382,11 +379,7 @@ def euler_stable_step(market: MarketInstance) -> float:
     with ``mu`` free and with ``mu`` pinned at 0, since a trajectory may
     visit both branches.  The drift matrix does not depend on the cap.
     """
-    drift = closed_loop_matrix(market)
-    eigs = np.concatenate([
-        np.linalg.eigvals(drift),
-        np.linalg.eigvals(_without_mu(drift, state_layout(market.n).mu)),
-    ])
+    eigs = _branch_spectrum(market, free=True, pinned=True)
     return float((-2.0 * eigs.real / np.abs(eigs) ** 2).min())
 
 

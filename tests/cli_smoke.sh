@@ -5,7 +5,8 @@
 # as is a negative initial mu, a run that overflows a divergence (exit 3),
 # and a verify check that cannot run at such a cap, or on such a fixed
 # point, a failed check (exit 1, no traceback).  The 200-instance verify battery passes all 26 checks on
-# seeds 0 to 4, and prints the same bytes under two string hash seeds.
+# seeds 0 to 4, and prints the same bytes under two string hash seeds; a
+# 20-instance battery at table1's CE price passes all 26 too.
 #
 # Run from the repository root: PYTHONPATH=src bash tests/cli_smoke.sh
 # Outputs go to $RUNNER_TEMP, or to a temporary directory removed on exit.
@@ -26,6 +27,10 @@ for s in 0 1 2 3 4; do
   $cli verify --config table1.json --instances 200 --seed "$s" > "$tmp/verify.out"
   test "$(grep -c '^\[PASS\]' "$tmp/verify.out")" -eq 26
 done
+# At table1's CE price the closed loop's fixed point lies on both branches
+# of mu, so the convergence check reads the spectrum of both.
+$cli verify --config table1.json --lambda-max 8.256880733944953 --instances 20 > "$tmp/verify.out"
+test "$(grep -c '^\[PASS\]' "$tmp/verify.out")" -eq 26
 # verify writes the same bytes in every process, whatever the string hash seed.
 PYTHONHASHSEED=1 $cli verify --config table1.json --instances 200 --seed 0 > "$tmp/verify.1"
 PYTHONHASHSEED=2 $cli verify --config table1.json --instances 200 --seed 0 > "$tmp/verify.2"

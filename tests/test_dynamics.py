@@ -901,16 +901,19 @@ class TestIntegrate:
             es.integrate(rhs, y0, 0.1, 1.0, record_stride=0)
 
     # Each was an OverflowError or numpy's "cannot convert float NaN to
-    # integer", and a NaN in y0 a divergence at the first step.
+    # integer", a record of 1e20 rows numpy's "Maximum allowed dimension
+    # exceeded", and a NaN in y0 a divergence at the first step.
     @pytest.mark.parametrize("h, t_end, bad, error, match", [
         (math.nan, 1.0, None, ValueError, "step size h"),
         (math.inf, 1.0, None, ValueError, "step size h"),
         (0.1, math.nan, None, ValueError, "t_end"),
         (0.1, math.inf, None, ValueError, "t_end"),
         (1e-300, 1e300, None, ValueError, "t_end / h"),
+        (1e-10, 1e10, None, ValueError, r"t_end = 1\d+\.0 and h = 1e-10 at record_stride = 1 "),
         (0.1, 1.0, "y0", es.NonfiniteInput, "y0"),
         (0.1, 1.0, "reference", es.NonfiniteInput, "reference"),
-    ], ids=["h_nan", "h_inf", "t_end_nan", "t_end_inf", "ratio_inf", "y0_nan", "reference_inf"])
+    ], ids=["h_nan", "h_inf", "t_end_nan", "t_end_inf", "ratio_inf", "record_too_large", "y0_nan",
+            "reference_inf"])
     def test_refuses_nonfinite_inputs(self, table1_market, h, t_end, bad, error, match):
         lay = es.state_layout(4)
         y0, reference = np.zeros(lay.dim), np.zeros(lay.dim)
@@ -1081,6 +1084,68 @@ class TestConvergence:
         name = "dynamics.closed_loop_random_limits"
         passed, detail = dict(CHECKS)[name](table1_config, check_rng(seed, name), 200)
         assert passed, detail
+
+
+def assembled_branch_spectrum(market, cap):
+    """The closed loop's spectrum on the branches that ``assemble_equilibrium`` shows.
+
+    The rule that :func:`closed_loop_spectrum` once applied to the
+    assembled fixed point: free where ``mu > 0`` or ``nu == 0``, pinned
+    where ``mu == 0``, each branch's eigenvalues from its own dense matrix,
+    the free one first.
+    """
+    lay = es.state_layout(market.n)
+    fixed = es.assemble_equilibrium(market, cap)
+    drift = dynamics.closed_loop_matrix(market)
+    spectra = []
+    if fixed[lay.mu] > 0.0 or fixed[lay.nu] == 0.0:
+        spectra.append(np.linalg.eigvals(drift))
+    if fixed[lay.mu] == 0.0:
+        keep = np.arange(lay.dim) != lay.mu
+        spectra.append(np.linalg.eigvals(drift[np.ix_(keep, keep)]))
+    return np.concatenate(spectra)
+
+
+class TestClosedLoopSpectrum:
+    # Below table1's CE price the cap binds and mu is pinned at 0, at it
+    # the fixed point lies on both branches, and above it mu is free.
+    @pytest.mark.parametrize("cap, size", [(4.0, 22), (8.256880733944953, 45), (20.0, 23)],
+                             ids=["pinned", "both", "free"])
+    def test_table1_branches(self, table1_market, cap, size):
+        assert es.closed_loop_spectrum(table1_market, cap).size == size
+
+    @given(market=markets(), cap=st.floats(*CAP_RANGE), near_ce=st.none() | st.integers(-1, 1))
+    def test_branches_are_those_of_the_assembled_fixed_point(self, market, cap, near_ce):
+        if near_ce is not None:
+            lam = es.solve_ce(market).lambda_bar
+            cap = lam + near_ce * np.spacing(lam)
+        lay = es.state_layout(market.n)
+        fixed = es.assemble_equilibrium(market, cap)
+        # Where s2 * (cap - lam*) underflows, the assembled mu reads 0 below
+        # the cap; the next test pins that case.
+        assume(fixed[lay.mu] > 0.0 or fixed[lay.lam] == cap)
+        np.testing.assert_array_equal(es.closed_loop_spectrum(market, cap),
+                                      assembled_branch_spectrum(market, cap))
+
+    # The market clears at price 0, one subnormal below the cap, and
+    # mu* = s2 * (cap - lam*) = 0.25 * 5e-324 rounds to 0 though it is
+    # positive: the fixed point is on the free branch only.
+    def test_free_branch_only_where_mu_underflows(self):
+        m = es.validate_market([(2.0, 0.0, 0.0)])
+        cap = 5e-324
+        assert es.assemble_equilibrium(m, cap)[es.state_layout(1).mu] == 0.0
+        assert assembled_branch_spectrum(m, cap).size == 15
+        spectrum = es.closed_loop_spectrum(m, cap)
+        np.testing.assert_array_equal(spectrum, np.linalg.eigvals(dynamics.closed_loop_matrix(m)))
+
+    # The first agent's q**2 underflows to 0, so the assembled fixed point's
+    # pi divides by zero; the branches come from the capped equilibrium,
+    # which does not divide where the cap is slack.  The suite turns any
+    # warning into an error.
+    def test_no_warning_where_q_squared_underflows(self):
+        m = es.validate_market([(1e-200, -1.0, 1.0), (1.0, -10.0, 1.0)])
+        assert es.closed_loop_spectrum(m, 1e300).size == es.state_layout(m.n).dim
+        assert math.isfinite(es.closed_loop_decay_rate(m, 1e300))
 
 
 class TestDecayRate:
