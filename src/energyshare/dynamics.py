@@ -31,6 +31,11 @@ kernel for large markets, each drift matrix is the kernel's linear part
 evaluated on the unit vectors and each offset the kernel at the zero state.
 The dense ``(5N+3)**2`` matrix is built for small markets, for the block
 path of :func:`integrate` and for the certificates.
+
+The fixed point (:func:`assemble_equilibrium`), the drift
+:func:`rhs_closed_loop`, the drift matrix and :func:`stability_certificate`
+also take a batch of markets (``market.MarketInstance``), with one cap per
+market, and compute each market as they compute it alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from ._stepping import DIVERGENCE_LIMIT, METHODS, Trajectory, integrate  # noqa:
 from ._stepping import ProjectedAffine, _half_squared_norm, _march  # noqa: F401
 from .equilibrium import solve_ce, solve_sce
 from .errors import DimensionMismatch, NegativeMu
-from .market import MarketInstance, conditional_projection
+from .market import MarketInstance, _scalar
 
 
 @dataclass(frozen=True)
@@ -125,10 +130,11 @@ def _closed_loop_drift(y: np.ndarray, q, c0=0.0, a=0.0, u_shift=0.0) -> np.ndarr
     the order of :func:`state_layout`; the result has the same shape.
     ``c0``, ``a`` and ``u_shift = (c0 + cap) / q`` are the drift's
     constants: with their zero defaults it is the linear part, whose values
-    on the unit vectors are the matrix's columns.  The ``mu`` entry is
-    ``-nu``; the projection is the caller's.
+    on the unit vectors are the matrix's columns.  ``q`` and the constants
+    may hold a batch of markets, ``(K, N)``, that the states broadcast
+    against.  The ``mu`` entry is ``-nu``; the projection is the caller's.
     """
-    lay = state_layout(q.size)
+    lay = state_layout(q.shape[-1])
     x, rho, eps = y[..., lay.x], y[..., lay.rho], y[..., lay.eps]
     u, pi = y[..., lay.u], y[..., lay.pi]
     lam, nu, mu = y[..., lay.lam], y[..., lay.nu], y[..., lay.mu]
@@ -146,7 +152,7 @@ def _closed_loop_drift(y: np.ndarray, q, c0=0.0, a=0.0, u_shift=0.0) -> np.ndarr
 
 def _closed_loop_constants(market: MarketInstance, cap: float) -> tuple:
     """The constants of the closed-loop drift: ``q``, ``c0``, ``a``, ``(c0 + cap) / q``."""
-    return market.q, market.c0, market.a, (market.c0 + cap) / market.q
+    return market.q, market.c0, market.a, (market.c0 + np.asarray(cap)[..., None]) / market.q
 
 
 def _reduced_drift(y: np.ndarray, q, c0=0.0, sum_a=0.0) -> np.ndarray:
@@ -154,7 +160,7 @@ def _reduced_drift(y: np.ndarray, q, c0=0.0, sum_a=0.0) -> np.ndarray:
 
     ``c0`` and ``sum_a`` are its constants, zero for the linear part.
     """
-    n = q.size
+    n = q.shape[-1]
     x = y[..., :n]
     d = np.empty(y.shape)
     d[..., :n] = -q * x - c0 - y[..., n, None]
@@ -162,10 +168,10 @@ def _reduced_drift(y: np.ndarray, q, c0=0.0, sum_a=0.0) -> np.ndarray:
     return d
 
 
-def _as_state(state, dim: int, what: str) -> np.ndarray:
+def _as_state(state, shape: tuple, what: str) -> np.ndarray:
     state = np.asarray(state, dtype=float)
-    if state.shape != (dim,):
-        raise DimensionMismatch(f"{what} has shape {state.shape}, expected ({dim},)")
+    if state.shape != shape:
+        raise DimensionMismatch(f"{what} has shape {state.shape}, expected {shape}")
     return state
 
 
@@ -177,7 +183,7 @@ def rhs_open_loop(market: MarketInstance, state) -> np.ndarray:
 def rhs_controlled(market: MarketInstance, state, u_input) -> np.ndarray:
     """Open-loop drift with the utility adjustment ``u_input`` acting on x."""
     lay = state_layout(market.n)
-    state = _as_state(state, lay.lam + 1, "open-loop state")
+    state = _as_state(state, (lay.lam + 1,), "open-loop state")
     u_input = np.asarray(u_input, dtype=float)
     if u_input.shape != (lay.n,):
         raise DimensionMismatch(f"u_input has shape {u_input.shape}, expected ({lay.n},)")
@@ -198,21 +204,24 @@ def rhs_controller(market: MarketInstance, state, cap: float) -> np.ndarray:
 def rhs_closed_loop(market: MarketInstance, state, cap: float) -> np.ndarray:
     """Drift of the interconnection: market block driven by the controller's u.
 
-    Requires ``mu >= 0``, as :func:`rhs_controller` does.
+    Requires ``mu >= 0``, as :func:`rhs_controller` does.  On a batch, the
+    state has one row per market and ``cap`` one entry per market.  The
+    ``mu`` entry is ``market.conditional_projection``'s, per market.
     """
     lay = state_layout(market.n)
-    state = _as_state(state, lay.dim, "closed-loop state")
-    mu = float(state[lay.mu])
-    if mu < 0.0:
-        raise NegativeMu(f"mu = {mu} must be nonnegative")
+    state = _as_state(state, (*market.q.shape[:-1], lay.dim), "closed-loop state")
+    mu = state[..., lay.mu]
+    if (mu < 0.0).any():
+        raise NegativeMu(f"mu = {float(mu[mu < 0.0][0])} must be nonnegative")
     d = _closed_loop_drift(state, *_closed_loop_constants(market, cap))
-    d[lay.mu] = conditional_projection(d[lay.mu], mu)
+    drift_mu = d[..., lay.mu]
+    d[..., lay.mu] = np.where((mu > 0.0) | (drift_mu > 0.0), drift_mu, 0.0)
     return d
 
 
 def rhs_reduced(market: MarketInstance, state) -> np.ndarray:
     """Operator-knows-generation variant, state (x, lam) of dimension N+1."""
-    state = _as_state(state, market.n + 1, "reduced state")
+    state = _as_state(state, (market.n + 1,), "reduced state")
     return _reduced_drift(state, market.q, market.c0, market.sum_a)
 
 
@@ -225,14 +234,19 @@ def _linear_part(kernel, q: np.ndarray, dim: int, size: int) -> np.ndarray:
 
     Row ``j`` of ``kernel(I, q)``, whose constants default to zero, is the
     drift of the ``j``-th unit vector: the matrix's column ``j``.  The
-    transpose is copied to C order.
+    transpose is copied to C order.  A batch ``q`` of shape ``(K, N)``
+    gives ``K`` matrices, the unit vectors broadcast to each market.
     """
-    columns = kernel(np.eye(size, dim), q)[:, :size]
-    return np.ascontiguousarray(columns.T)
+    units = np.zeros((size, *q.shape[:-1], dim))
+    units[range(size), ..., range(size)] = 1.0
+    columns = kernel(units, q)[..., :size]
+    del units  # freed before the copy, which then holds two such arrays at its peak
+    return np.ascontiguousarray(columns.transpose(*range(1, columns.ndim), 0))
 
 
 def closed_loop_matrix(market: MarketInstance) -> np.ndarray:
-    """Drift matrix of the closed loop on the branch where mu evolves freely.
+    """Drift matrix of the closed loop on the branch where mu evolves freely
+    (one per market of a batch).
 
     The drift kernel with zero constants, evaluated on the identity.  The
     identity is freed before the kernel's output is copied to C order, so
@@ -319,21 +333,22 @@ def reduced_equilibrium(market: MarketInstance) -> np.ndarray:
 def assemble_equilibrium(market: MarketInstance, cap: float) -> np.ndarray:
     """Unique fixed point of the closed loop, assembled in closed form.
 
-    Returns the stacked state of :func:`state_layout`.  The market block
-    sits at the capped equilibrium; the controller block is recovered from
-    it: ``pi = (lam* - cap) / q**2`` componentwise and ``mu = s2 * (cap -
-    lam*)``, which is complementary to ``nu``.  Where the cap binds, both
-    are 0, written without dividing, since ``q**2`` and ``s2`` may lie
-    outside float64's range; where it does not, such a value makes them not
-    finite, and numpy warns.
+    Returns the stacked state of :func:`state_layout`, one row per market
+    of a batch.  The market block sits at the capped equilibrium; the
+    controller block is recovered from it: ``pi = (lam* - cap) / q**2``
+    componentwise and ``mu = s2 * (cap - lam*)``, which is complementary to
+    ``nu``.  Where the cap binds, both are 0, written without dividing,
+    since ``q**2`` and ``s2`` may lie outside float64's range; where it
+    does not, such a value makes them not finite, and numpy warns.
     """
     sce = solve_sce(market, cap)
-    lam, x, lay = sce.lambda_star, sce.x_star, state_layout(market.n)
-    y = np.zeros(lay.dim)
-    y[lay.x], y[lay.rho], y[lay.eps], y[lay.lam] = x, lam, x - market.a, lam
-    y[lay.u], y[lay.nu] = sce.u_star, sce.nu_star
-    if lam != cap:
-        y[lay.pi], y[lay.mu] = (lam - cap) / market.q**2, market.s2 * (cap - lam)
+    lam, x, lay = np.asarray(sce.lambda_star), sce.x_star, state_layout(market.n)
+    y = np.zeros((*x.shape[:-1], lay.dim))
+    y[..., lay.x], y[..., lay.rho], y[..., lay.eps] = x, lam[..., None], x - market.a
+    y[..., lay.lam], y[..., lay.u], y[..., lay.nu] = lam, sce.u_star, sce.nu_star
+    idle = lam != cap
+    np.divide((lam - cap)[..., None], market.q**2, out=y[..., lay.pi], where=idle[..., None])
+    np.multiply(market.s2, cap - lam, out=y[..., lay.mu], where=idle)
     return y
 
 
@@ -406,16 +421,19 @@ def stability_certificate(market: MarketInstance) -> StabilityCertificate:
     certifies negative semidefiniteness, so that ``V = 0.5 * ||y - y*||**2``
     cannot rise along the closed loop.  Whether a simulated run's ``V``
     falls is judged from its recorded column (:func:`convergence_report`).
+    A batch gets one certificate whose two fields hold a value per market.
     """
-    lay = state_layout(market.n)
+    lay, agents = state_layout(market.n), np.arange(market.n)
     drift = closed_loop_matrix(market)
-    x_sym = 0.5 * (drift + drift.T)
-    b_factor = np.zeros((market.n, lay.dim))
-    b_factor[:, lay.x] = np.diag(np.sqrt(market.q))
-    b_factor[:, lay.u] = np.diag(1.0 / np.sqrt(market.q))
-    residual = float(np.abs(x_sym + b_factor.T @ b_factor).max())
-    max_eig = float(np.linalg.eigvalsh(x_sym).max())
-    return StabilityCertificate(max_eigenvalue_x_sym=max_eig, factorization_residual=residual)
+    x_sym = 0.5 * (drift + np.swapaxes(drift, -1, -2))
+    b_factor = np.zeros((*market.q.shape[:-1], market.n, lay.dim))
+    b_factor[..., agents, lay.x.start + agents] = np.sqrt(market.q)
+    b_factor[..., agents, lay.u.start + agents] = 1.0 / np.sqrt(market.q)
+    gram = np.swapaxes(b_factor, -1, -2) @ b_factor
+    residual = np.abs(x_sym + gram).max(axis=(-2, -1))
+    max_eig = np.linalg.eigvalsh(x_sym).max(axis=-1)
+    return StabilityCertificate(max_eigenvalue_x_sym=_scalar(max_eig),
+                                factorization_residual=_scalar(residual))
 
 
 def convergence_report(trajectory: Trajectory, tolerance: float) -> ConvergenceReport:

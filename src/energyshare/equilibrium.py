@@ -9,6 +9,12 @@ whose unique solution is the capped market price.  Because the aggregate
 slack is affine and strictly decreasing in the price, the solution is
 ``min(ce_price, lambda_max)`` in closed form; an independent bracketing
 oracle double-checks that shortcut.
+
+Each solver takes a single market or a batch (``market.MarketInstance``),
+with one cap per market of the batch, and computes every market of a
+batch as it computes that market alone, bit for bit.  A single market's
+scalar results are floats; a batch's are arrays with one entry per market,
+and its per-agent results have the batch's ``(K, N)`` shape.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InconsistentDual, NonfiniteInput
-from .market import MarketInstance, phi
+from .market import MarketInstance, _scalar, phi
 
 # Residual above which dual_to_primal_sw refuses to trust a candidate price.
 DUAL_FEASIBILITY_TOL = 1e-6
@@ -79,13 +85,13 @@ class KktResidualReport:
     complementarity_gap: float
 
     def max_violation(self) -> float:
-        """The largest of the four residuals; NaN if any of them is NaN."""
-        return float(np.max([
+        """The largest of the four residuals (per market); NaN if any of them is NaN."""
+        return _scalar(np.max([
             self.stationarity_norm,
             self.supply_demand_gap,
             self.cap_violation,
             self.complementarity_gap,
-        ]))
+        ], axis=0))
 
 
 def solve_ce(market: MarketInstance) -> CeSolution:
@@ -104,14 +110,16 @@ def aggregate_slack(market: MarketInstance, lam: float) -> float:
 
     Affine in the price with slope ``-s1 < 0``.
     """
-    return float(phi(market, lam).sum() - market.sum_a)
+    return _scalar(phi(market, lam).sum(axis=-1) - market.sum_a)
 
 
-def _check_cap(cap: float) -> float:
-    cap = float(cap)
-    if not np.isfinite(cap):
-        raise NonfiniteInput(f"price cap must be finite, got {cap!r}")
-    return cap
+def _check_cap(cap):
+    """``cap`` as a float, or as a float array of one cap per market."""
+    caps = np.asarray(cap, dtype=float)
+    finite = np.isfinite(caps)
+    if not (finite.all() if caps.ndim else finite):
+        raise NonfiniteInput(f"price cap must be finite, got {float(caps[~finite].flat[0])!r}")
+    return _scalar(caps)
 
 
 def solve_scalar_lcp(market: MarketInstance, cap: float) -> float:
@@ -122,12 +130,13 @@ def solve_scalar_lcp(market: MarketInstance, cap: float) -> float:
     clears (slack zero), at the cap the slack stays nonnegative.
     """
     cap = _check_cap(cap)
-    lam_ce = solve_ce(market).lambda_bar
-    return lam_ce if lam_ce <= cap else cap
+    lam_ce = solve_sw_dual(market)
+    return _scalar(np.where(lam_ce <= cap, lam_ce, cap))
 
 
 def _capped(market: MarketInstance, caps, lam_ce: float) -> tuple:
-    """The capped equilibrium ``(lam, nu, x, u)`` at each of ``caps``, of any shape.
+    """The capped equilibrium ``(lam, nu, x, u)`` at each of ``caps``, of any shape
+    that broadcasts against the batch's.
 
     Where the competitive price ``lam_ce`` respects the cap, the market
     clears at it with ``nu = 0``.  Elsewhere, a NaN cap included, the price
@@ -138,7 +147,7 @@ def _capped(market: MarketInstance, caps, lam_ce: float) -> tuple:
     """
     active = ~(lam_ce <= np.asarray(caps))
     lam = np.where(active, caps, lam_ce)
-    demand = phi(market, lam[..., None])
+    demand = phi(market, lam)
     # Divided only where the cap binds: s2 underflows to 0 when every q is
     # past ~1e154, and q**2 when some q is below ~1e-162.
     nu = np.divide(demand.sum(axis=-1) - market.sum_a, market.s2, out=np.zeros(active.shape),
@@ -154,9 +163,9 @@ def solve_sce(market: MarketInstance, cap: float) -> SceSolution:
     The one-cap case of :func:`_capped`'s closed form, which
     :func:`scenario.run_sweep` evaluates over many caps.
     """
-    lam, nu, x_star, u_star = _capped(market, _check_cap(cap), solve_ce(market).lambda_bar)
-    nu_star = float(nu)
-    return SceSolution(x_star=x_star, lambda_star=float(lam), u_star=u_star, nu_star=nu_star,
+    lam, nu, x_star, u_star = _capped(market, _check_cap(cap), solve_sw_dual(market))
+    nu_star = _scalar(nu)
+    return SceSolution(x_star=x_star, lambda_star=_scalar(lam), u_star=u_star, nu_star=nu_star,
                        pi1_star=market.s1 * nu_star, pi2_star=-u_star)
 
 
@@ -199,7 +208,7 @@ def solve_modified_primal(market: MarketInstance, cap: float) -> ModifiedPrimalS
     y_bar = phi(market, lam)
     return ModifiedPrimalSolution(
         y_bar=y_bar,
-        s_bar=float(y_bar.sum()) - market.sum_a,
+        s_bar=_scalar(y_bar.sum(axis=-1) - market.sum_a),
         lambda_bar=lam,
         mu_s_bar=cap - lam,
     )
@@ -208,14 +217,14 @@ def solve_modified_primal(market: MarketInstance, cap: float) -> ModifiedPrimalS
 def change_of_variables_matrix(market: MarketInstance) -> np.ndarray:
     """Invertible map from (allocation, scalar dual) to (allocation, slack).
 
-    Block structure ``[[I, 1/q**2], [0, s2]]`` of size (N+1, N+1); the
-    determinant equals ``s2 > 0``.
+    Block structure ``[[I, 1/q**2], [0, s2]]`` of size (N+1, N+1), one per
+    market of a batch; the determinant equals ``s2 > 0``.
     """
     n = market.n
-    m = np.zeros((n + 1, n + 1))
-    m[:n, :n] = np.eye(n)
-    m[:n, n] = 1.0 / market.q**2
-    m[n, n] = market.s2
+    m = np.zeros((*market.q.shape[:-1], n + 1, n + 1))
+    m[..., :n, :n] = np.eye(n)
+    m[..., :n, n] = 1.0 / market.q**2
+    m[..., n, n] = market.s2
     return m
 
 
@@ -227,13 +236,14 @@ def map_sce_to_modified_primal(
     Returns the (allocation, slack) pair of the slack-variable problem;
     must agree with :func:`solve_modified_primal` for a correct solver.
     """
-    if sce.x_star.shape != (market.n,):
+    if sce.x_star.shape != market.q.shape:
         raise DimensionMismatch(
-            f"x_star has shape {sce.x_star.shape}, expected ({market.n},)"
+            f"x_star has shape {sce.x_star.shape}, expected {market.q.shape}"
         )
-    stacked = np.append(sce.x_star, sce.nu_star)
-    image = change_of_variables_matrix(market) @ stacked
-    return image[: market.n], float(image[market.n])
+    stacked = np.concatenate([sce.x_star, np.asarray(sce.nu_star)[..., None]], axis=-1)
+    # One matrix-vector product per market (numpy's matmul takes each as a gemv).
+    image = (change_of_variables_matrix(market) @ stacked[..., None])[..., 0]
+    return image[..., : market.n], _scalar(image[..., market.n])
 
 
 def kkt_residual_sce(
@@ -246,20 +256,28 @@ def kkt_residual_sce(
     ``|nu * (cap - lam)| + max(0, -nu)``.
     """
     cap = _check_cap(cap)
-    n = market.n
-    if candidate.x_star.shape != (n,):
-        raise DimensionMismatch(f"x_star has shape {candidate.x_star.shape}, expected ({n},)")
-    if candidate.u_star.shape != (n,):
-        raise DimensionMismatch(f"u_star has shape {candidate.u_star.shape}, expected ({n},)")
+    shape = market.q.shape
+    if candidate.x_star.shape != shape:
+        raise DimensionMismatch(f"x_star has shape {candidate.x_star.shape}, expected {shape}")
+    if candidate.u_star.shape != shape:
+        raise DimensionMismatch(f"u_star has shape {candidate.u_star.shape}, expected {shape}")
     lam = candidate.lambda_star
     nu = candidate.nu_star
-    stationarity = market.q * candidate.x_star + market.c0 + candidate.u_star + lam
+    stationarity = market.q * candidate.x_star + market.c0 + candidate.u_star
+    stationarity += np.asarray(lam)[..., None]
     return KktResidualReport(
-        stationarity_norm=float(np.abs(stationarity).max()),
-        supply_demand_gap=abs(float(candidate.x_star.sum()) - market.sum_a),
-        cap_violation=max(0.0, lam - cap),
-        complementarity_gap=abs(nu * (cap - lam)) + max(0.0, -nu),
+        stationarity_norm=_scalar(np.abs(stationarity).max(axis=-1)),
+        supply_demand_gap=_scalar(abs(candidate.x_star.sum(axis=-1) - market.sum_a)),
+        cap_violation=_at_least_zero(lam - cap),
+        complementarity_gap=abs(nu * (cap - lam)) + _at_least_zero(-nu),
     )
+
+
+def _at_least_zero(value):
+    """``max(0.0, value)``, per market of a batch: 0.0 unless ``value > 0``."""
+    if isinstance(value, np.ndarray):
+        return np.where(value > 0.0, value, 0.0)
+    return max(0.0, value)
 
 
 def _bracket_root(slack, lo, hi, slack_lo, slack_hi, tolerance):
@@ -270,27 +288,38 @@ def _bracket_root(slack, lo, hi, slack_lo, slack_hi, tolerance):
     inside it, or the midpoint after a secant step that did not halve the
     bracket, so the bracket halves at least every two calls.  Returns
     ``(lo, hi)``, early if they are adjacent floats.
+
+    The ends may be arrays, one bracket per entry, and ``slack`` is then
+    called on all of them at once: each bracket moves as it would alone,
+    bit for bit, until it is done, and then stays.  A bracket of width 0
+    is done from the start.
     """
+    lo, hi, slack_lo, slack_hi = np.broadcast_arrays(lo, hi, slack_lo, slack_hi)
     margin = 0.25 * tolerance
-    use_mid = False
-    while hi - lo > tolerance:
+    use_mid = np.zeros(lo.shape, dtype=bool)
+    active = hi - lo > tolerance
+    while active.any():
         mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break  # adjacent floats: the bracket cannot shrink further
-        x = mid
-        if not use_mid:
-            secant = lo + slack_lo * (hi - lo) / (slack_lo - slack_hi)
-            x = min(max(secant, lo + margin, math.nextafter(lo, hi)),
-                    hi - margin, math.nextafter(hi, lo))
-            if not lo < x < hi:
-                x = mid  # the secant point is NaN
+        active &= (mid != lo) & (mid != hi)  # adjacent floats: the bracket cannot shrink
+        if not active.any():
+            break
+        # The secant point, clamped as Python's max and min would; a bracket
+        # that is done may give NaN or inf here, which is never used.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            x = lo + slack_lo * (hi - lo) / (slack_lo - slack_hi)
+        for bound in (lo + margin, np.nextafter(lo, hi)):
+            x = np.where(bound > x, bound, x)
+        for bound in (hi - margin, np.nextafter(hi, lo)):
+            x = np.where(bound < x, bound, x)
+        x = np.where(use_mid | ~((lo < x) & (x < hi)), mid, x)  # or the secant point is NaN
         width = hi - lo
         value = slack(x)
-        if value > 0.0:
-            lo, slack_lo = x, value
-        else:
-            hi, slack_hi = x, value
-        use_mid = not use_mid and hi - lo > 0.5 * width
+        up = active & (value > 0.0)
+        down = active & ~up
+        lo, slack_lo = np.where(up, x, lo), np.where(up, value, slack_lo)
+        hi, slack_hi = np.where(down, x, hi), np.where(down, value, slack_hi)
+        use_mid = ~use_mid & (hi - lo > 0.5 * width)  # a done bracket never reads it
+        active &= hi - lo > tolerance
     return lo, hi
 
 
@@ -305,46 +334,57 @@ def lcp_oracle(market: MarketInstance, cap: float, tolerance: float = 1e-10) -> 
     for the affine one.  Deliberately avoids the closed-form ``min``
     shortcut so it can serve as an oracle for :func:`solve_scalar_lcp`.
 
+    On a batch, each market keeps its own branch, bracket and steps, masked
+    where it is done, and each slack call evaluates the whole batch.
+
     Args:
-        market: validated market.
-        cap: finite price cap.
+        market: validated market, or a batch.
+        cap: finite price cap, or one per market of a batch.
         tolerance: width of the final bracket, whose midpoint is returned.
     """
     cap = _check_cap(cap)
     if not 0.0 < tolerance < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
 
-    accuracy = tolerance
-    slack_cap = aggregate_slack(market, cap)
-    if slack_cap >= 0.0:
-        # Cap branch: price pinned at the cap, slack already nonnegative.
-        lam = cap
-    else:
-        # Clearing branch: bracket the slack's root leftward of the cap,
-        # then close the bracket.  The slack grows without bound as the
-        # price drops, so the bracket expansion always terminates.
-        step = 1.0 + 0.5 * abs(cap)
+    cap = np.broadcast_to(cap, np.broadcast_shapes(np.shape(cap), np.shape(market.sum_a)))
+    slack_cap = np.asarray(aggregate_slack(market, cap))
+    # Cap branch: price pinned at the cap, slack already nonnegative.
+    # Elsewhere, the clearing branch: bracket the slack's root leftward of
+    # the cap, then close the bracket.  The slack grows without bound as the
+    # price drops, so the bracket expansion always terminates.
+    clearing = ~(slack_cap >= 0.0)
+    lo = hi = cap
+    if clearing.any():
+        step = 1.0 + 0.5 * np.abs(cap)
         lo = cap - step
-        while (slack_lo := aggregate_slack(market, lo)) <= 0.0:
-            step *= 2.0
-            lo = cap - step
-            if step > 1e30:
+        slack_lo = aggregate_slack(market, lo)
+        grow = clearing & (slack_lo <= 0.0)
+        while grow.any():
+            step = np.where(grow, 2.0 * step, step)
+            if (grow & (step > 1e30)).any():
                 raise ArithmeticError("failed to bracket the market-clearing price")
+            lo = cap - step
+            slack_lo = aggregate_slack(market, lo)
+            grow &= slack_lo <= 0.0
+        lo = np.where(clearing, lo, cap)
         lo, hi = _bracket_root(
             lambda lam: aggregate_slack(market, lam), lo, cap, slack_lo, slack_cap, tolerance
         )
-        lam = 0.5 * (lo + hi)
-        # At large prices one ulp may exceed the tolerance; audit at the
-        # accuracy the bracket reached.
-        accuracy = max(accuracy, hi - lo)
+    lam = np.where(clearing, 0.5 * (lo + hi), cap)
+    # At large prices one ulp may exceed the tolerance; audit at the
+    # accuracy the bracket reached.
+    accuracy = np.where(hi - lo > tolerance, hi - lo, tolerance)
 
     # Exhaustive audit: both complementarity factors must be (numerically)
     # nonnegative and at least one of them zero.
-    slack = aggregate_slack(market, lam)
+    slack = np.asarray(aggregate_slack(market, lam))
     headroom = cap - lam
-    feas = 4.0 * max(1.0, market.s1) * accuracy
-    if slack < -feas or headroom < -feas or min(abs(slack), abs(headroom)) > feas:
+    feas = 4.0 * np.where(market.s1 > 1.0, market.s1, 1.0) * accuracy
+    nearer = np.where(np.abs(headroom) < np.abs(slack), np.abs(headroom), np.abs(slack))
+    failed = (slack < -feas) | (headroom < -feas) | (nearer > feas)
+    if failed.any():
+        first = np.unravel_index(np.argmax(failed), failed.shape)
         raise ArithmeticError(
-            f"complementarity audit failed: slack={slack:.3e}, headroom={headroom:.3e}"
+            f"complementarity audit failed: slack={slack[first]:.3e}, headroom={headroom[first]:.3e}"
         )
-    return lam
+    return _scalar(lam)

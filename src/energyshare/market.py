@@ -76,31 +76,43 @@ class MarketInstance:
     * ``s2``:    sum of 1/q_i**2
     * ``sqc``:   sum of c0_i/q_i
 
-    Instances are safe to share across threads: the arrays are marked
-    read-only and the dataclass is frozen.
+    A batch of ``K`` markets of ``N`` agents each is one instance whose
+    columns are ``(K, N)`` and whose aggregates are ``(K,)`` arrays, one
+    entry per market; the closed forms take it whole, and iterating it
+    gives its markets one at a time.  A single market's aggregates are
+    floats.  Instances are safe to share across threads: the arrays are
+    marked read-only and the dataclass is frozen.
     """
 
     q: np.ndarray
     c0: np.ndarray
     a: np.ndarray
-    sum_a: float
-    s1: float
-    s2: float
-    sqc: float
+    sum_a: float | np.ndarray
+    s1: float | np.ndarray
+    s2: float | np.ndarray
+    sqc: float | np.ndarray
 
     def __post_init__(self):
-        for arr in (self.q, self.c0, self.a):
-            arr.setflags(write=False)
+        for arr in (self.q, self.c0, self.a, self.sum_a, self.s1, self.s2, self.sqc):
+            if isinstance(arr, np.ndarray):
+                arr.setflags(write=False)
 
     @property
     def n(self) -> int:
-        """Number of agents."""
-        return self.q.size
+        """Number of agents (of each market, in a batch)."""
+        return self.q.shape[-1]
 
     @property
     def agents(self) -> tuple[AgentParams, ...]:
         """Each agent's record, built from the columns."""
         return tuple(map(AgentParams, self.q.tolist(), self.c0.tolist(), self.a.tolist()))
+
+    def __iter__(self):
+        """A batch's markets, in order, each its own instance of views of the columns."""
+        if self.q.ndim != 2:
+            raise TypeError("only a batch of markets, with columns of shape (K, N), iterates")
+        sums = (s.tolist() for s in (self.sum_a, self.s1, self.s2, self.sqc))
+        return map(MarketInstance, self.q, self.c0, self.a, *sums)
 
 
 def _coerce_agent(record, index: int) -> tuple[float, float, float]:
@@ -147,13 +159,13 @@ def validate_market(records) -> MarketInstance:
     return _validated(table)
 
 
-def _validated(table: np.ndarray) -> MarketInstance | list[MarketInstance]:
+def _validated(table: np.ndarray) -> MarketInstance:
     """The market whose columns are the rows ``q``, ``c0``, ``a`` of a float ``(3, N)`` table.
 
     A ``(3, K, N)`` table holds ``K`` markets of ``N`` agents each, and
-    gives their list, market ``k`` from the columns ``table[:, k]``: one
+    gives their batch, market ``k`` from the columns ``table[:, k]``: one
     pass checks and sums them all, so a batch costs one market's numpy
-    calls.  The markets keep views of the table as their columns, so
+    calls.  The market keeps views of the table as its columns, so
     ``table`` must be a fresh C-ordered array that nothing else writes.
     One ``min`` and one ``max`` per row check the whole table: ``0 < q``,
     ``-inf < c0``, ``0 <= a`` and every max finite, which NaN fails too;
@@ -198,10 +210,8 @@ def _validated(table: np.ndarray) -> MarketInstance | list[MarketInstance]:
         np.divide(1.0, q, out=terms[1])
         np.divide(1.0, np.square(q, out=terms[2]), out=terms[2])
         np.divide(c0, q, out=terms[3])
-        sums = terms.sum(axis=-1).tolist()
-    if table.ndim == 2:
-        return MarketInstance(q, c0, a, *sums)
-    return list(map(MarketInstance, q, c0, a, *sums))
+        sums = terms.sum(axis=-1)
+    return MarketInstance(q, c0, a, *(sums.tolist() if table.ndim == 2 else sums))
 
 
 def conditional_projection(x: float, y: float) -> float:
@@ -226,10 +236,17 @@ def utility(agent: AgentParams | MarketInstance, x: float | np.ndarray,
     return -0.5 * agent.q * x * x - (agent.c0 + u) * x
 
 
-def phi(market: MarketInstance, lam: float) -> np.ndarray:
+def phi(market: MarketInstance, lam) -> np.ndarray:
     """Price-to-demand map: every agent's unconstrained best response.
 
     Component ``i`` equals ``-(lam + c0_i) / q_i``.  The map is affine and
-    strictly decreasing in the price, componentwise.
+    strictly decreasing in the price, componentwise.  ``lam`` holds one
+    price per market of a batch, or any array of prices for one market;
+    the result appends the agent axis to its shape.
     """
-    return -(lam + market.c0) / market.q
+    return -(np.asarray(lam)[..., None] + market.c0) / market.q
+
+
+def _scalar(value):
+    """A per-market numpy result: a float for a single market, the array over a batch's axis."""
+    return value if value.ndim else float(value)

@@ -11,8 +11,9 @@ strictly decreasing, utility strictly concave, complementarity by structure,
 the slack-cap identity) is a violation measure held to 0.  Such a check keeps
 ``residual`` and ``tol`` as attributes, and the test suite also evaluates each
 residual on markets drawn by hypothesis.  A non-finite residual fails.  Each
-such check draws all of its markets first, as one batch
-(:func:`random_markets`), then evaluates its residual market by market.  The
+such check draws all of its markets first, as one batch per agent count
+(:func:`random_markets`), then evaluates its residual once per batch, over
+the batch's leading market axis, as the closed forms take it.  The
 references that stay independent of these checks live in the test suite: the
 dense-solve oracles of the CE and the capped equilibrium, the per-agent drift
 oracles, and table1's published values.
@@ -55,8 +56,9 @@ RESIDUAL_TOL = 1e-9
 ORACLE_TOL = 1e-8
 
 # run_verify's largest instance count.  The oracle-agreement check draws
-# every instance, at ~0.1 ms each on one core of a 2-vCPU Xeon VM, so
-# this many take about 10 s.
+# every instance and solves them in batches of one agent count, at ~1 us
+# each on one core of a 2-vCPU Xeon VM (~40 us one market at a time), so
+# this many take about 0.1 s, and the whole battery about 0.15 s.
 MAX_INSTANCES = 10**5
 
 
@@ -119,25 +121,23 @@ def random_market(rng, n=None, **ranges):
 
 
 def random_markets(rng, count: int, **ranges) -> list:
-    """``count`` valid random markets over ``WIDE_RANGES | ranges``, drawn as one batch.
+    """``count`` valid random markets over ``WIDE_RANGES | ranges``, as one batch per agent count.
 
     Draws the ``count`` agent counts first, then, for each distinct count
     ``n`` in increasing order, the ``(3, k, n)`` table of the ``k`` markets
     of that size, as :func:`random_market` draws one.  Each table goes to
-    ``market._validated`` in one pass, which builds every market from its
-    row without validating it again.  Markets of different sizes are not
-    padded into one table: padding would reorder numpy's pairwise sums,
-    and the aggregates would differ from the market's own by an ulp.
+    ``market._validated`` in one pass, which makes it one batch: a
+    ``MarketInstance`` with ``(k, n)`` columns.  Returns the batches in
+    that order.  Markets of different sizes are not padded into one table:
+    padding would reorder numpy's pairwise sums, and the aggregates would
+    differ from the market's own by an ulp.
     """
     r, low, span = _table_ranges(ranges)
     sizes = rng.integers(1, r["n_max"] + 1, count)
-    markets = [None] * count
-    for n in np.unique(sizes).tolist():
-        slots = np.flatnonzero(sizes == n)
-        table = low[..., None] + rng.random((3, slots.size, n)) * span[..., None]
-        for i, market in zip(slots.tolist(), mkt._validated(table)):
-            markets[i] = market
-    return markets
+    return [
+        mkt._validated(low[..., None] + rng.random((3, k, n)) * span[..., None])
+        for n, k in zip(*np.unique(sizes, return_counts=True))
+    ]
 
 
 def check_rng(seed: int, name: str) -> np.random.Generator:
@@ -145,23 +145,36 @@ def check_rng(seed: int, name: str) -> np.random.Generator:
     return np.random.default_rng([seed, zlib.crc32(name.encode())])
 
 
-def _residual_scale(market) -> float:
-    return max(1.0, float(np.abs(market.c0).max()), float(np.abs(market.a).max()))
+def _residual_scale(market):
+    return np.maximum(1.0, np.maximum(np.abs(market.c0), np.abs(market.a)).max(axis=-1))
+
+
+def _per_market(market) -> tuple:
+    """The batch shape of ``market``: ``()`` for one market, ``(k,)`` for a batch of ``k``."""
+    return np.shape(market.sum_a)
+
+
+def _worst(values) -> float:
+    """The largest of the per-market ``values`` of some batches; NaN if any is NaN."""
+    return float(np.max(np.concatenate([np.ravel(v) for v in values])))
 
 
 def _residual_check(tol, detail, count=50):
     """Make ``residual(market, rng)`` a check: its worst value over min(count,
     instances) random markets, or all of them for ``count=None``, must stay
     within ``tol``; a non-finite value fails.  The markets are drawn first,
-    as one :func:`random_markets` batch, and the residuals then draw from
-    ``rng`` market by market.  ``detail`` is formatted with the worst value
-    and the instance count.  The check keeps ``residual`` and ``tol`` as
-    attributes, so that the tests can draw their own markets.
+    as :func:`random_markets` batches, one per agent count, and the
+    residual then evaluates each batch whole: it draws its own numbers
+    (caps, prices, directions) from ``rng`` as one array per batch and
+    returns one value per market.  ``detail`` is formatted with the worst
+    value and the instance count.  The check keeps ``residual`` and ``tol``
+    as attributes, so that the tests can draw their own markets; a single
+    market is the batch of shape ``()``.
     """
     def decorate(residual):
         def check(config, rng, instances):
-            markets = random_markets(rng, instances if count is None else min(count, instances))
-            worst = float(np.max([residual(m, rng) for m in markets]))
+            batches = random_markets(rng, instances if count is None else min(count, instances))
+            worst = _worst([residual(m, rng) for m in batches])
             return worst <= tol, detail.format(worst, instances)
         check.residual, check.tol = residual, tol
         return check
@@ -224,144 +237,156 @@ def _projection_boundary(config, rng, instances):
 
 @_residual_check(0.0, "worst count of components of phi not strictly decreasing: {:g}")
 def _phi_decreasing(m, rng):
-    lam1 = rng.uniform(-20, 20)
-    lam2 = lam1 + rng.uniform(0.1, 10)
+    lam1 = rng.uniform(-20, 20, _per_market(m))
+    lam2 = lam1 + rng.uniform(0.1, 10, _per_market(m))
     diff = mkt.phi(m, lam1) - mkt.phi(m, lam2)
-    return float(np.count_nonzero(~(diff > 0)))
+    return np.count_nonzero(~(diff > 0), axis=-1).astype(float)
 
 
 @_residual_check(1e-9, "max deviation from slope -s1, relative to s1 * delta: {:.2e}")
 def _slack_affine(m, rng):
-    lam = rng.uniform(-20, 20)
-    delta = rng.uniform(0.1, 5)
+    lam = rng.uniform(-20, 20, _per_market(m))
+    delta = rng.uniform(0.1, 5, _per_market(m))
     lhs = eq.aggregate_slack(m, lam + delta) - eq.aggregate_slack(m, lam)
-    return abs(lhs + m.s1 * delta) / (m.s1 * delta)
+    return np.abs(lhs + m.s1 * delta) / (m.s1 * delta)
 
 
 @_residual_check(0.0, "worst count of agents whose utility is not strictly concave: {:g}")
 def _utility_concave(m, rng):
-    x1, x2 = rng.uniform(-20, 20, (2, m.n))
-    theta = rng.uniform(0.05, 0.95, m.n)
-    u = rng.uniform(-5, 5, m.n)
+    x1, x2 = rng.uniform(-20, 20, (2, *m.q.shape))
+    theta = rng.uniform(0.05, 0.95, m.q.shape)
+    u = rng.uniform(-5, 5, m.q.shape)
     chord = theta * mkt.utility(m, x1, u) + (1 - theta) * mkt.utility(m, x2, u)
     gap = mkt.utility(m, theta * x1 + (1 - theta) * x2, u) - chord
-    return float(np.count_nonzero(~(gap > 0)))
+    return np.count_nonzero(~(gap > 0), axis=-1).astype(float)
 
 
 # --- equilibrium solver -----------------------------------------------------
 @_residual_check(RESIDUAL_TOL, "worst scaled KKT residual {:.2e}")
 def _ce_kkt(m, rng):
     ce = eq.solve_ce(m)
-    stat = np.abs(m.q * ce.x_bar + m.c0 + ce.lambda_bar).max()
-    gap = abs(ce.x_bar.sum() - m.sum_a)
-    return float(np.max([stat, gap])) / _residual_scale(m)
+    stat = np.abs(m.q * ce.x_bar + m.c0 + np.asarray(ce.lambda_bar)[..., None]).max(axis=-1)
+    gap = np.abs(ce.x_bar.sum(axis=-1) - m.sum_a)
+    return np.max([stat, gap], axis=0) / _residual_scale(m)
+
+
+def _exact_sums(rows):
+    """``math.fsum`` of each market's row of ``rows``, its last axis."""
+    sums = map(math.fsum, np.reshape(rows, (-1, rows.shape[-1])).tolist())
+    return np.reshape(list(sums), rows.shape[:-1])
 
 
 @_residual_check(1e-12, "worst scaled |dual - exactly summed CE price| {:.2e}")
 def _dual_equals_ce(m, rng):
     # The CE price -(sum c0/q + sum a) / sum 1/q from the columns, each sum
     # exact, so that a fault in the market's aggregates shows here.
-    c0_q, inv_q = (m.c0 / m.q).tolist(), (1.0 / m.q).tolist()
-    price = -(math.fsum(c0_q) + math.fsum(m.a.tolist())) / math.fsum(inv_q)
-    return abs(eq.solve_sw_dual(m) - price) / _residual_scale(m)
+    price = -(_exact_sums(m.c0 / m.q) + _exact_sums(m.a)) / _exact_sums(1.0 / m.q)
+    return np.abs(eq.solve_sw_dual(m) - price) / _residual_scale(m)
 
 
 @_residual_check(RESIDUAL_TOL, "worst residual field {:.2e}")
 def _sce_kkt(m, rng):
-    cap = rng.uniform(*CAP_RANGE)
+    cap = rng.uniform(*CAP_RANGE, _per_market(m))
     return eq.kkt_residual_sce(m, cap, eq.solve_sce(m, cap)).max_violation()
 
 
 @_residual_check(0.0, "worst min(|nu_star|, |cap - lambda_star|) {:.2e}, exactly 0")
 def _complementarity_structure(m, rng):
-    cap = rng.uniform(*CAP_RANGE)
+    cap = rng.uniform(*CAP_RANGE, _per_market(m))
     sol = eq.solve_sce(m, cap)
-    return float(np.minimum(abs(sol.nu_star), abs(sol.lambda_star - cap)))
+    return np.minimum(np.abs(sol.nu_star), np.abs(sol.lambda_star - cap))
 
 
 @_residual_check(0.0, "under a slack cap, worst |u*| or change of the allocation {:.2e}")
 def _inactive_cap_identity(m, rng):
     ce = eq.solve_ce(m)
-    sol = eq.solve_sce(m, ce.lambda_bar + rng.uniform(0.0, 10.0))
-    return float(np.abs(np.concatenate([sol.u_star, sol.x_star - ce.x_bar])).max())
+    sol = eq.solve_sce(m, ce.lambda_bar + rng.uniform(0.0, 10.0, _per_market(m)))
+    return np.abs(np.concatenate([sol.u_star, sol.x_star - ce.x_bar], axis=-1)).max(axis=-1)
 
 
 @_residual_check(1e-9, "slope s1/s2 per unit cap decrease, rel err {:.2e}")
 def _nu_monotone(m, rng):
     # A nu_star that does not increase as the cap drops has a relative error >= 1.
-    cap1 = eq.solve_ce(m).lambda_bar - rng.uniform(0.5, 10.0)
-    delta = rng.uniform(0.1, 3.0)
+    cap1 = eq.solve_ce(m).lambda_bar - rng.uniform(0.5, 10.0, _per_market(m))
+    delta = rng.uniform(0.1, 3.0, _per_market(m))
     slope = (eq.solve_sce(m, cap1 - delta).nu_star - eq.solve_sce(m, cap1).nu_star) / delta
-    return abs(slope - m.s1 / m.s2) / (m.s1 / m.s2)
+    return np.abs(slope - m.s1 / m.s2) / (m.s1 / m.s2)
 
 
 @_residual_check(RESIDUAL_TOL, "worst mapping residual {:.2e}")
 def _change_of_variables(m, rng):
-    cap = rng.uniform(*CAP_RANGE)
+    cap = rng.uniform(*CAP_RANGE, _per_market(m))
     y_img, s_img = eq.map_sce_to_modified_primal(m, eq.solve_sce(m, cap))
     mp = eq.solve_modified_primal(m, cap)
-    return float(np.max([
-        np.abs(y_img - mp.y_bar).max(),
-        abs(s_img - mp.s_bar),
-        abs(np.linalg.det(eq.change_of_variables_matrix(m)) - m.s2) / m.s2,
-    ]))
+    return np.max([
+        np.abs(y_img - mp.y_bar).max(axis=-1),
+        np.abs(s_img - mp.s_bar),
+        np.abs(np.linalg.det(eq.change_of_variables_matrix(m)) - m.s2) / m.s2,
+    ], axis=0)
 
 
 @_residual_check(RESIDUAL_TOL, "worst complementarity violation {:.2e}")
 def _modified_primal_complementarity(m, rng):
-    mp = eq.solve_modified_primal(m, rng.uniform(*CAP_RANGE))
+    mp = eq.solve_modified_primal(m, rng.uniform(*CAP_RANGE, _per_market(m)))
     scale = _residual_scale(m)
-    return float(np.max([
-        max(0.0, -mp.s_bar) / scale,
-        abs(mp.s_bar * mp.mu_s_bar) / scale,
+    return np.max([
+        np.maximum(0.0, -mp.s_bar) / scale,
+        np.abs(mp.s_bar * mp.mu_s_bar) / scale,
         # Held tighter: the slack's dual (the cap headroom) is never below
         # zero, and the allocation is phi at the price to 1e-12 absolute.
-        np.inf if mp.mu_s_bar < 0.0 else 0.0,
-        np.abs(mp.y_bar - mkt.phi(m, mp.lambda_bar)).max() * (RESIDUAL_TOL / 1e-12),
-    ]))
+        np.where(mp.mu_s_bar < 0.0, np.inf, 0.0),
+        np.abs(mp.y_bar - mkt.phi(m, mp.lambda_bar)).max(axis=-1) * (RESIDUAL_TOL / 1e-12),
+    ], axis=0)
 
 
 @_residual_check(
     1e-12, "worst rival shortfall below |u*|, or scaled clearing gap: {:.2e}", count=20
 )
 def _min_norm(m, rng):
-    cap = eq.solve_ce(m).lambda_bar - rng.uniform(0.5, 10.0)
+    shape = _per_market(m)
+    cap = eq.solve_ce(m).lambda_bar - rng.uniform(0.5, 10.0, shape)
     sol = eq.solve_sce(m, cap)
+    # Per-market values as columns against the agent axis.
+    nu, s2 = np.asarray(sol.nu_star)[..., None], np.asarray(m.s2)[..., None]
     # Scaled copies of the minimum-norm direction with a larger dual.
-    rivals = [scale * sol.nu_star / m.q for scale in (1.5, 2.0, 5.0)]
+    rivals = [scale * nu / m.q for scale in (1.5, 2.0, 5.0)]
     # Arbitrary adjustments at an admissible price; each must clear the market.
-    lam_alt = cap - rng.uniform(0.0, 5.0)
-    base = (eq.aggregate_slack(m, lam_alt) / m.s2) / m.q
+    lam_alt = np.asarray(cap - rng.uniform(0.0, 5.0, shape))
+    base = (np.asarray(eq.aggregate_slack(m, lam_alt))[..., None] / s2) / m.q
     gaps = []
     for _ in range(5):
-        v = rng.normal(size=m.n)
-        rival = base + (v - (1.0 / m.q) * float((v / m.q).sum()) / m.s2)
-        gaps.append(abs(float((-(m.c0 + rival + lam_alt) / m.q).sum()) - m.sum_a))
+        v = rng.normal(size=m.q.shape)
+        rival = base + (v - (1.0 / m.q) * (v / m.q).sum(axis=-1, keepdims=True) / s2)
+        gaps.append(np.abs((-(m.c0 + rival + lam_alt[..., None]) / m.q).sum(axis=-1) - m.sum_a))
         rivals.append(rival)
-    shortfall = np.linalg.norm(sol.u_star) - np.min([np.linalg.norm(r) for r in rivals])
-    return float(np.max([shortfall, *np.divide(gaps, _residual_scale(m))]))
+    shortfall = np.linalg.norm(sol.u_star, axis=-1) - np.linalg.norm(rivals, axis=-1).min(axis=0)
+    return np.max([shortfall, *np.divide(gaps, _residual_scale(m))], axis=0)
 
 
 @_residual_check(
     ORACLE_TOL, "max |oracle - closed form| = {:.2e} over {} instances", count=None
 )
 def _oracle_agreement(m, rng):
-    cap = rng.uniform(*CAP_RANGE)
-    return abs(eq.lcp_oracle(m, cap, 1e-9) - eq.solve_scalar_lcp(m, cap))
+    cap = rng.uniform(*CAP_RANGE, _per_market(m))
+    return np.abs(eq.lcp_oracle(m, cap, 1e-9) - eq.solve_scalar_lcp(m, cap))
 
 
 # --- dynamics ---------------------------------------------------------------
 def _xsym_residual(m, rng):
-    # Both bounds in one: the factorization to 1e-12, the top eigenvalue to 1e-10.
+    # Both bounds in one: the factorization to 1e-12, and the top eigenvalue
+    # to 1e-10, or to dim * eps * ||X_sym||_2 where that is larger: a computed
+    # eigenvalue is accurate only to about that.  X_sym's eigenvalues are 0
+    # and -(q_i + 1/q_i), so ||X_sym||_2 = max(q + 1/q).
     cert = dyn.stability_certificate(m)
-    return float(np.max([cert.factorization_residual, 1e-2 * cert.max_eigenvalue_x_sym]))
+    spread = dyn.state_layout(m.n).dim * np.finfo(float).eps * (m.q + 1.0 / m.q).max(axis=-1)
+    eig_scale = np.maximum(1.0, spread / 1e-10)
+    return np.maximum(cert.factorization_residual, 1e-2 * cert.max_eigenvalue_x_sym / eig_scale)
 
 
 def _xsym_factorization(config, rng, instances):
-    markets = [config.market, *random_markets(rng, 10)]
-    worst = float(np.max([_xsym_residual(m, rng) for m in markets]))
+    worst = _worst([_xsym_residual(m, rng) for m in (config.market, *random_markets(rng, 10))])
     return worst <= _xsym_factorization.tol, (
-        f"worst max(factorization residual, 1e-2 * max eigenvalue) {worst:.2e} "
+        f"worst max(factorization residual, 1e-2 * scaled max eigenvalue) {worst:.2e} "
         "over the config and 10 draws"
     )
 
@@ -371,9 +396,9 @@ _xsym_factorization.residual, _xsym_factorization.tol = _xsym_residual, 1e-12
 
 @_residual_check(RESIDUAL_TOL, "worst scaled drift at the fixed point {:.2e}")
 def _fixed_point_residual(m, rng):
-    cap = rng.uniform(*CAP_RANGE)
+    cap = rng.uniform(*CAP_RANGE, _per_market(m))
     state = dyn.assemble_equilibrium(m, cap)
-    return float(np.abs(dyn.rhs_closed_loop(m, state, cap)).max()) / _residual_scale(m)
+    return np.abs(dyn.rhs_closed_loop(m, state, cap)).max(axis=-1) / _residual_scale(m)
 
 
 def _settling_instance(rng):

@@ -5,8 +5,9 @@
 # as is a negative initial mu, a run that overflows a divergence (exit 3),
 # and a verify check that cannot run at such a cap, or on such a fixed
 # point, a failed check (exit 1, no traceback).  The 200-instance verify battery passes all 26 checks on
-# seeds 0 to 4, and prints the same bytes under two string hash seeds; a
-# 20-instance battery at table1's CE price passes all 26 too.
+# seeds 0 to 4, and prints the same bytes under two string hash seeds; the
+# 1- and 10 000-instance batteries and a 20-instance battery at table1's CE
+# price pass all 26 too.
 #
 # Run from the repository root: PYTHONPATH=src bash tests/cli_smoke.sh
 # Outputs go to $RUNNER_TEMP, or to a temporary directory removed on exit.
@@ -25,6 +26,12 @@ $cli sweep --config table1.json --caps 2,4,6
 # exit 0 and all 26 checks passed on each seed's draws.
 for s in 0 1 2 3 4; do
   $cli verify --config table1.json --instances 200 --seed "$s" > "$tmp/verify.out"
+  test "$(grep -c '^\[PASS\]' "$tmp/verify.out")" -eq 26
+done
+# One instance gives each residual check a batch of one market; 10 000 give
+# the oracle check a batch of about 1250 markets per agent count.
+for n in 1 10000; do
+  $cli verify --config table1.json --instances "$n" > "$tmp/verify.out"
   test "$(grep -c '^\[PASS\]' "$tmp/verify.out")" -eq 26
 done
 # At table1's CE price the closed loop's fixed point lies on both branches

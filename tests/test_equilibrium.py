@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import energyshare as es
 from energyshare import equilibrium
-from energyshare.verification import CAP_RANGE, _residual_scale, random_market
+from energyshare.verification import CAP_RANGE, WIDE_RANGES, _residual_scale, random_market
 from conftest import _rationals, ce_oracle, sce_oracle
 
 # Published two-decimal case-study values for the four-agent fixture.
@@ -418,3 +418,66 @@ class TestBracketRoot:
             calls.clear()
             assert es.lcp_oracle(market, cap, tolerance) == pytest.approx(price, abs=abs_tol)
             assert len(calls) <= 8
+
+
+# The caps of a batch, one per market, relative to its CE price.
+CAP_KINDS = {
+    "ce": lambda ce, offset: ce,
+    "ulp_above": lambda ce, offset: math.nextafter(ce, math.inf),
+    "ulp_below": lambda ce, offset: math.nextafter(ce, -math.inf),
+    "binding": lambda ce, offset: ce - offset,
+    "idle": lambda ce, offset: ce + offset,
+}
+
+
+@st.composite
+def batch_tables(draw):
+    """A ``(3, k, n)`` table over ``WIDE_RANGES``, ``markets()``' ranges, and a cap kind
+    and offset per market: a binding and an idle cap first, then any kinds."""
+    r = WIDE_RANGES
+    n, k = draw(st.integers(1, r["n_max"])), draw(st.integers(2, 6))
+
+    def row(lo, hi):
+        return draw(st.lists(st.floats(lo, hi), min_size=k * n, max_size=k * n))
+
+    table = np.array([row(r["q_lo"], r["q_hi"]), row(r["c0_lo"], r["c0_hi"]), row(0.0, r["a_hi"])])
+    kinds = ["binding", "idle", *draw(st.lists(st.sampled_from(sorted(CAP_KINDS)),
+                                               min_size=k - 2, max_size=k - 2))]
+    offsets = draw(st.lists(st.floats(0.5, 40.0), min_size=k, max_size=k))
+    return table.reshape(3, k, n), kinds, offsets
+
+
+def closed_forms(market, cap):
+    """Every per-market closed form of ``market`` at ``cap``, by name, as tuples of results."""
+    ce, sce = es.solve_ce(market), es.solve_sce(market, cap)
+    fixed = es.assemble_equilibrium(market, cap)
+    return {
+        "ce": (ce.x_bar, ce.lambda_bar),
+        "sce": tuple(vars(sce).values()),
+        "oracle": (es.lcp_oracle(market, cap, 1e-9), es.solve_scalar_lcp(market, cap)),
+        "kkt": tuple(vars(es.kkt_residual_sce(market, cap, sce)).values()),
+        "modified primal": tuple(vars(es.solve_modified_primal(market, cap)).values()),
+        "change of variables": es.map_sce_to_modified_primal(market, sce),
+        "fixed point": (fixed, es.rhs_closed_loop(market, fixed, cap)),
+        "certificate": tuple(vars(es.stability_certificate(market)).values()),
+    }
+
+
+class TestBatchAxis:
+    # A batch of markets is computed as each of its markets alone, bit for
+    # bit, and a single market's scalar results stay floats.
+    @given(batch_tables())
+    def test_each_closed_form_equals_its_markets_alone(self, drawn):
+        table, kinds, offsets = drawn
+        batch = es.market._validated(table.copy())
+        lam_ce = es.solve_ce(batch).lambda_bar.tolist()
+        caps = np.array([CAP_KINDS[kind](lam, offset)
+                         for kind, lam, offset in zip(kinds, lam_ce, offsets)])
+        batched = closed_forms(batch, caps)
+        assert batched["sce"][1][0] == caps[0] and batched["sce"][1][1] < caps[1]
+        for i, cap in enumerate(caps.tolist()):
+            alone = closed_forms(es.validate_market(table[:, i].T), cap)
+            for form, values in alone.items():
+                for got, want in zip(batched[form], values, strict=True):
+                    assert np.asarray(got)[i].tobytes() == np.asarray(want).tobytes(), (form, i)
+                    assert np.ndim(want) or type(want) is float, (form, type(want))

@@ -147,7 +147,8 @@ class TestRandomMarkets:
     @pytest.mark.parametrize("ranges", [WIDE_RANGES, SIM_RANGES], ids=["wide", "sim"])
     def test_each_market_equals_its_own_columns_validated_byte_for_byte(self, ranges):
         for seed in range(200):
-            markets = random_markets(np.random.default_rng(seed), 50, **ranges)
+            batches = random_markets(np.random.default_rng(seed), 50, **ranges)
+            markets = [m for batch in batches for m in batch]
             assert len(markets) == 50
             for m in markets:
                 ref = _validated(np.array([m.q, m.c0, m.a]))
@@ -155,20 +156,22 @@ class TestRandomMarkets:
                     assert np.asarray(getattr(m, name)).tobytes() == \
                         np.asarray(getattr(ref, name)).tobytes(), (seed, name)
                 assert not m.q.flags.writeable
+            for batch in batches:
+                for name in ("q", "sum_a", "s1", "s2", "sqc"):
+                    assert not getattr(batch, name).flags.writeable, (seed, name)
 
     def test_sizes_come_first_then_one_table_per_size(self):
         r = SIM_RANGES
         rng, twin = np.random.default_rng(7), np.random.default_rng(7)
-        markets = random_markets(rng, 40, **r)
+        batches = random_markets(rng, 40, **r)
         sizes = twin.integers(1, r["n_max"] + 1, 40)
-        assert [m.n for m in markets] == sizes.tolist()
-        for n in np.unique(sizes):
-            same = [m for m in markets if m.n == n]
-            q, c0, a = twin.random((3, len(same), n))
-            np.testing.assert_array_equal([m.q for m in same], r["q_lo"] + q * (r["q_hi"] - r["q_lo"]))
-            np.testing.assert_array_equal([m.c0 for m in same],
-                                          r["c0_lo"] + c0 * (r["c0_hi"] - r["c0_lo"]))
-            np.testing.assert_array_equal([m.a for m in same], a * r["a_hi"])
+        counts = np.unique(sizes, return_counts=True)
+        assert [batch.q.shape for batch in batches] == list(zip(counts[1].tolist(), counts[0].tolist()))
+        for batch in batches:
+            q, c0, a = twin.random((3, *batch.q.shape))
+            np.testing.assert_array_equal(batch.q, r["q_lo"] + q * (r["q_hi"] - r["q_lo"]))
+            np.testing.assert_array_equal(batch.c0, r["c0_lo"] + c0 * (r["c0_hi"] - r["c0_lo"]))
+            np.testing.assert_array_equal(batch.a, a * r["a_hi"])
         assert rng.random() == twin.random()
 
 

@@ -600,20 +600,88 @@ class TestRunVerify:
             assert not passed, detail
 
     # A relative 1e-9 fault on the total generation of every market that
-    # market._validated builds, as the batched draws build theirs.
+    # market._validated builds, as the batched draws build theirs: a batch's
+    # sum_a is an array, one entry per market.
     def test_a_sum_a_fault_in_validation_fails_its_checks(self, table1_config, monkeypatch):
         validated = es.market._validated
 
         def faulty(table):
             markets = validated(table)
-            if table.ndim == 2:
-                return replace(markets, sum_a=markets.sum_a * (1 + 1e-9))
-            return [replace(m, sum_a=m.sum_a * (1 + 1e-9)) for m in markets]
+            return replace(markets, sum_a=markets.sum_a * (1 + 1e-9))
 
         monkeypatch.setattr("energyshare.market._validated", faulty)
         for name in ("equilibrium.dual_equals_ce", "dynamics.fixed_point_residual"):
             passed, detail = dict(CHECKS)[name](table1_config, check_rng(0, name), 200)
             assert not passed, detail
+
+    # The same fault on the last market of each batch only: the batch's
+    # worst value is that market's, whatever the others read.
+    def test_a_sum_a_fault_in_one_market_of_each_batch_fails_its_checks(
+        self, table1_config, monkeypatch
+    ):
+        validated = es.market._validated
+        faulted = []
+
+        def faulty(table):
+            batch = validated(table)
+            sum_a = batch.sum_a.copy()
+            sum_a[-1] *= 1 + 1e-9
+            faulted.append(table.shape[1])
+            return replace(batch, sum_a=sum_a)
+
+        monkeypatch.setattr("energyshare.market._validated", faulty)
+        for name in ("equilibrium.dual_equals_ce", "dynamics.fixed_point_residual"):
+            faulted.clear()
+            passed, detail = dict(CHECKS)[name](table1_config, check_rng(0, name), 200)
+            assert not passed, detail
+            assert len(faulted) == 8 and sum(faulted) == 50
+
+    def test_a_nan_in_one_market_fails_its_check(self, table1_config, monkeypatch):
+        # One market, the last of the first batch, reads NaN; every other one is finite.
+        validated = es.market._validated
+        batches = []
+
+        def faulty(table):
+            batch = validated(table)
+            if not batches:
+                sum_a = batch.sum_a.copy()
+                sum_a[-1] = np.nan
+                batch = replace(batch, sum_a=sum_a)
+            batches.append(batch)
+            return batch
+
+        monkeypatch.setattr("energyshare.market._validated", faulty)
+        check = dict(CHECKS)["equilibrium.ce_kkt"]
+        passed, detail = check(table1_config, check_rng(0, "equilibrium.ce_kkt"), 200)
+        assert not passed and "nan" in detail, detail
+        residuals = [check.residual(b, None) for b in batches]
+        assert [np.isnan(r).sum() for r in residuals] == [1] + [0] * (len(batches) - 1)
+
+    # q spans 1e-200 to 1, so X_sym's entries reach 1e200 and its computed
+    # top eigenvalue, 0.618 here, is accurate only to about eps * 1e200; the
+    # factorization itself is exact.
+    def test_xsym_holds_the_top_eigenvalue_to_the_matrix_scale(self):
+        config = es.load_config(json.dumps(_doc(
+            [{"q": 1e-200, "c0": -1.0, "a": 1.0}, {"q": 1.0, "c0": -10.0, "a": 1.0}],
+            lambda_max=1e300)))
+        name = "dynamics.xsym_factorization"
+        check = dict(CHECKS)[name]
+        assert es.stability_certificate(config.market).max_eigenvalue_x_sym > 0.5
+        assert check.residual(config.market, None) <= check.tol
+        passed, detail = check(config, check_rng(0, name), 200)
+        assert passed, detail
+
+    # On table1 the bound is 1e-10 itself: a drift matrix off by 1e-9 * I fails.
+    def test_xsym_fails_on_a_perturbed_drift_matrix(self, table1_config, monkeypatch):
+        matrix = es.dynamics.closed_loop_matrix
+        monkeypatch.setattr("energyshare.dynamics.closed_loop_matrix",
+                            lambda market: matrix(market) + 1e-9 * np.eye(5 * market.n + 3))
+        name = "dynamics.xsym_factorization"
+        check = dict(CHECKS)[name]
+        assert es.stability_certificate(table1_config.market).max_eigenvalue_x_sym > 1e-10
+        assert check.residual(table1_config.market, None) > check.tol
+        passed, detail = check(table1_config, check_rng(0, name), 200)
+        assert not passed, detail
 
     def test_reports_each_check_wall_time_off_the_summary(self):
         report = es.run_verify(es.load_config(MINIMAL), num_random_instances=5, seed=1)
@@ -631,9 +699,9 @@ class TestRunVerify:
     def test_mutated_solver_is_caught(self, monkeypatch):
         cfg = es.load_config(MINIMAL)
 
-        def mutant(market, cap):  # picks the wrong complementarity branch
+        def mutant(market, cap):  # picks the wrong complementarity branch, per market
             lam_ce = es.solve_ce(market).lambda_bar
-            return lam_ce if lam_ce >= cap else cap
+            return np.where(lam_ce >= cap, lam_ce, cap)
 
         monkeypatch.setattr("energyshare.equilibrium.solve_scalar_lcp", mutant)
         report = es.run_verify(cfg, num_random_instances=25, seed=4)
