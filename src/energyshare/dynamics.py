@@ -50,7 +50,7 @@ from ._stepping import DIVERGENCE_LIMIT, METHODS, Trajectory, integrate  # noqa:
 from ._stepping import ProjectedAffine, _half_squared_norm, _march  # noqa: F401
 from .equilibrium import solve_ce, solve_sce
 from .errors import DimensionMismatch, NegativeMu
-from .market import MarketInstance, _scalar
+from .market import MarketInstance, _scalar, conditional_projection
 
 
 @dataclass(frozen=True)
@@ -206,7 +206,7 @@ def rhs_closed_loop(market: MarketInstance, state, cap: float) -> np.ndarray:
 
     Requires ``mu >= 0``, as :func:`rhs_controller` does.  On a batch, the
     state has one row per market and ``cap`` one entry per market.  The
-    ``mu`` entry is ``market.conditional_projection``'s, per market.
+    ``mu`` entry is projected by :func:`market.conditional_projection`.
     """
     lay = state_layout(market.n)
     state = _as_state(state, (*market.q.shape[:-1], lay.dim), "closed-loop state")
@@ -214,8 +214,7 @@ def rhs_closed_loop(market: MarketInstance, state, cap: float) -> np.ndarray:
     if (mu < 0.0).any():
         raise NegativeMu(f"mu = {float(mu[mu < 0.0][0])} must be nonnegative")
     d = _closed_loop_drift(state, *_closed_loop_constants(market, cap))
-    drift_mu = d[..., lay.mu]
-    d[..., lay.mu] = np.where((mu > 0.0) | (drift_mu > 0.0), drift_mu, 0.0)
+    d[..., lay.mu] = conditional_projection(d[..., lay.mu], mu)
     return d
 
 

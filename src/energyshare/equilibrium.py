@@ -117,7 +117,7 @@ def _check_cap(cap):
     """``cap`` as a float, or as a float array of one cap per market."""
     caps = np.asarray(cap, dtype=float)
     finite = np.isfinite(caps)
-    if not (finite.all() if caps.ndim else finite):
+    if not finite.all():
         raise NonfiniteInput(f"price cap must be finite, got {float(caps[~finite].flat[0])!r}")
     return _scalar(caps)
 
@@ -275,9 +275,7 @@ def kkt_residual_sce(
 
 def _at_least_zero(value):
     """``max(0.0, value)``, per market of a batch: 0.0 unless ``value > 0``."""
-    if isinstance(value, np.ndarray):
-        return np.where(value > 0.0, value, 0.0)
-    return max(0.0, value)
+    return _scalar(np.where(value > 0.0, value, 0.0))
 
 
 def _bracket_root(slack, lo, hi, slack_lo, slack_hi, tolerance):

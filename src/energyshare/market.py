@@ -78,10 +78,9 @@ class MarketInstance:
 
     A batch of ``K`` markets of ``N`` agents each is one instance whose
     columns are ``(K, N)`` and whose aggregates are ``(K,)`` arrays, one
-    entry per market; the closed forms take it whole, and iterating it
-    gives its markets one at a time.  A single market's aggregates are
-    floats.  Instances are safe to share across threads: the arrays are
-    marked read-only and the dataclass is frozen.
+    entry per market; the closed forms take it whole.  A single market's
+    aggregates are floats.  Instances are safe to share across threads:
+    the arrays are marked read-only and the dataclass is frozen.
     """
 
     q: np.ndarray
@@ -106,13 +105,6 @@ class MarketInstance:
     def agents(self) -> tuple[AgentParams, ...]:
         """Each agent's record, built from the columns."""
         return tuple(map(AgentParams, self.q.tolist(), self.c0.tolist(), self.a.tolist()))
-
-    def __iter__(self):
-        """A batch's markets, in order, each its own instance of views of the columns."""
-        if self.q.ndim != 2:
-            raise TypeError("only a batch of markets, with columns of shape (K, N), iterates")
-        sums = (s.tolist() for s in (self.sum_a, self.s1, self.s2, self.sqc))
-        return map(MarketInstance, self.q, self.c0, self.a, *sums)
 
 
 def _coerce_agent(record, index: int) -> tuple[float, float, float]:
@@ -214,17 +206,16 @@ def _validated(table: np.ndarray) -> MarketInstance:
     return MarketInstance(q, c0, a, *(sums.tolist() if table.ndim == 2 else sums))
 
 
-def conditional_projection(x: float, y: float) -> float:
+def conditional_projection(x, y):
     """Projection operator keeping a nonnegative state on its domain.
 
     Returns ``x`` when ``y > 0`` and ``max(0, x)`` when ``y = 0``.  Callers
     maintain ``y >= 0``; values ``y < 0`` (which can appear transiently in
     the raw stage states of a Runge-Kutta step) are treated like the
-    boundary ``y = 0``.
+    boundary ``y = 0``.  ``x`` and ``y`` may be arrays, projected entry by
+    entry; two scalars give a float.
     """
-    if y > 0.0:
-        return x
-    return x if x > 0.0 else 0.0
+    return _scalar(np.where((y > 0.0) | (x > 0.0), x, 0.0))
 
 
 def utility(agent: AgentParams | MarketInstance, x: float | np.ndarray,

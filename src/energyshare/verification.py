@@ -224,14 +224,14 @@ def _closed_loop_run(market, cap, rate=None, h=0.02, t_end=None, method="rk4", r
 def _projection_passthrough(config, rng, instances):
     xs = rng.uniform(-100, 100, 200)
     ys = rng.uniform(1e-12, 50, 200)
-    bad = sum(mkt.conditional_projection(x, y) != x for x, y in zip(xs, ys))
+    bad = int((mkt.conditional_projection(xs, ys) != xs).sum())
     return bad == 0, f"{bad} violations over 200 samples with y > 0"
 
 
 def _projection_boundary(config, rng, instances):
     xs = rng.uniform(-100, 100, 200)
-    vals = [mkt.conditional_projection(x, 0.0) for x in xs]
-    ok = all(v >= 0.0 and v == max(0.0, x) for v, x in zip(vals, xs))
+    vals = mkt.conditional_projection(xs, 0.0)
+    ok = bool(((vals >= 0.0) & (vals == np.maximum(0.0, xs))).all())
     return ok, "boundary branch equals max(0, x) on 200 samples"
 
 

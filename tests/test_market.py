@@ -104,8 +104,8 @@ class TestValidateMarket:
             _validated(table.copy())
         table[0, 1, 2], table[1, 1, 0] = 1.0, 3.0
         with pytest.warns(es.MarketWarning, match="^agent 0: c0 = 3.0") as record:
-            markets = _validated(table.copy())
-        assert len(record) == 1 and [m.n for m in markets] == [3, 3]
+            batch = _validated(table.copy())
+        assert len(record) == 1 and batch.q.shape == (2, 3) and batch.sum_a.shape == (2,)
 
     def test_positive_c0_warning_points_at_the_caller(self):
         with pytest.warns(es.MarketWarning) as record:
@@ -148,15 +148,13 @@ class TestRandomMarkets:
     def test_each_market_equals_its_own_columns_validated_byte_for_byte(self, ranges):
         for seed in range(200):
             batches = random_markets(np.random.default_rng(seed), 50, **ranges)
-            markets = [m for batch in batches for m in batch]
-            assert len(markets) == 50
-            for m in markets:
-                ref = _validated(np.array([m.q, m.c0, m.a]))
-                for name in ("q", "c0", "a", "sum_a", "s1", "s2", "sqc"):
-                    assert np.asarray(getattr(m, name)).tobytes() == \
-                        np.asarray(getattr(ref, name)).tobytes(), (seed, name)
-                assert not m.q.flags.writeable
+            assert sum(len(batch.q) for batch in batches) == 50
             for batch in batches:
+                for k in range(len(batch.q)):
+                    ref = _validated(np.array([batch.q[k], batch.c0[k], batch.a[k]]))
+                    for name in ("q", "c0", "a", "sum_a", "s1", "s2", "sqc"):
+                        assert getattr(batch, name)[k].tobytes() == \
+                            np.asarray(getattr(ref, name)).tobytes(), (seed, k, name)
                 for name in ("q", "sum_a", "s1", "s2", "sqc"):
                     assert not getattr(batch, name).flags.writeable, (seed, name)
 
@@ -184,6 +182,16 @@ class TestConditionalProjection:
 
     def test_boundary_keeps_positive(self):
         assert es.conditional_projection(3.0, 0.0) == 3.0
+
+    def test_arrays_project_entry_by_entry_as_scalars_do(self):
+        values = [-5.0, -0.0, 0.0, 3.0, np.nan, -np.inf, np.inf]
+        xs, ys = (np.array(v).ravel() for v in np.meshgrid(values, values))
+        got = es.conditional_projection(xs, ys)
+        for x, y, g in zip(xs.tolist(), ys.tolist(), got.tolist()):
+            want = x if y > 0.0 else max(0.0, x)
+            assert type(es.conditional_projection(x, y)) is float
+            assert np.array(g).tobytes() == np.array(want).tobytes(), (x, y)
+            assert np.array(es.conditional_projection(x, y)).tobytes() == np.array(want).tobytes()
 
 
 class TestUtility:
