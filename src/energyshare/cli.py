@@ -11,7 +11,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .dynamics import METHODS
+from .dynamics import _DENSE_DRIFT_MAX_DIM, METHODS, euler_stable_step, state_layout
 from .errors import NonfiniteState, ValidationError
 from .market import SocialPriceCap
 from .scenario import (
@@ -90,6 +90,19 @@ def _write_or_print(text: str, out: str | None) -> None:
         Path(out).write_text(text, newline="\n")
 
 
+def _unstable_euler(config) -> str:
+    """For a run that did not converge: the Euler stability bound its step exceeds, or "".
+
+    The bound reads the closed loop's dense spectrum, so it is computed for
+    Euler runs alone, and only for markets whose drift is built dense.
+    """
+    sim, market = config.sim, config.market
+    if sim.method != "euler" or state_layout(market.n).dim > _DENSE_DRIFT_MAX_DIM:
+        return ""
+    bound = euler_stable_step(market)
+    return f"; h = {sim.h:g} exceeds the Euler stability bound {bound:.3g}" if sim.h > bound else ""
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -105,6 +118,7 @@ def main(argv=None) -> int:
             print(
                 f"wrote {csv_path} and {summary_path}; {status} "
                 f"(final error {report.final_error:.3e} at tolerance {report.tolerance:g})"
+                + ("" if report.converged else _unstable_euler(config))
             )
             return 0
         if args.command == "verify":

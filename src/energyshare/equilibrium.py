@@ -252,10 +252,11 @@ def kkt_residual_sce(
     """Quantify how far a candidate is from capped-equilibrium optimality.
 
     The four residuals are the stationarity infinity-norm, the absolute
-    supply-demand gap, the cap overshoot and the complementarity gap
-    ``|nu * (cap - lam)| + max(0, -nu)``.
+    supply-demand gap, the cap overshoot ``max(0, lam - cap)`` and the
+    complementarity gap ``|nu * (cap - lam)| + max(0, -nu)``, each ``max``
+    taken by :func:`_positive_part`.  The cap is not checked here: a cap or
+    a candidate that is not finite gives residuals that are not finite.
     """
-    cap = _check_cap(cap)
     shape = market.q.shape
     if candidate.x_star.shape != shape:
         raise DimensionMismatch(f"x_star has shape {candidate.x_star.shape}, expected {shape}")
@@ -268,14 +269,19 @@ def kkt_residual_sce(
     return KktResidualReport(
         stationarity_norm=_scalar(np.abs(stationarity).max(axis=-1)),
         supply_demand_gap=_scalar(abs(candidate.x_star.sum(axis=-1) - market.sum_a)),
-        cap_violation=_at_least_zero(lam - cap),
-        complementarity_gap=abs(nu * (cap - lam)) + _at_least_zero(-nu),
+        cap_violation=_positive_part(lam - cap),
+        complementarity_gap=abs(nu * (cap - lam)) + _positive_part(-nu),
     )
 
 
-def _at_least_zero(value):
-    """``max(0.0, value)``, per market of a batch: 0.0 unless ``value > 0``."""
-    return _scalar(np.where(value > 0.0, value, 0.0))
+def _positive_part(value):
+    """``max(0, value)`` as ``(|value| + value) / 2``, for a float or an array alike.
+
+    Exact, with no clamp: ``+0.0`` wherever ``value <= 0`` (``-0.0``
+    included), and ``value`` itself above 0, up to half of float64's range,
+    past which it overflows to inf.  A NaN stays NaN.
+    """
+    return 0.5 * (abs(value) + value)
 
 
 def _bracket_root(slack, lo, hi, slack_lo, slack_hi, tolerance):

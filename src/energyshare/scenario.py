@@ -93,20 +93,28 @@ class EquilibriumReport:
     cap_active: bool
 
 
+# The sweep's columns, in the order of its table and of its CSV.
+_SWEEP_COLUMNS = ("lambda_max", "lambda_star", "nu_star", "u_norm", "welfare_loss_nominal")
+
+
 @dataclass(frozen=True, eq=False)
 class Sweep:
-    """The capped equilibrium across price caps: a float64 column per quantity, a row per cap.
+    """The capped equilibrium across price caps: one float64 ``(K, 5)`` table, a row per cap.
 
-    ``welfare_loss_nominal`` is the total nominal utility (adjustment-free
-    coefficients) at the uncapped equilibrium minus the same quantity at
-    the capped one; it is nonnegative and zero while the cap is inactive.
+    Its columns are ``_SWEEP_COLUMNS``, each readable by name as a view of
+    the table.  ``welfare_loss_nominal`` is the total nominal utility
+    (adjustment-free coefficients) at the uncapped equilibrium minus the
+    same quantity at the capped one; it is nonnegative and zero while the
+    cap is inactive.
     """
 
-    lambda_max: np.ndarray
-    lambda_star: np.ndarray
-    nu_star: np.ndarray
-    u_norm: np.ndarray
-    welfare_loss_nominal: np.ndarray
+    table: np.ndarray
+
+    lambda_max = property(lambda self: self.table[:, 0])
+    lambda_star = property(lambda self: self.table[:, 1])
+    nu_star = property(lambda self: self.table[:, 2])
+    u_norm = property(lambda self: self.table[:, 3])
+    welfare_loss_nominal = property(lambda self: self.table[:, 4])
 
 
 # ---------------------------------------------------------------------------
@@ -114,11 +122,14 @@ class Sweep:
 
 
 def _fields(value):
-    """The encoder's hook for what its C code does not write: the JSON form of ``value``."""
-    if is_dataclass(value):
-        return vars(value)  # a result's field names are its JSON keys
+    """The encoder's hook for what its C code does not write: the JSON form of ``value``.
+
+    Arrays are tested first: ``is_dataclass`` is the slower test.
+    """
     if isinstance(value, np.ndarray):
         return value.tolist()
+    if is_dataclass(value):
+        return vars(value)  # a result's field names are its JSON keys
     if isinstance(value, np.bool_):
         return bool(value)
     if isinstance(value, numbers.Integral):
@@ -290,20 +301,35 @@ def load_config(source: str | Path) -> ScenarioConfig:
     agents_doc = doc["agents"]
     if type(agents_doc) is not list:
         raise ParseError("config.agents must be a list of agent records")
-    rows = []
-    for i, rec in enumerate(agents_doc):
-        where = f"agents[{i}]"
-        _require_object(rec, _AGENT_KEYS, where)
-        rows.append((
-            _require_number(rec, "q", where),
-            _require_number(rec, "c0", where),
-            _require_number(rec, "a", where),
-        ))
-    market = validate_market(np.array(rows, dtype=float).reshape(-1, 3))
+    values = _agent_values(agents_doc)
+    if values is None:  # the field-by-field reading: the first error, or integers as floats
+        values = []
+        for i, rec in enumerate(agents_doc):
+            where = f"agents[{i}]"
+            _require_object(rec, _AGENT_KEYS, where)
+            values += (_require_number(rec, "q", where), _require_number(rec, "c0", where),
+                       _require_number(rec, "a", where))
+    market = validate_market(np.array(values, dtype=float).reshape(-1, 3))
 
     cap = SocialPriceCap(lambda_max=_require_number(doc, "lambda_max", "config"))
-    return ScenarioConfig(market=market, cap=cap, sim=_parse_sim(doc.get("sim", {}), market.n),
-                          seed=_as_int(doc.get("seed", 0), "seed"))
+    sim = _parse_sim(doc["sim"], market.n) if "sim" in doc else check_sim(SimSettings(), market.n)
+    return ScenarioConfig(market=market, cap=cap, sim=sim, seed=_as_int(doc.get("seed", 0), "seed"))
+
+
+def _agent_values(records: list) -> list[float] | None:
+    """Every record's ``q``, ``c0`` and ``a``, in order, in one pass; or None.
+
+    None unless every record is an object with exactly those three keys and
+    every value is a JSON float, so that the field-by-field reading, which
+    then runs, raises each error as it always has.
+    """
+    try:
+        values = [v for rec in records for v in (rec["q"], rec["c0"], rec["a"])]
+    except (TypeError, KeyError):  # a record that is not an object, or lacks a field
+        return None
+    if set(map(len, records)) != {3} or set(map(type, values)) != {float}:
+        return None
+    return values
 
 
 def config_to_json(config: ScenarioConfig) -> str:
@@ -485,27 +511,23 @@ def run_sweep(config: ScenarioConfig, cap_values) -> Sweep:
     if not caps.size:
         raise ValueError("cap_values must be nonempty")
     market = config.market
+    table = np.empty((caps.size, len(_SWEEP_COLUMNS)))
+    table[:, 0] = caps
     # As in run_solve: overflow is reported by _require_finite.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         ce = solve_ce(market)
-        lam, nu, x, u = _capped(market, caps, ce.lambda_bar)  # a NaN cap fails below
-        sweep = Sweep(
-            lambda_max=caps,
-            lambda_star=lam,
-            nu_star=nu,
-            u_norm=np.sqrt(np.vecdot(u, u)),
-            welfare_loss_nominal=nominal_welfare(market, ce.x_bar) - nominal_welfare(market, x),
-        )
-    table = np.column_stack(list(vars(sweep).values()))
-    bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
-    if bad.size:
-        cap = _check_cap(caps[bad[0]])
-        _require_finite(dict(zip(vars(sweep), table[bad[0]])), f"sweep at lambda_max = {cap!r}: ")
-    return sweep
+        # A NaN cap fails below.
+        table[:, 1], table[:, 2], x, u = _capped(market, caps, ce.lambda_bar)
+        np.sqrt(np.vecdot(u, u), out=table[:, 3])
+        np.subtract(nominal_welfare(market, ce.x_bar), nominal_welfare(market, x), out=table[:, 4])
+    if not np.isfinite(table).all():
+        row = np.flatnonzero(~np.isfinite(table).all(axis=1))[0]
+        cap = _check_cap(caps[row])
+        _require_finite(dict(zip(_SWEEP_COLUMNS, table[row])), f"sweep at lambda_max = {cap!r}: ")
+    return Sweep(table)
 
 
 def sweep_to_csv(sweep: Sweep) -> str:
     """The sweep as CSV, one row per cap, with shortest round-trip floats."""
-    table = np.column_stack(list(vars(sweep).values()))
     header = "lambda_max,lambda_star,nu_star,u_norm,welfare_loss_nominal_utilities\n"
-    return header + format_table(table).decode()
+    return header + format_table(sweep.table).decode()

@@ -1,13 +1,16 @@
 #!/usr/bin/env bash
 # Every command on the bundled fixture with warnings as errors, so a numpy
-# RuntimeWarning fails here; a market whose equilibrium, closed-loop fixed
-# point or total generation overflows float64 is an input error (exit 2),
-# as is a negative initial mu, a run that overflows a divergence (exit 3),
-# and a verify check that cannot run at such a cap, or on such a fixed
-# point, a failed check (exit 1, no traceback).  The 200-instance verify battery passes all 26 checks on
-# seeds 0 to 4, and prints the same bytes under two string hash seeds; the
-# 1- and 10 000-instance batteries and a 20-instance battery at table1's CE
-# price pass all 26 too.
+# RuntimeWarning fails here.  solve's report keeps its pinned bytes, also
+# with table1's integer-valued agent fields written as JSON integers, and a
+# record with an unknown key, a true or a string field exits 2 with its
+# message.  A market whose equilibrium, closed-loop fixed point or total
+# generation overflows float64 is an input error (exit 2), as is a negative
+# initial mu, a run that overflows a divergence (exit 3), and a verify check
+# that cannot run at such a cap, or on such a fixed point, a failed check
+# (exit 1, no traceback).  The 200-instance verify battery passes all 26
+# checks on seeds 0 to 4, and prints the same bytes under two string hash
+# seeds; the 1- and 10 000-instance batteries and a 20-instance battery at
+# table1's CE price pass all 26 too.
 #
 # Run from the repository root: PYTHONPATH=src bash tests/cli_smoke.sh
 # Outputs go to $RUNNER_TEMP, or to a temporary directory removed on exit.
@@ -19,7 +22,26 @@ else
   trap 'rm -rf "$tmp"' EXIT
 fi
 cli="python3 -W error -m energyshare.cli"
-$cli solve --config table1.json
+$cli solve --config table1.json > "$tmp/solve.json"
+test "$(sha256sum < "$tmp/solve.json" | cut -c1-64)" = \
+  8d464945f5da1513d2ba54b5490252cd58fbc283f3134b60d3ce49aee6446d20
+# Table1 with its integer-valued agent fields written as JSON integers: they
+# take the field-by-field reading, and give the same report, byte for byte.
+sed -e '/"q"/s/\.0\([,}]\)/\1/g' table1.json > "$tmp/integers.json"
+grep -q '"c0": -50,' "$tmp/integers.json"
+$cli solve --config "$tmp/integers.json" > "$tmp/integers.out"
+cmp "$tmp/solve.json" "$tmp/integers.out"
+# A record with an unknown key, a true field or a string field: exit 2 and
+# the field-by-field reading's message.
+for case in '{"q": 1.0, "c0": -1.0, "a": 1.0, "b": 2.0}|agents[0] has unknown key '"'b'" \
+            '{"q": true, "c0": -1.0, "a": 1.0}|agents[0].q must be a number, got True' \
+            '{"q": 1.0, "c0": "1.0", "a": 1.0}|agents[0].c0 must be a number, got '"'1.0'"; do
+  echo "{\"agents\": [${case%%|*}], \"lambda_max\": 3.0}" > "$tmp/record.json"
+  code=0
+  $cli solve --config "$tmp/record.json" 2> "$tmp/record.err" || code=$?
+  test "$code" -eq 2
+  test "$(cat "$tmp/record.err")" = "error: ${case#*|}"
+done
 $cli simulate --config table1.json --out "$tmp/table1.csv"
 $cli sweep --config table1.json --caps 2,4,6
 # The benchmarked battery (table1.json's seed is 0) and four more seeds:

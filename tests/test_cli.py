@@ -97,6 +97,44 @@ class TestSimulate:
         assert digests == ["d2d96bca1a0f88d788f7a3a24fd82b04ff7f2fd6dddf04f8b270b1fbc2c7e626",
                            "ad9694d6835620c8d007e84d9156de71adbc49e2a9cbe350d001a1b5ea9865f4"]
 
+    # Table1 without its sim section runs Euler at h = 1e-3, above the
+    # step at which Euler is stable on its closed loop.
+    def test_unstable_euler_run_names_its_stability_bound(self, tmp_path, capsys, table1_market):
+        doc = json.loads(TABLE1_PATH.read_text())
+        del doc["sim"]
+        cfg, out = tmp_path / "no_sim.json", tmp_path / "run.csv"
+        cfg.write_text(json.dumps(doc))
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        bound = es.euler_stable_step(table1_market)
+        assert 1e-5 < bound < 1e-3
+        assert capsys.readouterr().out.endswith(
+            "; did not converge (final error 3.266e+06 at tolerance 0.001)"
+            f"; h = 0.001 exceeds the Euler stability bound {bound:.3g}\n")
+
+    # The bound is computed only for an Euler run that did not converge, and
+    # named only if the step exceeds it: not for a run that starts at its
+    # fixed point, though its step does.
+    @pytest.mark.parametrize("sim, status, bounds", [
+        ({"method": "euler", "h": 1e-5, "t_end": 0.01}, "did not converge", 1),
+        ({"method": "rk4", "h": 0.02, "t_end": 1.0}, "did not converge", 0),
+        ({"method": "euler", "h": 1e-3, "t_end": 0.01, "init": "fixed point"}, "converged", 0),
+    ], ids=["stable_euler", "rk4", "converged_euler"])
+    def test_other_runs_print_no_bound(self, tmp_path, capsys, monkeypatch, table1_market,
+                                       sim, status, bounds):
+        doc = json.loads(TABLE1_PATH.read_text())
+        doc["sim"] = {**sim, "record_stride": 1}
+        if "init" in sim:
+            doc["sim"]["init"] = es.assemble_equilibrium(table1_market, 4.0).tolist()
+        cfg, out = tmp_path / "run.json", tmp_path / "run.csv"
+        cfg.write_text(json.dumps(doc))
+        calls = []
+        monkeypatch.setattr(es.cli, "euler_stable_step",
+                            lambda market: calls.append(market) or es.euler_stable_step(market))
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        line = capsys.readouterr().out
+        assert f"; {status} (" in line and line.endswith(" at tolerance 0.001)\n")
+        assert len(calls) == bounds
+
     def test_long_horizon_finishes(self, tmp_path):
         # 5e10 rk4 steps and 5001 records: after a few blocks the run is
         # trapped near its fixed point, and the rest is recorded from powers

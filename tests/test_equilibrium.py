@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import energyshare as es
 from energyshare import equilibrium
 from energyshare.verification import CAP_RANGE, WIDE_RANGES, _residual_scale, random_market
-from conftest import _rationals, ce_oracle, sce_oracle
+from conftest import _rationals, ce_oracle, markets, sce_oracle
 
 # Published two-decimal case-study values for the four-agent fixture.
 CE_X = np.array([41.74, 34.5, 3.17, 0.59])
@@ -481,3 +481,62 @@ class TestBatchAxis:
                 for got, want in zip(batched[form], values, strict=True):
                     assert np.asarray(got)[i].tobytes() == np.asarray(want).tobytes(), (form, i)
                     assert np.ndim(want) or type(want) is float, (form, type(want))
+
+
+def candidates(market, cap):
+    """The capped solution at ``cap``, the CE (which overshoots a binding cap) and
+    the capped solution with its dual negated (a negative ``nu``)."""
+    sce, ce = es.solve_sce(market, cap), es.solve_ce(market)
+    zero = np.zeros(market.q.shape)
+    as_ce = es.SceSolution(x_star=ce.x_bar, lambda_star=ce.lambda_bar, u_star=zero,
+                           nu_star=np.zeros_like(ce.lambda_bar) if np.ndim(cap) else 0.0,
+                           pi1_star=0.0, pi2_star=zero)
+    negated = es.SceSolution(x_star=sce.x_star, lambda_star=sce.lambda_star, u_star=sce.u_star,
+                             nu_star=-sce.nu_star, pi1_star=sce.pi1_star, pi2_star=sce.pi2_star)
+    return sce, as_ce, negated
+
+
+def assert_clamp_free_residuals_are_the_where_forms(market, cap):
+    for candidate in candidates(market, cap):
+        rep = es.kkt_residual_sce(market, cap, candidate)
+        lam, nu = candidate.lambda_star, candidate.nu_star
+        overshoot = np.where(lam - cap > 0.0, lam - cap, 0.0)
+        gap = abs(nu * (cap - lam)) + np.where(-nu > 0.0, -nu, 0.0)
+        assert np.asarray(rep.cap_violation).tobytes() == overshoot.tobytes()
+        assert np.asarray(rep.complementarity_gap).tobytes() == np.asarray(gap).tobytes()
+        for value in vars(rep).values():
+            assert not np.signbit(value).any()  # no -0.0
+            assert np.ndim(cap) or type(value) is float
+
+
+class TestClampFreeResiduals:
+    # max(0, d) as (|d| + d) / 2 is the np.where clamp to the bit, +0.0
+    # included, at an idle and a binding cap, and for candidates whose
+    # overshoot or negated dual is positive.
+    @given(market=markets(), offset=st.floats(0.5, 40.0), binding=st.booleans())
+    def test_equal_the_where_forms_on_a_market(self, market, offset, binding):
+        lam_ce = es.solve_ce(market).lambda_bar
+        assert_clamp_free_residuals_are_the_where_forms(
+            market, lam_ce - offset if binding else lam_ce + offset)
+
+    @given(batch_tables())
+    def test_equal_the_where_forms_on_a_batch(self, drawn):
+        table, kinds, offsets = drawn
+        batch = es.market._validated(table.copy())
+        lam_ce = es.solve_ce(batch).lambda_bar.tolist()
+        caps = np.array([CAP_KINDS[kind](lam, offset)
+                         for kind, lam, offset in zip(kinds, lam_ce, offsets)])
+        assert_clamp_free_residuals_are_the_where_forms(batch, caps)
+
+    def test_positive_part_is_exact_at_zeros_and_subnormals(self):
+        tiny = 5e-324
+        values = [0.0, -0.0, tiny, -tiny, 3 * tiny, 2.2250738585072014e-308, 1.0, -1.0, 1e307]
+        for value in [*values, np.array(values)]:
+            got = equilibrium._positive_part(value)
+            assert np.asarray(got).tobytes() == np.where(value > 0.0, value, 0.0).tobytes()
+            assert type(got) is type(value)
+
+    def test_a_cap_that_is_not_finite_gives_residuals_that_are_not(self, table1_market):
+        sce = es.solve_sce(table1_market, 4.0)
+        for cap in (np.nan, np.inf):
+            assert not math.isfinite(es.kkt_residual_sce(table1_market, cap, sce).max_violation())

@@ -2,6 +2,7 @@
 
 import json
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -89,6 +90,49 @@ LOAD_ERRORS = {
         es.ParseError, "sim.h must be positive and finite, got -1.0"),
     "unknown_sim_key": (_doc([_OK], sim={"dt": 1.0}), es.ParseError, "sim has unknown key 'dt'"),
 }
+
+
+# Values that are not JSON floats, for an agent field or in place of a record.
+_NOT_FLOATS = st.one_of(
+    st.integers(-10, 10), st.integers(10**308, 10**400), st.booleans(), st.text(max_size=3),
+    st.none(), st.lists(st.floats(-1.0, 1.0), max_size=2),
+    st.dictionaries(st.sampled_from(["q", "a", "x"]), st.floats(-1.0, 1.0), max_size=2),
+)
+
+
+@st.composite
+def mutated_agents(draw):
+    """A list of agent records, valid or not: floats from ``SIM_RANGES``, some NaN or
+    infinite, then up to three mutations (a field that is not a float, a missing or
+    an extra key, a record that is not an object); the empty list is drawn too."""
+    r, anything = SIM_RANGES, st.floats()
+    field = {"q": st.floats(r["q_lo"], r["q_hi"]) | anything,
+             "c0": st.floats(r["c0_lo"], r["c0_hi"]) | anything, "a": st.floats(0.0, r["a_hi"])}
+    agents = draw(st.lists(st.fixed_dictionaries(field), max_size=5))
+    for _ in range(draw(st.integers(0, 3)) if agents else 0):
+        i = draw(st.integers(0, len(agents) - 1))
+        rec, op = agents[i], draw(st.sampled_from(["field", "missing", "extra", "record"]))
+        if op == "record" or type(rec) is not dict or not rec:
+            agents[i] = draw(_NOT_FLOATS)
+        elif op == "extra":
+            rec[draw(st.sampled_from(["b", "qq", "z", "Q"]))] = draw(st.floats(-1.0, 1.0))
+        else:
+            key = draw(st.sampled_from(sorted(rec)))
+            if op == "missing":
+                del rec[key]
+            else:
+                rec[key] = draw(_NOT_FLOATS)
+    return agents
+
+
+def _loaded(text):
+    """The bits of the market ``load_config`` reads from ``text``, or its error and message."""
+    try:
+        m = es.load_config(text).market
+    except (es.ValidationError, es.MarketWarning) as exc:
+        return type(exc), str(exc)
+    aggregates = np.array([m.sum_a, m.s1, m.s2, m.sqc])
+    return [m.q.tobytes(), m.c0.tobytes(), m.a.tobytes(), aggregates.tobytes()]
 
 
 class TestLoadConfig:
@@ -189,6 +233,23 @@ class TestLoadConfig:
         assert type(info.value) is error
         assert str(info.value) == message
 
+    # The one pass over the records gives what the field-by-field reading
+    # gives: the same market to the bit, or the same first error.
+    @given(agents=mutated_agents())
+    def test_record_pass_reads_as_the_field_by_field_reading(self, agents):
+        text = json.dumps(_doc(agents))
+        one_pass = _loaded(text)
+        with mock.patch.object(scenario, "_agent_values", lambda records: None):
+            assert _loaded(text) == one_pass
+
+    def test_record_pass_takes_only_objects_of_three_floats(self):
+        assert scenario._agent_values([_OK, {"a": 2.0, "c0": -3.0, "q": 0.5}]) == [
+            1.0, -1.0, 1.0, 0.5, -3.0, 2.0]
+        for records in ([], [{"q": 2, "c0": -8.0, "a": 0.0}], [{**_OK, "b": 1.0}],
+                        [_OK, {"q": 1.0, "c0": -1.0}], [_OK, [1.0, -1.0, 1.0]],
+                        [{"q": True, "c0": -1.0, "a": 1.0}]):
+            assert scenario._agent_values(records) is None, records
+
     def test_integer_fields_give_the_bits_of_their_floats(self):
         as_int = es.load_config(json.dumps(_doc([{"q": 2, "c0": -8, "a": 0}], lambda_max=3)))
         as_float = es.load_config(json.dumps(_doc([{"q": 2.0, "c0": -8.0, "a": 0.0}])))
@@ -260,6 +321,12 @@ class TestRunSolve:
             assert rep.cap_active == (rep.sce.nu_star > 0) == (lam_ce > cap + 1e-9) or (
                 abs(lam_ce - cap) <= 1e-9
             )
+
+    def test_checks_the_cap_once(self, table1_config, monkeypatch):
+        calls, check = [], es.equilibrium._check_cap
+        monkeypatch.setattr(es.equilibrium, "_check_cap", lambda cap: calls.append(cap) or check(cap))
+        es.run_solve(table1_config)
+        assert calls == [4.0]
 
     def test_report_json_keys_sorted(self, table1_config):
         text = es.report_to_json(es.run_solve(table1_config))
@@ -388,6 +455,14 @@ class TestRunSweep:
         assert all(w >= -1e-9 for w in sweep.welfare_loss_nominal)
         # the binding region loses welfare, strictly more for tighter caps
         assert sweep.welfare_loss_nominal[0] > sweep.welfare_loss_nominal[3] > 0.0
+
+    def test_columns_are_views_of_one_table(self, table1_config):
+        sweep = es.run_sweep(table1_config, [2.0, 4.0, 10.0])
+        assert sweep.table.shape == (3, len(scenario._SWEEP_COLUMNS))
+        for j, name in enumerate(scenario._SWEEP_COLUMNS):
+            column = getattr(sweep, name)
+            assert column.base is sweep.table and column.tobytes() == sweep.table[:, j].tobytes()
+        assert sweep.lambda_max.tolist() == [2.0, 4.0, 10.0]
 
     def test_csv_rendering(self, table1_config):
         text = es.sweep_to_csv(es.run_sweep(table1_config, [4.0]))
