@@ -58,10 +58,6 @@ class Trajectory:
         return int(self.times.shape[0])
 
     @property
-    def final_time(self) -> float:
-        return float(self.times[-1])
-
-    @property
     def final_state(self) -> np.ndarray:
         return self.states[-1]
 

@@ -11,6 +11,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from .dynamics import _DENSE_DRIFT_MAX_DIM, METHODS, euler_stable_step, state_layout
 from .errors import NonfiniteState, ValidationError
 from .market import SocialPriceCap
@@ -91,16 +93,19 @@ def _write_or_print(text: str, out: str | None) -> None:
 
 
 def _unstable_euler(config) -> str:
-    """For a run that did not converge: the Euler stability bound its step exceeds, or "".
+    """For a run that did not converge or diverged: the Euler stability bound its step exceeds.
 
     The bound reads the closed loop's dense spectrum, so it is computed for
-    Euler runs alone, and only for markets whose drift is built dense.
+    Euler runs alone, and only for markets whose drift is built dense; a
+    bound that is not positive and finite is not named ("" then).
     """
     sim, market = config.sim, config.market
     if sim.method != "euler" or state_layout(market.n).dim > _DENSE_DRIFT_MAX_DIM:
         return ""
-    bound = euler_stable_step(market)
-    return f"; h = {sim.h:g} exceeds the Euler stability bound {bound:.3g}" if sim.h > bound else ""
+    with np.errstate(all="ignore"):
+        bound = euler_stable_step(market)
+    note = f"; h = {sim.h:g} exceeds the Euler stability bound {bound:.3g}"
+    return note if 0.0 < bound < sim.h else ""
 
 
 def main(argv=None) -> int:
@@ -140,7 +145,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NonfiniteState as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc}{_unstable_euler(config)}", file=sys.stderr)  # only simulate integrates
         return 3
 
 

@@ -29,8 +29,8 @@ drift.  Everything else derives from these two kernels: the ``rhs_*``
 functions are thin validating wrappers, :func:`closed_loop_rhs` calls the
 kernel for large markets, each drift matrix is the kernel's linear part
 evaluated on the unit vectors and each offset the kernel at the zero state.
-The dense ``(5N+3)**2`` matrix is built for small markets, for the block
-path of :func:`integrate` and for the certificates.
+The dense ``(5N+3)**2`` matrix is built when read: by small markets' drift,
+by the block path of :func:`integrate` and by the certificates.
 
 The fixed point (:func:`assemble_equilibrium`), the drift
 :func:`rhs_closed_loop`, the drift matrix and :func:`stability_certificate`
@@ -298,18 +298,17 @@ def closed_loop_rhs(market: MarketInstance, cap: float) -> ProjectedAffine:
     which agrees with :func:`rhs_closed_loop` to rounding.  Large ones
     (state dimension above ``_DENSE_DRIFT_MAX_DIM``) call the drift kernel
     behind :func:`rhs_closed_loop` itself, a few vector operations and the
-    sums of ``eps`` and ``pi``, so the two agree bit for bit, and build
-    the dense matrix only when something reads it.  The drift is a
+    sums of ``eps`` and ``pi``, so the two agree bit for bit.  At every
+    size the dense matrix is built the first time something reads it: a
+    small market's first evaluation, or the block path.  The drift is a
     :class:`ProjectedAffine`, which :func:`integrate` advances in blocks.
     """
     lay = state_layout(market.n)
     constants = _closed_loop_constants(market, cap)
     offset = _closed_loop_drift(np.zeros(lay.dim), *constants)
-    if lay.dim > _DENSE_DRIFT_MAX_DIM:
-        return ProjectedAffine(lambda: closed_loop_matrix(market), offset, lay.mu,
-                               lambda state: _closed_loop_drift(state, *constants))
-    matrix = closed_loop_matrix(market)
-    return ProjectedAffine(lambda: matrix, offset, lay.mu)
+    large = lay.dim > _DENSE_DRIFT_MAX_DIM
+    evaluate = (lambda state: _closed_loop_drift(state, *constants)) if large else None
+    return ProjectedAffine(lambda: closed_loop_matrix(market), offset, lay.mu, evaluate)
 
 
 # ---------------------------------------------------------------------------
@@ -320,13 +319,13 @@ def open_loop_equilibrium(market: MarketInstance) -> np.ndarray:
     """Unique fixed point of the uncontrolled dynamics, stacked (x, rho, eps, lam): the
     prefix of :func:`assemble_equilibrium` at the competitive price, where the controller idles."""
     fixed = assemble_equilibrium(market, solve_ce(market).lambda_bar)
-    return fixed[: state_layout(market.n).lam + 1]
+    return fixed[..., : state_layout(market.n).lam + 1]
 
 
 def reduced_equilibrium(market: MarketInstance) -> np.ndarray:
     """Unique fixed point of the reduced dynamics, stacked (x, lam)."""
     ce = solve_ce(market)
-    return np.append(ce.x_bar, ce.lambda_bar)
+    return np.concatenate([ce.x_bar, np.asarray(ce.lambda_bar)[..., None]], axis=-1)
 
 
 def assemble_equilibrium(market: MarketInstance, cap: float) -> np.ndarray:

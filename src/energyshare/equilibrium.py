@@ -98,10 +98,10 @@ def solve_ce(market: MarketInstance) -> CeSolution:
     """Competitive equilibrium of the uncapped market.
 
     The price clears the market: it is the unique zero of the aggregate
-    slack, ``-(sqc + sum_a) / s1``; the allocation is the demand response
+    slack, :func:`solve_sw_dual`; the allocation is the demand response
     ``phi`` at that price.
     """
-    lam = -(market.sqc + market.sum_a) / market.s1
+    lam = solve_sw_dual(market)
     return CeSolution(x_bar=phi(market, lam), lambda_bar=lam)
 
 
@@ -180,20 +180,21 @@ def solve_sw_dual(market: MarketInstance) -> float:
 
 
 def dual_to_primal_sw(market: MarketInstance, lambda_bar: float) -> np.ndarray:
-    """Recover the welfare-optimal allocation from the optimal dual price.
+    """Recover the welfare-optimal allocation from the optimal dual price, one per market.
 
     Raises:
         InconsistentDual: the candidate price does not clear the market,
-            i.e. it is not the true dual optimum.
+            i.e. it is not the true dual optimum; on a batch, the first
+            such market is named.
     """
-    y_bar = phi(market, lambda_bar)
-    gap = abs(float(y_bar.sum()) - market.sum_a)
-    if gap > DUAL_FEASIBILITY_TOL:
-        raise InconsistentDual(
-            f"price {lambda_bar} leaves a supply-demand gap of {gap:.3e} "
-            f"(tolerance {DUAL_FEASIBILITY_TOL:.0e})"
-        )
-    return y_bar
+    prices, gaps = np.broadcast_arrays(lambda_bar, abs(aggregate_slack(market, lambda_bar)))
+    past = np.flatnonzero(gaps > DUAL_FEASIBILITY_TOL)
+    if past.size:
+        k = past[0]
+        where = f"market {k}: " if gaps.ndim else ""
+        raise InconsistentDual(f"{where}price {prices.flat[k]} leaves a supply-demand gap of "
+                               f"{gaps.flat[k]:.3e} (tolerance {DUAL_FEASIBILITY_TOL:.0e})")
+    return phi(market, lambda_bar)
 
 
 def solve_modified_primal(market: MarketInstance, cap: float) -> ModifiedPrimalSolution:

@@ -564,22 +564,22 @@ CHECKS = (
 )
 
 
-def run_verify(config, num_random_instances: int = 200, seed: int | None = None) -> VerificationReport:
+def run_verify(config, num_random_instances: int = 200) -> VerificationReport:
     """Run every check of ``CHECKS``, in order, and report per-check diagnostics.
 
-    Each check draws from its own generator, ``check_rng(seed, name)``, so it
-    draws the same instances alone as in the battery.  A check that raises an
-    :class:`EnergyShareError` fails.  Each :class:`CheckResult` carries the
-    check's wall time, ``wall_s``, which the summary lines leave out, so
-    that ``verify``'s output stays the same from run to run.
+    Each check draws from its own generator, ``check_rng(config.seed, name)``,
+    so it draws the same instances alone as in the battery.  A check that
+    raises an :class:`EnergyShareError` fails.  Each :class:`CheckResult`
+    carries the check's wall time, ``wall_s``, which the summary lines leave
+    out, so that ``verify``'s output stays the same from run to run.
 
     Args:
-        config: scenario whose market anchors the instance-specific checks.
+        config: scenario whose market anchors the instance-specific checks
+            and whose ``seed`` seeds every check's generator.
         num_random_instances: sample size for the random-instance suites
             (the oracle-agreement check uses all of them; the purely
             algebraic ones use min(50, n) draws each); at most
             ``MAX_INSTANCES``.
-        seed: RNG seed; defaults to the config's seed.
 
     Raises:
         ValidationError: ``num_random_instances`` is below 1 or above
@@ -590,20 +590,18 @@ def run_verify(config, num_random_instances: int = 200, seed: int | None = None)
         raise ValidationError(
             f"num_random_instances must be in [1, {MAX_INSTANCES}], got {num_random_instances}"
         )
-    if seed is None:
-        seed = config.seed
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
+    if config.seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {config.seed}")
     scn.run_solve(config)  # a market past float64's range is an input error, not a failed check
     results = []
     for name, check in CHECKS:
         start = time.perf_counter()
         try:
-            passed, detail = check(config, check_rng(seed, name), num_random_instances)
+            passed, detail = check(config, check_rng(config.seed, name), num_random_instances)
         except EnergyShareError as exc:
             passed, detail = False, f"raised {type(exc).__name__}: {exc}"
         results.append(CheckResult(name=name, passed=bool(passed), detail=detail,
                                    wall_s=time.perf_counter() - start))
     return VerificationReport(
-        checks=tuple(results), seed=seed, num_random_instances=num_random_instances
+        checks=tuple(results), seed=config.seed, num_random_instances=num_random_instances
     )

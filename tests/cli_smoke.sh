@@ -5,12 +5,13 @@
 # record with an unknown key, a true or a string field exits 2 with its
 # message.  A market whose equilibrium, closed-loop fixed point or total
 # generation overflows float64 is an input error (exit 2), as is a negative
-# initial mu, a run that overflows a divergence (exit 3), and a verify check
-# that cannot run at such a cap, or on such a fixed point, a failed check
-# (exit 1, no traceback).  The 200-instance verify battery passes all 26
-# checks on seeds 0 to 4, and prints the same bytes under two string hash
-# seeds; the 1- and 10 000-instance batteries and a 20-instance battery at
-# table1's CE price pass all 26 too.
+# initial mu.  A run that overflows is a divergence (exit 3); an Euler run
+# that diverges at a step past its stability bound says so and names the
+# bound.  A verify check that cannot run at such a cap, or on such a fixed
+# point, is a failed check (exit 1, no traceback).  The 200-instance verify
+# battery passes all 26 checks on seeds 0 to 4, and prints the same bytes
+# under two string hash seeds; the 1- and 10 000-instance batteries and a
+# 20-instance battery at table1's CE price pass all 26 too.
 #
 # Run from the repository root: PYTHONPATH=src bash tests/cli_smoke.sh
 # Outputs go to $RUNNER_TEMP, or to a temporary directory removed on exit.
@@ -72,6 +73,12 @@ test "$code" -eq 2
 code=0
 $cli simulate --config table1.json --lambda-max=1e306 --out "$tmp/run_overflow.csv" || code=$?
 test "$code" -eq 3
+code=0
+$cli simulate --config table1.json --method euler --h 0.5 --out "$tmp/euler.csv" \
+  2> "$tmp/euler.err" || code=$?
+test "$code" -eq 3
+test "$(cat "$tmp/euler.err")" = "error: state diverged at t = 6.5 (non-finite or \
+|state| > 1e+12); h = 0.5 exceeds the Euler stability bound 6.21e-05"
 echo '{"agents": [{"q": 0.5, "c0": -1.0, "a": 1.0}], "lambda_max": 1e308}' > "$overflow"
 code=0
 $cli simulate --config "$overflow" --out "$tmp/overflow.csv" || code=$?

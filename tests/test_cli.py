@@ -31,6 +31,11 @@ UNDERFLOWING_S2 = '{"agents": [{"q": 1e200, "c0": -1.0, "a": 1.0}], "lambda_max"
 # point's pi = (lam - cap) / q**2 is not finite.
 UNDERFLOWING_Q_SQUARED = ('{"agents": [{"q": 1e-200, "c0": -1.0, "a": 1.0}, '
                           '{"q": 1.0, "c0": -10.0, "a": 1.0}], "lambda_max": 1e300}')
+# An Euler run (the default sim) that diverges at once: the drift's entries
+# span 320 decades, and the stability bound read from its spectrum is not
+# positive, so the error line names none.
+TINY_Q_EULER = ('{"agents": [{"q": 1e-160, "c0": -1.0, "a": 1.0}, '
+                '{"q": 1.0, "c0": -10.0, "a": 1.0}], "lambda_max": 0.5}')
 # Table1 with two finite generations whose sum overflows.
 OVERFLOWING_SUM = TABLE1_PATH.read_text().replace('"a": 48.0', '"a": 1e308').replace(
     '"a": 30.0', '"a": 1e308')
@@ -155,6 +160,7 @@ class TestSimulate:
         assert "; converged" in proc.stdout
         assert len(out.read_text().splitlines()) == 1 + 5001
 
+    # The error line names the Euler stability bound the step exceeds.
     def test_divergence_exits_3_with_partial_csv(self, tmp_path, capsys):
         cfg = tmp_path / "stiff.json"
         cfg.write_text(
@@ -164,7 +170,9 @@ class TestSimulate:
         out = tmp_path / "stiff.csv"
         code = main(["simulate", "--config", str(cfg), "--out", str(out)])
         assert code == 3
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: state diverged at t = ")
+        assert err.endswith("; h = 0.001 exceeds the Euler stability bound 1e-10\n")
         assert out.exists()
         assert len(out.read_text().splitlines()) > 1
 
@@ -261,8 +269,9 @@ class TestBadArguments:
     # so does table1's when two of its generations sum past float64's range.
     # Where s2 underflows, only a binding cap divides by it.
     # Table1 at a cap of 1e306 overflows in its run's first step, a
-    # divergence (exit 3); at q = 0.5 a cap of 1e308 leaves the capped
-    # equilibrium finite but not the closed loop's fixed point (exit 2).
+    # divergence (exit 3) whose rk4 error line names no Euler bound; at
+    # q = 0.5 a cap of 1e308 leaves the capped equilibrium finite but not
+    # the closed loop's fixed point (exit 2).
     @pytest.mark.parametrize(
         "argv, config, expected",
         [(["solve", "--lambda-max=-1e308"], TABLE1_PATH.read_text(), 2),
@@ -272,11 +281,11 @@ class TestBadArguments:
          (["simulate", "--lambda-max=1e306"], TABLE1_PATH.read_text(), 3),
          (["simulate"], OVERFLOWING_FIXED_POINT, 2), (["solve"], OVERFLOWING_SUM, 2),
          (["solve"], UNDERFLOWING_S2, 2), (["sweep", "--caps=0,-1e300"], UNDERFLOWING_S2, 2),
-         (["simulate"], UNDERFLOWING_Q_SQUARED, 2)],
+         (["simulate"], UNDERFLOWING_Q_SQUARED, 2), (["simulate"], TINY_Q_EULER, 3)],
         ids=["solve", "sweep", "solve_ce_overflows", "sweep_ce_overflows", "verify_ce_overflows",
              "simulate_ce_overflows", "simulate_run_overflows", "simulate_fixed_point_overflows",
              "solve_generation_sum_overflows", "solve_s2_underflows", "sweep_s2_underflows",
-             "simulate_q_squared_underflows"],
+             "simulate_q_squared_underflows", "simulate_euler_tiny_q_diverges"],
     )
     def test_overflow_warns_nothing_before_the_error_line(self, argv, config, expected, tmp_path,
                                                            capsys, monkeypatch):
@@ -289,6 +298,7 @@ class TestBadArguments:
         assert code == expected
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+        assert "stability bound" not in err
 
     # A JSON integer literal converts to float only inside float64's range.
     @pytest.mark.parametrize(

@@ -1056,7 +1056,7 @@ class TestBoundedMarch:
                                          SUMMARY_TOLERANCE)
         traj = es.integrate(rhs, y0, **run)
         assert folded == (es.convergence_report(traj, SUMMARY_TOLERANCE),
-                          float(traj.lyapunov[0]), traj.final_time)
+                          float(traj.lyapunov[0]), float(traj.times[-1]))
 
     def test_tail_batches_cross_windows(self, table1_market, block_steps):
         lay = es.state_layout(table1_market.n)

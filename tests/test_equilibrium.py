@@ -221,8 +221,18 @@ class TestDualityChain:
         assert es.dual_to_primal_sw(m, 7.0)[0] == pytest.approx(3.0, abs=1e-12)
 
     def test_dual_to_primal_rejects_wrong_price(self, table1_market):
-        with pytest.raises(es.InconsistentDual):
+        with pytest.raises(es.InconsistentDual, match=r"^price 0\.0 leaves a supply-demand gap of "
+                                                      r"1\.500e\+01 \(tolerance 1e-06\)$"):
             es.dual_to_primal_sw(table1_market, 0.0)
+
+    # A batch is refused at its first market whose price leaves a gap.
+    def test_dual_to_primal_names_the_first_market_of_a_batch_it_refuses(self):
+        batch = es.market._validated(np.array([[[1.0], [2.0], [1.0]], [[-10.0], [-4.0], [-1.0]],
+                                               [[3.0], [1.0], [0.0]]]))
+        prices = es.solve_ce(batch).lambda_bar + [0.0, 1.0, 1.0]
+        with pytest.raises(es.InconsistentDual, match=r"^market 1: price 3\.0 leaves a "
+                                                      r"supply-demand gap of 5\.000e-01 "):
+            es.dual_to_primal_sw(batch, prices)
 
 
 class TestModifiedPrimal:
@@ -458,7 +468,9 @@ def closed_forms(market, cap):
         "kkt": tuple(vars(es.kkt_residual_sce(market, cap, sce)).values()),
         "modified primal": tuple(vars(es.solve_modified_primal(market, cap)).values()),
         "change of variables": es.map_sce_to_modified_primal(market, sce),
+        "dual to primal": (es.dual_to_primal_sw(market, ce.lambda_bar),),
         "fixed point": (fixed, es.rhs_closed_loop(market, fixed, cap)),
+        "open loop and reduced": (es.open_loop_equilibrium(market), es.reduced_equilibrium(market)),
         "certificate": tuple(vars(es.stability_certificate(market)).values()),
     }
 

@@ -759,16 +759,16 @@ class TestRunVerify:
         assert not passed, detail
 
     def test_reports_each_check_wall_time_off_the_summary(self):
-        report = es.run_verify(es.load_config(MINIMAL), num_random_instances=5, seed=1)
+        report = es.run_verify(replace(es.load_config(MINIMAL), seed=1), num_random_instances=5)
         assert all(c.wall_s > 0.0 for c in report.checks)
         assert report.summary_lines()[:-1] == [
             f"[{'PASS' if c.passed else 'FAIL'}] {c.name}: {c.detail}" for c in report.checks
         ]
 
     def test_seed_reproducibility(self):
-        cfg = es.load_config(MINIMAL)
-        r1 = es.run_verify(cfg, num_random_instances=25, seed=11)
-        r2 = es.run_verify(cfg, num_random_instances=25, seed=11)
+        cfg = replace(es.load_config(MINIMAL), seed=11)
+        r1 = es.run_verify(cfg, num_random_instances=25)
+        r2 = es.run_verify(cfg, num_random_instances=25)
         assert [c.detail for c in r1.checks] == [c.detail for c in r2.checks]
 
     def test_mutated_solver_is_caught(self, monkeypatch):
@@ -779,7 +779,7 @@ class TestRunVerify:
             return np.where(lam_ce >= cap, lam_ce, cap)
 
         monkeypatch.setattr("energyshare.equilibrium.solve_scalar_lcp", mutant)
-        report = es.run_verify(cfg, num_random_instances=25, seed=4)
+        report = es.run_verify(replace(cfg, seed=4), num_random_instances=25)
         oracle = {c.name: c for c in report.checks}["equilibrium.oracle_agreement"]
         assert not oracle.passed
         assert not report.passed
