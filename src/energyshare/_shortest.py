@@ -1,13 +1,23 @@
-"""``repr`` of every float64 of a table at once: CSV text with no Python call per value.
+"""CSV text of a float64 table, each field ``repr``'s text of its value, byte for byte.
 
-Each finite value gets the shortest decimal digits that read back to the
-same float, the closest of them to the value, ties to an even last digit:
-the digits of ``repr``.  They are found by Schubfach (R. Giulietti, "The
-Schubfach way to render doubles", 2020), which needs only fixed-width
-integer arithmetic; here it runs over whole columns in numpy ``uint64``,
-each 64 x 64-bit product formed from 32-bit halves.  The digits are then
-laid out as ``repr`` lays them out: positional for decimal exponents -4 to
-15 (with ``.0`` on integral values), ``d.ddde±XX`` otherwise, and ``-0.0``.
+A table below ``_MIN_VECTOR_VALUES`` values calls ``repr`` once per distinct
+bit pattern: a stable argsort of the ``uint64`` view puts equal patterns in
+runs, a first-of-run mask picks one value of each, an inverse index maps
+every field to its run, and one ``%`` template lays the rows out.  The key
+is the bits, not the float: ``0.0 == -0.0``, but their texts differ.  A
+sweep's table repeats its values (an idle cap's row holds the CE price and
+three zeros, a binding cap's row holds the cap twice), so the 64-cap tables
+of the solve_sweep benchmark hold 77 distinct values of 320 on average.
+
+A larger table is formatted with no Python call per value.  Each finite
+value gets the shortest decimal digits that read back to the same float,
+the closest of them to the value, ties to an even last digit: the digits of
+``repr``.  They are found by Schubfach (R. Giulietti, "The Schubfach way to
+render doubles", 2020), which needs only fixed-width integer arithmetic;
+here it runs over whole columns in numpy ``uint64``, each 64 x 64-bit
+product formed from 32-bit halves.  The digits are then laid out as
+``repr`` lays them out: positional for decimal exponents -4 to 15 (with
+``.0`` on integral values), ``d.ddde±XX`` otherwise, and ``-0.0``.
 Non-finite values go through ``repr`` itself.
 
 Each field is assembled in a fixed-width row of four 8-byte words, NUL
@@ -37,12 +47,16 @@ _NDIGITS = 17
 _E_MIN, _E_MAX = -324, 308  # decimal exponents of the nonzero float64 values
 _INFINITY = 0x7FF0_0000_0000_0000  # the bits of inf; above them, of NaN
 
-# Tables below this many values are formatted by ``repr``.  The vectorised
-# passes cost 150-240 us however few the values (some 120 numpy calls), then
-# 0.2-0.4 us a value, against ~0.9 us for ``repr``.  In a loop of their own
-# they pass ``repr`` at ~240 values; but in solve_sweep's loop, whose other
-# work evicts their tables, a 64-cap sweep (320 values) took 357 us on them
-# and 280 us by ``repr``.
+# Tables below this many values are formatted by ``repr``, once per distinct
+# bit pattern.  The vectorised passes cost ~80 us however few the values
+# (some 120 numpy calls), then ~0.14 us a value, against 0.45-0.8 us for
+# ``repr`` of a full-precision value and ~0.08 us of 0.0.  In a loop of
+# their own they pass ``repr`` of all-distinct values at ~120 values; but
+# the small tables are sweeps, whose values repeat, and in solve_sweep's
+# loop, whose other work evicts the vectorised passes' tables, a 64-cap
+# sweep (320 values) took a median 218 us on them, 139 us by ``repr`` of
+# each value and 101 us by ``repr`` of each distinct one (2048 calls each,
+# interleaved; 2-vCPU Xeon VM, numpy 2.4.6).
 _MIN_VECTOR_VALUES = 512
 
 
@@ -56,9 +70,27 @@ def _u(value: int) -> np.ndarray:
 
 def format_table(table: np.ndarray) -> bytes:
     """The rows of a 2-D float64 table as CSV text: ``repr`` of each value, ``,`` between, LF after."""
+    table = np.ascontiguousarray(table, dtype=np.float64)
     if table.size < _MIN_VECTOR_VALUES:
-        return "".join(",".join(map(repr, row)) + "\n" for row in table.tolist()).encode()
-    return _format(np.ascontiguousarray(table, dtype=np.float64))
+        return _format_distinct(table)
+    return _format(table)
+
+
+def _format_distinct(table: np.ndarray) -> bytes:
+    """``format_table`` by one ``repr`` per distinct bit pattern (see the module docstring)."""
+    bits = table.ravel().view(_U)
+    # Faster than quicksort on a sweep's table: ascending caps give sorted runs.
+    order = bits.argsort(kind="stable")
+    ordered = bits[order]
+    first = np.empty(bits.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    inverse = np.empty(bits.size, dtype=np.intp)
+    inverse[order] = first.cumsum() - 1
+    texts = np.array(list(map(repr, ordered[first].view(np.float64).tolist())), dtype=object)
+    rows, cols = table.shape
+    template = (",".join(["%s"] * cols) + "\n") * rows
+    return (template % tuple(texts[inverse].tolist())).encode()
 
 
 def _format(table: np.ndarray) -> bytes:

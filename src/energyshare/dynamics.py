@@ -391,9 +391,17 @@ def euler_stable_step(market: MarketInstance) -> float:
     ``h <= -2 * Re(lam) / |lam|**2``.  The minimum is taken over the drift
     with ``mu`` free and with ``mu`` pinned at 0, since a trajectory may
     visit both branches.  The drift matrix does not depend on the cap.
+
+    Returns NaN where the spectrum gives no positive, finite bound.  The
+    dense eigensolve is accurate only to about ``eps * ||A||``, so on a
+    market whose ``q`` spans many decades (agents ``(1e-100, -1, 1)`` and
+    ``(1, -10, 1)``, say) the minimum can come out negative, or
+    ``|lam|**2`` can overflow.
     """
-    eigs = _branch_spectrum(market, free=True, pinned=True)
-    return float((-2.0 * eigs.real / np.abs(eigs) ** 2).min())
+    with np.errstate(all="ignore"):
+        eigs = _branch_spectrum(market, free=True, pinned=True)
+        bound = float((-2.0 * eigs.real / np.abs(eigs) ** 2).min())
+    return bound if 0.0 < bound < np.inf else np.nan
 
 
 # ---------------------------------------------------------------------------

@@ -3,15 +3,16 @@
 # RuntimeWarning fails here.  solve's report keeps its pinned bytes, also
 # with table1's integer-valued agent fields written as JSON integers, and a
 # record with an unknown key, a true or a string field exits 2 with its
-# message.  A market whose equilibrium, closed-loop fixed point or total
-# generation overflows float64 is an input error (exit 2), as is a negative
-# initial mu.  A run that overflows is a divergence (exit 3); an Euler run
-# that diverges at a step past its stability bound says so and names the
-# bound.  A verify check that cannot run at such a cap, or on such a fixed
-# point, is a failed check (exit 1, no traceback).  The 200-instance verify
-# battery passes all 26 checks on seeds 0 to 4, and prints the same bytes
-# under two string hash seeds; the 1- and 10 000-instance batteries and a
-# 20-instance battery at table1's CE price pass all 26 too.
+# message; a sweep whose rows share values keeps its pinned bytes.  A market
+# whose equilibrium, closed-loop fixed point or total generation overflows
+# float64 is an input error (exit 2), as is a negative initial mu.  A run
+# that overflows is a divergence (exit 3); an Euler run that diverges at a
+# step past its stability bound says so and names the bound.  A verify check
+# that cannot run at such a cap, or on such a fixed point, is a failed check
+# (exit 1, no traceback).  The 200-instance verify battery passes all 26
+# checks on seeds 0 to 4, and prints the same bytes under two string hash
+# seeds; the 1- and 10 000-instance batteries and a 20-instance battery at
+# table1's CE price pass all 26 too.
 #
 # Run from the repository root: PYTHONPATH=src bash tests/cli_smoke.sh
 # Outputs go to $RUNNER_TEMP, or to a temporary directory removed on exit.
@@ -45,6 +46,11 @@ for case in '{"q": 1.0, "c0": -1.0, "a": 1.0, "b": 2.0}|agents[0] has unknown ke
 done
 $cli simulate --config table1.json --out "$tmp/table1.csv"
 $cli sweep --config table1.json --caps 2,4,6
+# Both zeros and repeated caps on both sides of table1's CE price: rows that
+# share values, each field still repr's text of its own bits.
+$cli sweep --config table1.json --caps=-0.0,0.0,2,2,4,20,20 > "$tmp/sweep.csv"
+test "$(sha256sum < "$tmp/sweep.csv" | cut -c1-64)" = \
+  fd93363ec60d72e43538076b79c49759f66dcf3f7cade8f37b4d032a5032c4b5
 # The benchmarked battery (table1.json's seed is 0) and four more seeds:
 # exit 0 and all 26 checks passed on each seed's draws.
 for s in 0 1 2 3 4; do

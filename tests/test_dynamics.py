@@ -1148,6 +1148,20 @@ class TestClosedLoopSpectrum:
         assert math.isfinite(es.closed_loop_decay_rate(m, 1e300))
 
 
+class TestEulerStableStep:
+    # Criterion 3's step is half of this bound.
+    def test_table1_bound_is_pinned(self, table1_market):
+        assert es.euler_stable_step(table1_market) == 6.210613289718287e-05
+
+    # With q spanning many decades the dense spectrum's bound came out
+    # negative (-2.54e-16 at 1e-100, -0.95 at 1e150) or |lam|**2 overflowed
+    # (1e-160).  The suite turns any warning into an error.
+    @pytest.mark.parametrize("q", [1e-100, 1e150, 1e-160])
+    def test_no_bound_is_nan(self, q):
+        m = es.validate_market([(q, -1.0, 1.0), (1.0, -10.0, 1.0)])
+        assert math.isnan(es.euler_stable_step(m))
+
+
 class TestDecayRate:
     def test_table1_rate_matches_spectrum(self, table1_market):
         rate = es.closed_loop_decay_rate(table1_market, 4.0)

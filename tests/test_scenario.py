@@ -471,6 +471,14 @@ class TestRunSweep:
         assert "welfare_loss_nominal_utilities" in lines[0]
         assert len(lines) == 2
 
+    # Both zeros, a repeated binding cap and a repeated idle one: the rows
+    # share values, and each field must still be repr's text of its own bits.
+    def test_csv_is_repr_of_each_value(self, table1_config):
+        sweep = es.run_sweep(table1_config, [-0.0, 0.0, 2.0, 2.0, 4.0, 20.0, 20.0])
+        lines = es.sweep_to_csv(sweep).splitlines()
+        assert lines[1:] == [",".join(map(repr, row)) for row in sweep.table.tolist()]
+        assert lines[1].startswith("-0.0,-0.0,") and lines[2].startswith("0.0,0.0,")
+
     def test_empty_caps_rejected(self, table1_config):
         with pytest.raises(ValueError):
             es.run_sweep(table1_config, [])
@@ -607,9 +615,32 @@ def vector_table(values: np.ndarray, cols: int = 8) -> np.ndarray:
     return np.resize(values, (size // cols, cols))
 
 
+# Bit patterns that repr writes apart though they compare equal (both
+# zeros) or that it writes alike (NaN payloads), infinities, the extreme
+# subnormals and normals, and full-precision values.
+BIT_POOL = [
+    *np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.225073858507201e-308,
+               2.2250738585072014e-308, 1.7976931348623157e308, 0.1, -2 / 3,
+               8.256880733944953, 1e16, 1e-05]).view(np.uint64).tolist(),
+    0x7FF8_0000_0000_0000, 0xFFF8_0000_0000_0000, 0x7FF0_0000_0000_0001, 0xFFFF_FFFF_FFFF_FFFF,
+]
+
+
 # The CSV formatter's text is repr's, value by value: byte for byte, on
 # every float64 bit pattern (subnormals, both zeros, infinities, NaN payloads).
 class TestTableText:
+    # Tables below the vectorised formatter's size, whose values repeat as a
+    # sweep's do: some 20 patterns fill every field.
+    @given(extra=st.lists(st.integers(0, 2**64 - 1), max_size=4),
+           rows=st.integers(1, 63), cols=st.integers(1, 8), data=st.data())
+    def test_small_tables_of_repeated_patterns(self, extra, rows, cols, data):
+        pool = np.array(BIT_POOL + extra, dtype=np.uint64)
+        picks = data.draw(st.lists(st.integers(0, pool.size - 1),
+                                   min_size=rows * cols, max_size=rows * cols))
+        table = pool[picks].view(np.float64).reshape(rows, cols)
+        assert table.size < _shortest._MIN_VECTOR_VALUES
+        assert _shortest.format_table(table) == repr_csv(table)
+
     @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=16))
     def test_every_bit_pattern(self, patterns):
         table = vector_table(np.array(patterns, dtype=np.uint64).view(np.float64))
