@@ -161,7 +161,7 @@ def solve_sce(market: MarketInstance, cap: float) -> SceSolution:
     """Minimum-adjustment equilibrium under a price cap, with all duals.
 
     The one-cap case of :func:`_capped`'s closed form, which
-    :func:`scenario.run_sweep` evaluates over many caps.
+    :func:`scenario.run_sweep` evaluates at a sweep's binding caps and the CE price.
     """
     lam, nu, x_star, u_star = _capped(market, _check_cap(cap), solve_sw_dual(market))
     nu_star = _scalar(nu)

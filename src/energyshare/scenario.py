@@ -36,6 +36,7 @@ from .equilibrium import (
     kkt_residual_sce,
     solve_ce,
     solve_sce,
+    solve_sw_dual,
 )
 from ._shortest import format_table
 from .errors import DimensionMismatch, MissingField, NonfiniteState, ParseError, ValidationError
@@ -105,7 +106,7 @@ class Sweep:
     the table.  ``welfare_loss_nominal`` is the total nominal utility
     (adjustment-free coefficients) at the uncapped equilibrium minus the
     same quantity at the capped one; it is nonnegative and zero while the
-    cap is inactive.
+    cap is inactive.  An inactive cap's row is the uncapped equilibrium's.
     """
 
     table: np.ndarray
@@ -498,16 +499,19 @@ def nominal_welfare(market: MarketInstance, x: np.ndarray) -> float | np.ndarray
 
 
 def run_sweep(config: ScenarioConfig, cap_values) -> Sweep:
-    """Solve the capped equilibrium across a list of price caps, all caps at once.
+    """Solve the capped equilibrium across a list of price caps.
 
-    The columns are :func:`solve_sce`'s closed form, evaluated once over
-    all the caps.
+    :func:`solve_sce`'s closed form, ``_capped``, is evaluated once, over
+    the caps that bind (below the CE price, a NaN cap included) and the CE
+    price itself, where it gives the CE.  Every other cap is idle, and its
+    row is the CE's, ``(cap, lambda_bar, 0.0, 0.0, w - w)`` with ``w`` the
+    CE's nominal welfare: the row ``_capped`` gives at that cap, bit for bit.
 
     Raises:
         NonfiniteInput, ValidationError: the first cap, in input order, that
             is not finite or whose row has a value that is not finite.
     """
-    caps = np.array([float(c) for c in cap_values])
+    caps = np.fromiter(map(float, cap_values), float)
     if not caps.size:
         raise ValueError("cap_values must be nonempty")
     market = config.market
@@ -515,11 +519,17 @@ def run_sweep(config: ScenarioConfig, cap_values) -> Sweep:
     table[:, 0] = caps
     # As in run_solve: overflow is reported by _require_finite.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        ce = solve_ce(market)
-        # A NaN cap fails below.
-        table[:, 1], table[:, 2], x, u = _capped(market, caps, ce.lambda_bar)
-        np.sqrt(np.vecdot(u, u), out=table[:, 3])
-        np.subtract(nominal_welfare(market, ce.x_bar), nominal_welfare(market, x), out=table[:, 4])
+        lam_ce = solve_sw_dual(market)
+        rows = (~(lam_ce <= caps)).nonzero()[0]  # a NaN cap binds, and fails below
+        block = np.empty((rows.size + 1, len(_SWEEP_COLUMNS) - 1))  # the CE last
+        block[:, 0], block[:, 1], x, u = _capped(market, np.concatenate((caps[rows], [lam_ce])),
+                                                 lam_ce)
+        np.sqrt(np.vecdot(u, u), out=block[:, 2])
+        welfare = nominal_welfare(market, x)
+        # w - w, not 0.0: a CE welfare that overflows gives NaN, as _capped's row would.
+        np.subtract(welfare[-1], welfare, out=block[:, 3])
+        table[:, 1:] = block[-1]
+        table[rows, 1:] = block[:-1]
     if not np.isfinite(table).all():
         row = np.flatnonzero(~np.isfinite(table).all(axis=1))[0]
         cap = _check_cap(caps[row])

@@ -51,6 +51,23 @@ $cli sweep --config table1.json --caps 2,4,6
 $cli sweep --config table1.json --caps=-0.0,0.0,2,2,4,20,20 > "$tmp/sweep.csv"
 test "$(sha256sum < "$tmp/sweep.csv" | cut -c1-64)" = \
   fd93363ec60d72e43538076b79c49759f66dcf3f7cade8f37b4d032a5032c4b5
+# Every cap binding, then every cap idle (the first is table1's CE price):
+# the closed form runs only at binding caps, and an idle row is the CE's.
+$cli sweep --config table1.json --caps=-3,0.5,1,2,4,6,8 > "$tmp/sweep.csv"
+test "$(sha256sum < "$tmp/sweep.csv" | cut -c1-64)" = \
+  b8448e3cfd043dcff97a3370a1fac222c19cc93783731a7dc0eea6334b2510cb
+$cli sweep --config table1.json --caps=8.256880733944953,9,12,100,1e300 > "$tmp/sweep.csv"
+test "$(sha256sum < "$tmp/sweep.csv" | cut -c1-64)" = \
+  b8fc0d3bf965975b2f37062e012650afcfc38388070e4b01aca300c587283d7c
+# Every cap idle where the CE welfare is -inf: the idle rows' welfare loss
+# is NaN, not 0.0, and the first row fails.
+echo '{"agents": [{"q": 1e-100, "c0": -1e200, "a": 0.0}, {"q": 1.0, "c0": -1.0, "a": 1e200}],
+ "lambda_max": 1.0}' > "$tmp/ce_welfare.json"
+code=0
+$cli sweep --config "$tmp/ce_welfare.json" --caps=1e300 2> "$tmp/sweep.err" || code=$?
+test "$code" -eq 2
+test "$(cat "$tmp/sweep.err")" = "error: sweep at lambda_max = 1e+300: welfare_loss_nominal = \
+nan is not finite: the inputs exceed float64's range"
 # The benchmarked battery (table1.json's seed is 0) and four more seeds:
 # exit 0 and all 26 checks passed on each seed's draws.
 for s in 0 1 2 3 4; do

@@ -1,6 +1,7 @@
 """Scenario I/O: config parsing, reports, simulation export, sweep, verify."""
 
 import json
+import math
 from dataclasses import replace
 from unittest import mock
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import energyshare as es
-from energyshare import _shortest, scenario
+from energyshare import _shortest, equilibrium, scenario
 from energyshare.verification import CHECKS, SIM_RANGES, check_rng, random_market
 from conftest import markets
 
@@ -425,6 +426,47 @@ def reference_sweep_csv(market, caps):
     return "\n".join(lines) + "\n"
 
 
+def all_caps_sweep(market, caps):
+    """The sweep table with ``_capped`` evaluated at every cap, idle ones too, as bytes,
+    or the error ``run_sweep`` raises for its first row that is not finite."""
+    caps = np.array(caps, dtype=float)
+    table = np.empty((caps.size, len(scenario._SWEEP_COLUMNS)))
+    table[:, 0] = caps
+    with np.errstate(all="ignore"):
+        ce = es.solve_ce(market)
+        table[:, 1], table[:, 2], x, u = equilibrium._capped(market, caps, ce.lambda_bar)
+        table[:, 3] = np.sqrt(np.vecdot(u, u))
+        table[:, 4] = (scenario.nominal_welfare(market, ce.x_bar)
+                       - scenario.nominal_welfare(market, x))
+    try:
+        if not np.isfinite(table).all():
+            row = np.flatnonzero(~np.isfinite(table).all(axis=1))[0]
+            cap = equilibrium._check_cap(caps[row])
+            scenario._require_finite(dict(zip(scenario._SWEEP_COLUMNS, table[row])),
+                                     f"sweep at lambda_max = {cap!r}: ")
+    except es.ValidationError as exc:
+        return type(exc), str(exc)
+    return table.tobytes()
+
+
+def sweep_outcome(config, caps):
+    """``run_sweep``'s table as bytes, or the class and message of its error."""
+    try:
+        return es.run_sweep(config, caps).table.tobytes()
+    except es.ValidationError as exc:
+        return type(exc), str(exc)
+
+
+# Markets whose competitive equilibrium leaves float64's range: the CE
+# welfare is -inf (a cap of 1e300 is idle), the CE price is inf, or NaN.
+with np.errstate(all="ignore"):
+    OUT_OF_RANGE_MARKETS = [es.validate_market(agents) for agents in (
+        [(1e-100, -1e200, 0.0), (1.0, -1.0, 1e200)],
+        [(1e-300, -1e300, 1e300)],
+        [(1e-10, -1e308, 1e308), (1.0, -1.0, 1e308)],
+    )]
+
+
 class TestRunSweep:
     def test_table1_cap_grid(self, table1_config):
         sweep = es.run_sweep(table1_config, [2.0, 4.0, 6.0, 8.26, 10.0])
@@ -505,6 +547,43 @@ class TestRunSweep:
         caps = [*rng.uniform(lam - 1e3, lam + 1e2, 40), lam, np.nextafter(lam, -np.inf)]
         config = replace(table1_config, market=market)
         assert es.sweep_to_csv(es.run_sweep(config, caps)) == reference_sweep_csv(market, caps)
+
+    # run_sweep evaluates _capped only where the cap binds, and writes the
+    # CE's row at every idle cap; each table must still be the all-caps
+    # evaluation's, bit for bit, or fail with its error.  Caps: the CE price
+    # and its neighbouring floats, values around it, both zeros, NaN, both
+    # infinities and +-1e300, at random positions; then only idle caps, and
+    # only binding ones.
+    @given(market=markets() | st.sampled_from(OUT_OF_RANGE_MARKETS), data=st.data())
+    def test_table_is_the_all_caps_closed_form(self, table1_config, market, data):
+        with np.errstate(all="ignore"):
+            lam = float(es.solve_sw_dual(market))
+        special = [lam, math.nextafter(lam, -math.inf), math.nextafter(lam, math.inf), 0.0, -0.0,
+                   math.nan, math.inf, -math.inf, 1e300, -1e300]
+        around = st.floats(-2.0, 2.0)
+        if math.isfinite(lam):
+            around = around.map(lambda t: lam + t * max(1.0, abs(lam)))
+        mixed = data.draw(st.lists(st.sampled_from(special) | around, min_size=1, max_size=16))
+        if math.isnan(lam):  # every cap binds
+            idle, binding = [], data.draw(st.lists(st.floats(), min_size=1, max_size=8))
+        else:
+            idle = data.draw(st.lists(st.floats(min_value=lam), min_size=1, max_size=8))
+            binding = data.draw(st.lists(st.floats(max_value=math.nextafter(lam, -math.inf))
+                                         | st.just(math.nan), min_size=1, max_size=8))
+        assert not (lam > np.array(idle)).any() and not (lam <= np.array(binding)).any()
+        config = replace(table1_config, market=market)
+        for caps in (mixed, idle, binding):
+            if caps:
+                assert sweep_outcome(config, caps) == all_caps_sweep(market, caps), caps
+
+    # Every cap idle where the CE welfare is -inf: the idle row's welfare
+    # loss is w - w = NaN, which fails the first row.
+    def test_idle_row_fails_where_the_ce_welfare_overflows(self, table1_config):
+        config = replace(table1_config, market=OUT_OF_RANGE_MARKETS[0])
+        with pytest.raises(es.ValidationError) as info:
+            es.run_sweep(config, [1e300, 1e301])
+        assert str(info.value) == ("sweep at lambda_max = 1e+300: welfare_loss_nominal = nan is "
+                                   "not finite: the inputs exceed float64's range")
 
 
 class TestSerialization:
