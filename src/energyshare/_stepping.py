@@ -112,24 +112,25 @@ _STEPPERS = {"euler": (_euler_step, 1), "rk4": (_rk4_step, 4)}
 METHODS = tuple(_STEPPERS)
 
 # A block is at most _BLOCK_MAX_STEPS steps; a power of two makes a full
-# block one matrix-vector product per bit of its length.  A block costs the
-# interpreter about as much as ten single steps (~50 us against ~5 us for an
-# Euler step at N = 5 on a 2-vCPU Xeon VM), so blocks shorter than
-# _BLOCK_MIN_STEPS are not worth building.  The tables of all branches may
-# take at most _BLOCK_MAX_BYTES, and at most _RECORD_BLOCK_MAX_BYTES when the
-# blocks record states inside themselves.  These bound the memory the block
-# path adds to a run and say nothing of its speed, which _block_length
-# weighs.  Blocks that record nothing inside reach full length up to about
-# 430 state components for Euler.  Blocks that record every step are 512
-# Euler steps long at N = 1 (dim 8) and 64 at N = 5 (dim 28), and exist up
-# to about 50 components; a run at stride 100 such as table1.json takes 512
-# rk4 steps at a time.
+# block one matrix-vector product per bit of its length.  Applying a block
+# costs the interpreter about as much as ten single steps (~50 us against ~5
+# us for an Euler step at N = 5 on a 2-vCPU Xeon VM), so blocks shorter than
+# _BLOCK_MIN_STEPS are not worth building, however cheap their tables.  The
+# tables of all branches may take at most _BLOCK_MAX_BYTES, and at most
+# _RECORD_BLOCK_MAX_BYTES when the blocks record states inside themselves.
+# These bound the memory the block path adds to a run and say nothing of its
+# speed, which _block_length weighs.  Blocks that record nothing inside reach
+# full length up to about 430 state components for Euler.  Blocks that record
+# every step are 512 Euler steps long at N = 1 (dim 8) and 64 at N = 5 (dim
+# 28), and exist up to about 50 components; a run at stride 100 such as
+# table1.json takes 512 rk4 steps at a time.
 _BLOCK_MAX_STEPS = 1 << 12
 _BLOCK_MIN_STEPS = 1 << 4
 _BLOCK_MAX_BYTES = 1 << 26
 _RECORD_BLOCK_MAX_BYTES = 1 << 20
-# One matrix product costs the interpreter about as much as this many
-# multiply-adds (~1.6 us against ~0.2 ns at dim 23 on a 2-vCPU Xeon VM).
+# One matrix product, a drift evaluation of the step loop included, costs the
+# interpreter about as much as this many multiply-adds (~1.6 us against ~0.2
+# ns at dim 23 on a 2-vCPU Xeon VM).
 _PRODUCT_COST = 1 << 13
 
 
@@ -143,24 +144,28 @@ def _block_length(dim: int, stride: int, n_steps: int, evals: int, guards: int) 
     with a projected component, which has two branches, and none for a plain
     affine drift, which has one.  A block of ``length`` steps also yields
     the ``records = (length - 1) // stride`` states recorded inside it,
-    ``dim`` rows each.  Counted in multiply-adds, the step loop spends
-    ``evals * dim**2`` per step.  The tables of one branch compose the step
-    from its stage maps (``evals * dim**3``), take ``bits =
-    length.bit_length()`` squarings of the step matrix (``dim**3`` each), as
-    many again for the map of ``stride`` steps when there are records, and
-    build by doubling at most twice their ``rows = guards * length + dim *
-    records`` rows (``dim**2`` each); for all branches together to cost at
-    most half the loop, ``2 * branches * ((evals + squarings) * dim + 2 *
-    rows) <= evals * n_steps``.  Left out are the products that apply a
-    block, ``rows * dim`` per block, and the interpreter's per-step cost,
-    which the block path saves.  The first is small against the loop except
-    for Euler recording every step, where it matches the loop's
-    multiply-adds and the saving is the interpreter's cost alone; the record
-    cap keeps such blocks to small states, where that cost dominates.  The
-    choice reads only sizes, never the drift's matrix, which a large closed
-    loop builds when first read.
+    ``dim`` rows each.  Costs are counted in multiply-adds, and a matrix
+    product costs its own or ``_PRODUCT_COST``, the interpreter's share,
+    whichever is more: at small ``dim`` the interpreter dominates.  The step
+    loop makes ``evals`` drift products of ``dim**2`` per step.  The tables
+    of one branch compose the step from its stage maps (``evals`` products
+    of ``dim**3``) and take ``bits = length.bit_length()`` squarings of the
+    step map, as many again for the map of ``stride`` steps when there are
+    records, each two products (``dim**3`` and ``dim**2``).  As many
+    doubling passes of two products each build their ``rows = guards *
+    length + dim * records`` rows, at most ``2 * rows * dim**2`` in all, and
+    are charged that on top of ``_PRODUCT_COST`` a product.  All branches
+    together may cost at most half the loop.  Left out are the products
+    that apply a block, a few per block and ``rows * dim`` in all, and the
+    interpreter's cost of a block, which ``_BLOCK_MIN_STEPS`` weighs.  So
+    ``verify``'s step-halving runs (dim 18, 50 to 10 000 steps) take blocks,
+    while the record cap bounds ``table1.json``'s run to 512 steps and no
+    table of a 1000-agent market fits.  The choice reads only sizes, never
+    the drift's matrix, which a large closed loop builds when first read.
     """
     branches = 2 if guards else 1
+    cube, square = max(dim**3, _PRODUCT_COST), max(dim**2, _PRODUCT_COST)
+    loop = evals * n_steps * square
     length = 1 << (min(n_steps, _BLOCK_MAX_STEPS).bit_length() - 1)
     while length >= _BLOCK_MIN_STEPS:
         bits = length.bit_length()
@@ -168,9 +173,10 @@ def _block_length(dim: int, stride: int, n_steps: int, evals: int, guards: int) 
         squarings = 2 * bits if records else bits
         rows = guards * length + dim * records
         table_bytes = branches * 8 * (squarings * (dim + 1) * dim + rows * (dim + 1))
-        cost = 2 * branches * ((evals + squarings) * dim + 2 * rows)
+        tables = ((evals + squarings) * cube + squarings * (square + 2 * _PRODUCT_COST)
+                  + 2 * rows * dim**2)
         max_bytes = _RECORD_BLOCK_MAX_BYTES if records else _BLOCK_MAX_BYTES
-        if cost <= evals * n_steps and table_bytes <= max_bytes:
+        if 2 * branches * tables <= loop and table_bytes <= max_bytes:
             return length
         length //= 2
     return 0
@@ -213,6 +219,20 @@ def _doubled(rows: np.ndarray, sums: np.ndarray, powers: list, count: int) -> tu
         new_sums += out_sums[:n]
         done += n
     return out_rows, out_sums
+
+
+def _growth(norms: list, length: int) -> np.ndarray:
+    """``growth[j]`` for ``j <= length``: the largest product of ``max(1, norms[b])`` over
+    the binary digits ``b`` of any ``i <= j`` (digits past ``norms`` count 1).
+
+    Built by doubling, ``p[2**b + i] = p[i] * max(1, norms[b])`` for ``i < 2**b``, so each
+    product is taken from its lowest digit up; a product past float64's range is inf.
+    """
+    products = np.ones(1)
+    with np.errstate(over="ignore"):
+        for factor in np.maximum(1.0, norms[: length.bit_length()]):
+            products = np.concatenate((products, products * factor))
+    return np.maximum.accumulate(np.resize(products, length + 1))
 
 
 # A branch looks for a power of its step map with norm at most 1 among the
@@ -290,10 +310,7 @@ class _Branch:
             self.norms.append(self._norm(power))
             if self.norms[-1] <= 1.0:
                 break
-        bits = np.arange(length + 1)[:, None] >> np.arange(len(self.norms)) & 1
-        with np.errstate(over="ignore"):
-            bound = np.where(bits, np.maximum(1.0, self.norms), 1.0).prod(axis=1)
-        self.growth = np.maximum.accumulate(bound)
+        self.growth = _growth(self.norms, length)
         self.shift_norm = float(np.linalg.norm(shift))
 
     def advance(self, y: np.ndarray, steps: int, records: np.ndarray) -> tuple[np.ndarray, int]:
@@ -502,7 +519,9 @@ def integrate(
     1.2e5`` and stride 10**4 it takes ~0.03 s instead of ~1.6 s, and at
     ``t_end = 1e9`` and stride 10**7 ~0.03 s.
 
-    The march is ``_march``'s with one window that holds every row.
+    The march is ``_march``'s with one window that holds every row.  It runs
+    under ``np.errstate(over="ignore", invalid="ignore")``: a run that
+    overflows raises ``NonfiniteState``, with no numpy warning before it.
 
     Returns:
         The recorded :class:`Trajectory`.
@@ -516,7 +535,8 @@ def integrate(
             ``DIVERGENCE_LIMIT`` or turned non-finite; the partial trajectory
             recorded so far, columns and all, rides on the exception.
     """
-    (trajectory,) = _march(rhs, y0, h, t_end, method, reference, mu_index, record_stride)
+    with np.errstate(over="ignore", invalid="ignore"):
+        (trajectory,) = _march(rhs, y0, h, t_end, method, reference, mu_index, record_stride)
     return trajectory
 
 

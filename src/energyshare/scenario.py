@@ -478,10 +478,9 @@ def run_simulate(
     reference = _fixed_point(market, cap)
     y0 = np.zeros(lay.dim) if isinstance(sim.init, str) else np.asarray(sim.init, dtype=float)
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            trajectory = integrate(closed_loop_rhs(market, cap), y0, sim.h, sim.t_end,
-                                   method=sim.method, reference=reference, mu_index=lay.mu,
-                                   record_stride=sim.record_stride)
+        trajectory = integrate(closed_loop_rhs(market, cap), y0, sim.h, sim.t_end,
+                               method=sim.method, reference=reference, mu_index=lay.mu,
+                               record_stride=sim.record_stride)
     except NonfiniteState as exc:
         if exc.trajectory is not None and len(exc.trajectory) > 0:
             write_trajectory_csv(exc.trajectory, market.n, csv_path)

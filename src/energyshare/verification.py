@@ -195,7 +195,9 @@ def _closed_loop_run(market, cap, rate=None, h=0.02, t_end=None, method="rk4", r
     Lyapunov value is monotone, and a detail line.  The run's records pass
     through a window of about 1 MiB (``dynamics._march``).  Raises
     ``ValidationError`` if the fixed point or the settling horizon is not
-    finite (an input or a cap past float64's range).
+    finite (an input or a cap past float64's range), and, as
+    ``dynamics.integrate`` does, ``NonfiniteState`` for a run that
+    overflows, with no numpy warning before it.
     """
     fixed = scn._fixed_point(market, cap)
     if t_end is None:
@@ -210,7 +212,8 @@ def _closed_loop_run(market, cap, rate=None, h=0.02, t_end=None, method="rk4", r
         dyn.closed_loop_rhs(market, cap), np.zeros(lay.dim), h, t_end, method=method,
         reference=fixed, mu_index=lay.mu, record_stride=record_stride, bounded=True,
     )
-    report, v_first, final_time = dyn._folded_report(windows, scn.SUMMARY_TOLERANCE)
+    with np.errstate(over="ignore", invalid="ignore"):
+        report, v_first, final_time = dyn._folded_report(windows, scn.SUMMARY_TOLERANCE)
     rise = report.worst_lyapunov_increase
     monotone = rise <= 1e-8 * max(1.0, v_first)
     return report, monotone, (

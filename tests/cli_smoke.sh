@@ -9,9 +9,10 @@
 # that overflows is a divergence (exit 3); an Euler run that diverges at a
 # step past its stability bound says so and names the bound.  A verify check
 # that cannot run at such a cap, or on such a fixed point, is a failed check
-# (exit 1, no traceback).  The 200-instance verify battery passes all 26
-# checks on seeds 0 to 4, and prints the same bytes under two string hash
-# seeds; the 1- and 10 000-instance batteries and a 20-instance battery at
+# (exit 1, no traceback), as is one whose closed loop overflows.  The
+# 200-instance verify battery passes all 26 checks on seeds 0 to 4, keeps
+# its pinned bytes on seed 0, and prints the same bytes under two string
+# hash seeds; the 1- and 10 000-instance batteries and a 20-instance battery at
 # table1's CE price pass all 26 too.
 #
 # Run from the repository root: PYTHONPATH=src bash tests/cli_smoke.sh
@@ -68,11 +69,23 @@ $cli sweep --config "$tmp/ce_welfare.json" --caps=1e300 2> "$tmp/sweep.err" || c
 test "$code" -eq 2
 test "$(cat "$tmp/sweep.err")" = "error: sweep at lambda_max = 1e+300: welfare_loss_nominal = \
 nan is not finite: the inputs exceed float64's range"
+# Its closed loop overflows inside an rk4 step: the runs that do are failed
+# checks, not numpy warnings.
+code=0
+$cli verify --config "$tmp/ce_welfare.json" --instances 3 2> "$tmp/verify.err" || code=$?
+test "$code" -eq 1
+if grep -q Traceback "$tmp/verify.err"; then cat "$tmp/verify.err"; exit 1; fi
 # The benchmarked battery (table1.json's seed is 0) and four more seeds:
 # exit 0 and all 26 checks passed on each seed's draws.
 for s in 0 1 2 3 4; do
   $cli verify --config table1.json --instances 200 --seed "$s" > "$tmp/verify.out"
   test "$(grep -c '^\[PASS\]' "$tmp/verify.out")" -eq 26
+  # Seed 0's lines keep their bytes: a change of path that moves a printed
+  # digit shows here.
+  if [ "$s" -eq 0 ]; then
+    test "$(sha256sum < "$tmp/verify.out" | cut -c1-64)" = \
+      db3fa598f663831342537d5aa08a9affc3214f90977565e0478ba0c0458cf041
+  fi
 done
 # One instance gives each residual check a batch of one market; 10 000 give
 # the oracle check a batch of about 1250 markets per agent count.

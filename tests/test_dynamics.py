@@ -862,6 +862,9 @@ class TestIntegrate:
         assert passed, detail
         assert block_steps[0] > 0
 
+    # The step-halving runs (dim 18, at most 10 000 steps, only their ends
+    # recorded) are short enough that the step loop's cost is mostly the
+    # interpreter's: each takes blocks, and each agrees with the step loop.
     def test_step_halving_reference_runs_in_blocks(self, table1_config, block_steps,
                                                    monkeypatch):
         name = "dynamics.step_halving_order"
@@ -871,13 +874,53 @@ class TestIntegrate:
         def recorded(rhs, y0, h, t_end, **kwargs):
             before = block_steps[0]
             traj = integrate(rhs, y0, h, t_end, **kwargs)
-            runs.append((h, kwargs["method"], block_steps[0] - before))
+            runs.append((rhs, y0, h, t_end, kwargs, block_steps[0] - before))
             return traj
 
         monkeypatch.setattr(dynamics, "integrate", recorded)
         passed, detail = dict(CHECKS)[name](table1_config, check_rng(0, name), 200)
         assert passed, detail
-        assert (1e-3, "rk4", 10_000) in runs
+        assert [(h, kwargs["method"]) for _, _, h, _, kwargs, _ in runs] == [
+            (1e-3, "rk4"), (0.02, "euler"), (0.01, "euler"), (0.2, "rk4"), (0.1, "rk4")]
+        assert runs[0][-1] == 10_000
+        for rhs, y0, h, t_end, kwargs, steps in runs:
+            assert steps > 0
+            _, _, count = block_and_loop(rhs, y0, h, t_end, 1e-12, **kwargs)
+            assert count[0] == steps
+
+    # The block lengths of the runs whose path the bench times: table1.json's
+    # (bound by the record cap), the large market's (no tables fit), the
+    # Euler check's (record cap), csv_schema's (its 50 steps do not repay
+    # tables that record inside) and the step-halving runs'.
+    @pytest.mark.parametrize("sizes, length", [
+        ((23, 100, 60_000, 4, 4), 512),
+        ((5003, 1, 25, 4, 4), 0),
+        ((8, 1, 200_000, 1, 1), 512),
+        ((23, 5, 50, 4, 4), 0),
+        ((18, 10**6, 10_000, 4, 4), 4096),
+        ((18, 10**6, 500, 1, 1), 256),
+        ((18, 10**6, 1000, 1, 1), 512),
+        ((18, 10**6, 50, 4, 4), 32),
+        ((18, 10**6, 100, 4, 4), 64),
+    ], ids=["table1", "large_market", "euler_check", "csv_schema", "halving_reference",
+            "halving_euler_0.02", "halving_euler_0.01", "halving_rk4_0.2", "halving_rk4_0.1"])
+    def test_block_length(self, sizes, length):
+        assert _stepping._block_length(*sizes) == length
+
+    # The growth bound, built by doubling, against the table of binary
+    # digits it replaced: bit for bit, products past float64's range included.
+    @settings(max_examples=300)
+    @given(
+        length=st.integers(16, 4096),
+        norms=st.lists(st.one_of(st.floats(0.0, 2.0), st.floats(1.0, 1e300), st.just(math.inf)),
+                       min_size=1, max_size=14),
+    )
+    def test_growth_matches_the_digit_table(self, length, norms):
+        digits = np.arange(length + 1)[:, None] >> np.arange(len(norms)) & 1
+        with np.errstate(over="ignore"):
+            bound = np.where(digits, np.maximum(1.0, norms), 1.0).prod(axis=1)
+        expected = np.maximum.accumulate(bound)
+        np.testing.assert_array_equal(_stepping._growth(norms, length), expected)
 
     def test_rejects_negative_initial_mu(self, table1_market):
         y0 = closed_loop_zero(table1_market)

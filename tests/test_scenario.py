@@ -774,6 +774,17 @@ class TestRunVerify:
         residual = check.residual(market, np.random.default_rng(seed))
         assert residual <= check.tol, f"{name}: residual {residual:.3e} > {check.tol:.0e}"
 
+    # The closed loop of this market overflows inside its first rk4 step:
+    # each run that does is a failed check, with no numpy warning (which the
+    # suite turns into an error).
+    def test_overflowing_run_is_a_failed_check(self):
+        config = es.load_config('{"agents": [{"q": 1e-100, "c0": -1e200, "a": 0.0}, '
+                                '{"q": 1.0, "c0": -1.0, "a": 1e200}], "lambda_max": 1.0}')
+        failed = {c.name: c.detail for c in es.run_verify(config, 3).checks if not c.passed}
+        for name in ("dynamics.closed_loop_config_convergence",
+                     "dynamics.open_loop_and_reduced_limits", "scenario.csv_schema"):
+            assert failed[name].startswith("raised NonfiniteState: state diverged"), failed
+
     def test_nonfinite_residual_fails(self, table1_config, monkeypatch):
         def nan_ce(market):
             return es.equilibrium.CeSolution(x_bar=np.full(market.n, np.nan), lambda_bar=np.nan)
